@@ -131,6 +131,7 @@ def _estimate_report(est: Estimate, cfg: EstimatorConfig, grouped) -> dict:
         "groups": len(grouped),
         "max_group_product": grouped.max_group_product,
         "work": est.work.as_dict(),
+        "work_per_run": [w.as_dict() for w in est.work_per_run],
     }
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -95,6 +95,11 @@ class WorkCounters:
     accepted_offers: int = 0
     combine_calls: int = 0
 
+    def __add__(self, other: "WorkCounters") -> "WorkCounters":
+        return WorkCounters(
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
+        )
+
     @property
     def total(self) -> int:
         """Scan-side work: elements sorted + pointer advances + inner probes."""
@@ -120,7 +125,8 @@ class Estimate:
     the exact distinct-pair count, also in ``count``) or ``upper_bound``
     (value = k^2, meaning the true size is at most that with probability
     2/3).  ``p0`` is the initial threshold in 2**-64 grid units and ``v`` the
-    finalized k-th smallest hash for point outcomes.
+    finalized k-th smallest hash for point outcomes.  ``work`` is the sum
+    of ``work_per_run``, the counters of every run behind the outcome.
     """
 
     kind: str
@@ -130,6 +136,7 @@ class Estimate:
     v: int | None = None
     count: int | None = None
     work: WorkCounters = field(default_factory=WorkCounters)
+    work_per_run: tuple[WorkCounters, ...] = ()
 
 
 def choose_threshold(grouped: GroupedInput, k: int, mode: str = MODE_LINEAR) -> int:
@@ -164,11 +171,11 @@ def run_once(
     p0 = choose_threshold(grouped, k, cfg.threshold_mode)
     work = WorkCounters()
     if grouped.tuple_count == 0:
-        return Estimate(EXACT_SMALL, 0.0, k, p0, count=0, work=work)
+        return Estimate(EXACT_SMALL, 0.0, k, p0, count=0, work=work, work_per_run=(work,))
 
     state = KMinState(k, p0, select_rng)
-    for group in grouped.groups:
-        sg = sort_group(group.left_values, group.right_values, pair_hash)
+    for _, left, right in grouped.groups():
+        sg = sort_group(left, right, pair_hash)
         work.sorted_elements += len(sg.xs) + len(sg.ys)
         counters = scan_group(sg, state.threshold, state.offer)
         work.sbar_increments += counters.sbar_increments
@@ -178,13 +185,14 @@ def run_once(
     work.accepted_offers = state.accepted
     work.combine_calls = state.combines
 
+    done = dict(k=k, p0=p0, work=work, work_per_run=(work,))
     if outcome.filled:
         v = outcome.v or 1  # all-zero hash ties; degenerate but divisible
-        return Estimate(POINT, (k << hashing.GRID_BITS) / v, k, p0, v=outcome.v, work=work)
+        return Estimate(POINT, (k << hashing.GRID_BITS) / v, v=outcome.v, **done)
     if cfg.threshold_mode == MODE_START_AT_ONE:
         # Nothing was ever cut off, so the sketch saw every distinct pair.
-        return Estimate(EXACT_SMALL, float(outcome.count), k, p0, count=outcome.count, work=work)
-    return Estimate(UPPER_BOUND, float(k * k), k, p0, work=work)
+        return Estimate(EXACT_SMALL, float(outcome.count), count=outcome.count, **done)
+    return Estimate(UPPER_BOUND, float(k * k), **done)
 
 
 def median_by_value(estimates: Sequence[Estimate]) -> Estimate:
@@ -198,6 +206,11 @@ def estimate_median(
     cfg: EstimatorConfig,
     key_prefix: tuple[int, ...] = (),
 ) -> Estimate:
-    """Median of ``cfg.runs`` independent runs (fresh hash draws per run)."""
+    """Median of ``cfg.runs`` independent runs (fresh hash draws per run).
+
+    The result carries the median run's outcome and the work of all runs.
+    """
     estimates = [run_once(grouped, cfg, key=key_prefix + (i,)) for i in range(cfg.runs)]
-    return median_by_value(estimates)
+    per_run = tuple(e.work for e in estimates)
+    return replace(median_by_value(estimates), work=sum(per_run, WorkCounters()),
+                   work_per_run=per_run)

@@ -55,7 +55,9 @@ class PairwiseHash:
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`value` over a uint64 array."""
         if self.family == WRAPPING64:
-            return np.uint64(self.multiplier) * xs + np.uint64(self.addend)
+            out = np.uint64(self.multiplier) * xs
+            out += np.uint64(self.addend)  # in place: one temporary fewer
+            return out
         m, a = self.multiplier, self.addend
         out = [((m * x + a) % MERSENNE61 << GRID_BITS) // MERSENNE61 for x in xs.tolist()]
         return np.array(out, dtype=np.uint64)

@@ -12,12 +12,9 @@ import numpy as np
 
 from .hashing import PairHash
 from .kmin import SketchOutcome
-from .relation import GroupedInput
+from .relation import GroupedInput, pack, sorted_distinct, unpack
 
 DEFAULT_CAP = 10_000_000
-
-_SHIFT = np.uint64(32)
-_LOW = np.uint64(0xFFFFFFFF)
 
 
 class SizeCapError(RuntimeError):
@@ -38,23 +35,39 @@ def _check_cap(grouped: GroupedInput, cap: int) -> None:
 
 
 def distinct_pair_keys(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """Sorted encoded keys (a << 32 | c) of all distinct result pairs."""
+    """Sorted encoded keys (a << 32 | c) of all distinct result pairs.
+
+    One expansion of every group's product: each left value is repeated once
+    per right value of its group, and the right values are gathered through
+    a run of consecutive indices per left value.  Groups are never empty, so
+    no run is.
+    """
     _check_cap(grouped, cap)
-    if not grouped.groups:
-        return np.empty(0, dtype=np.uint64)
-    parts = []
-    for g in grouped.groups:
-        keys = (g.left_values[:, None] << _SHIFT) | g.right_values[None, :]
-        parts.append(keys.ravel())
-    return np.unique(np.concatenate(parts))
+    left_counts = np.diff(grouped.left_offsets)
+    fan = np.repeat(np.diff(grouped.right_offsets), left_counts)
+    first = np.repeat(grouped.right_offsets[:-1], left_counts)
+    # Right index of each pair: +1 within a run; at a run's start, the jump
+    # from the previous run's last index to this run's first.
+    index = np.ones(int(fan.sum()), dtype=np.int64)
+    jumps = first.copy()
+    jumps[1:] -= first[:-1] + fan[:-1] - 1
+    index[np.cumsum(fan) - fan] = jumps
+    del first, jumps
+    np.cumsum(index, out=index)
+    right = grouped.right_values[index]
+    del index
+    keys = np.repeat(pack(grouped.left_values, 0), fan)
+    keys |= right
+    del right
+    return sorted_distinct(keys)
 
 
 def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP, materialize: bool = False) -> ExactResult:
     """Exact join-project size by unioning every group's product."""
     keys = distinct_pair_keys(grouped, cap)
     if materialize:
-        pairs = frozenset(zip((keys >> _SHIFT).tolist(), (keys & _LOW).tolist()))
-        return ExactResult(int(keys.size), pairs)
+        a, c = unpack(keys)
+        return ExactResult(int(keys.size), frozenset(zip(a.tolist(), c.tolist())))
     return ExactResult(int(keys.size))
 
 
@@ -62,9 +75,9 @@ def exact_size_bitsets(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> int:
     """Independent second path: per-left-value sets of reachable right values."""
     _check_cap(grouped, cap)
     reach: dict[int, set[int]] = {}
-    for g in grouped.groups:
-        right = g.right_values.tolist()
-        for a in g.left_values.tolist():
+    for _, left, right_values in grouped.groups():
+        right = right_values.tolist()
+        for a in left.tolist():
             reach.setdefault(a, set()).update(right)
     return sum(len(s) for s in reach.values())
 
@@ -72,18 +85,20 @@ def exact_size_bitsets(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> int:
 def exact_kth_hash(
     grouped: GroupedInput, pair_hash: PairHash, k: int, cap: int = DEFAULT_CAP
 ) -> SketchOutcome:
-    """Full-sort k-th smallest pair hash over all distinct result pairs.
+    """k-th smallest pair hash over all distinct result pairs.
 
-    Uses the sketch's tie rule, (hash, a, c) lexicographic, so a filled
-    sketch outcome must match this bit for bit.
+    A filled sketch outcome must match this bit for bit.  Ties between
+    pairs do not matter here: v is a hash value, not a pair.
     """
     if k < 1:
         raise ValueError("k must be positive")
     keys = distinct_pair_keys(grouped, cap)
     if keys.size < k:
         return SketchOutcome(filled=False, count=int(keys.size))
-    a = keys >> _SHIFT
-    c = keys & _LOW
-    hv = pair_hash.h1.values(a) - pair_hash.h2.values(c)  # uint64 wraparound
-    order = np.lexsort((c, a, hv))
-    return SketchOutcome(filled=True, v=int(hv[order[k - 1]]))
+    a, c = unpack(keys)
+    del keys
+    hv = pair_hash.h1.values(a)
+    del a
+    hv -= pair_hash.h2.values(c)  # uint64 wraparound
+    hv.partition(k - 1)
+    return SketchOutcome(filled=True, v=int(hv[k - 1]))

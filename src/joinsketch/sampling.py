@@ -32,7 +32,7 @@ import numpy as np
 from . import oracle
 from .estimator import EXACT_SMALL, MODE_START_AT_ONE, Estimate, EstimatorConfig, estimate_median
 from .hashing import GRID, MERSENNE, PairwiseHash, WRAPPING64
-from .relation import GroupedInput, Relation, Side, group_and_prune
+from .relation import GroupedInput, Relation, Side, group_and_prune, pack, sorted_distinct, unpack
 
 DEFAULT_EXACT_CUTOFF = 10_000
 
@@ -70,28 +70,18 @@ def membership_cut(prob: float) -> int:
 def draw_sample(relation: Relation, prob: float, selector: PairwiseHash) -> DistinctSample:
     """One pass over the relation keeping value-selected tuples."""
     cut = membership_cut(prob)
-    idx = 0 if relation.side is Side.LEFT else 1
-    tuples = sorted(relation.tuples)
-    if tuples:
-        attrs = np.fromiter((t[idx] for t in tuples), dtype=np.uint64, count=len(tuples))
-        hv = selector.values(attrs)
-        if cut >= GRID:
-            kept = frozenset(tuples)
-        else:
-            mask = hv < np.uint64(cut)
-            kept = frozenset(t for t, keep in zip(tuples, mask.tolist()) if keep)
-        distinct = len({t[idx] for t in tuples})
-    else:
-        kept = frozenset()
-        distinct = 0
+    attrs = unpack(relation.keys)[0 if relation.side is Side.LEFT else 1]
+    kept = relation.keys
+    if cut < GRID and kept.size:
+        kept = kept[selector.values(attrs) < np.uint64(cut)]
     return DistinctSample(
         side=relation.side,
         prob=prob,
         cut=cut,
         selector=selector,
         relation=Relation(relation.side, kept),
-        source_tuples=len(tuples),
-        source_distinct=distinct,
+        source_tuples=len(relation),
+        source_distinct=sorted_distinct(attrs).size,
     )
 
 
@@ -231,7 +221,7 @@ _FAMILY_FROM_CODE = {v: k for k, v in _FAMILY_CODES.items()}
 
 
 def save_sample(sample: DistinctSample, path: str) -> None:
-    tuples = sorted(sample.relation.tuples)
+    keys = sample.relation.keys
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -244,15 +234,18 @@ def save_sample(sample: DistinctSample, path: str) -> None:
         sample.prob,
         sample.source_tuples,
         sample.source_distinct,
-        len(tuples),
+        keys.size,
     )
-    body = np.array(tuples, dtype="<u4").tobytes() if tuples else b""
+    records = np.empty(keys.size, dtype=_PAIR)
+    records["x"], records["y"] = unpack(keys)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        fh.write(records.tobytes())
 
 
 def load_sample(path: str) -> DistinctSample:
+    """Read a sample file, rejecting any that :func:`save_sample` could not
+    have written with :class:`SampleFormatError`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -265,18 +258,25 @@ def load_sample(path: str) -> DistinctSample:
         raise SampleFormatError(f"{path}: unsupported sample version {version}")
     if side_code not in _SIDE_FROM_CODE or family_code not in _FAMILY_FROM_CODE:
         raise SampleFormatError(f"{path}: corrupt header fields")
+    if not (math.isfinite(prob) and 0 < prob <= 1):
+        raise SampleFormatError(f"{path}: sampling probability {prob} outside (0, 1]")
+    cut = (cut_hi << 64) | cut_lo
+    if cut != membership_cut(prob):
+        raise SampleFormatError(f"{path}: membership cut {cut} does not match probability {prob}")
     body = blob[_HEADER.size:]
     if len(body) != count * 8:
         raise SampleFormatError(f"{path}: expected {count} tuple records, got {len(body) // 8}")
     records = np.frombuffer(body, dtype=_PAIR)
-    tuples = frozenset(zip(records["x"].tolist(), records["y"].tolist()))
+    keys = pack(records["x"], records["y"])
+    if np.any(keys[1:] <= keys[:-1]):
+        raise SampleFormatError(f"{path}: tuple records are not strictly ascending")
     side = _SIDE_FROM_CODE[side_code]
     return DistinctSample(
         side=side,
         prob=prob,
-        cut=(cut_hi << 64) | cut_lo,
+        cut=cut,
         selector=PairwiseHash(multiplier, addend, _FAMILY_FROM_CODE[family_code]),
-        relation=Relation(side, tuples),
+        relation=Relation(side, keys),
         source_tuples=source_tuples,
         source_distinct=source_distinct,
     )

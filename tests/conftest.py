@@ -11,14 +11,14 @@ def random_instance(rng: random.Random, max_each=200, a_range=40, b_range=12, c_
     n2 = rng.randint(0, max_each)
     t1 = {(rng.randrange(a_range), rng.randrange(b_range)) for _ in range(n1)}
     t2 = {(rng.randrange(b_range), rng.randrange(c_range)) for _ in range(n2)}
-    return Relation(Side.LEFT, frozenset(t1)), Relation(Side.RIGHT, frozenset(t2))
+    return Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2)
 
 
 def disjoint_instance(groups: int, left: int, right: int):
     """Groups with disjoint value ranges, so z = groups * left * right exactly."""
     t1 = {(g * left + i, g) for g in range(groups) for i in range(left)}
     t2 = {(g, g * right + j) for g in range(groups) for j in range(right)}
-    return Relation(Side.LEFT, frozenset(t1)), Relation(Side.RIGHT, frozenset(t2))
+    return Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2)
 
 
 def scattered_instance(groups: int, left: int, right: int, seed=4):
@@ -33,7 +33,7 @@ def scattered_instance(groups: int, left: int, right: int, seed=4):
     cvals = rng.sample(range(2**31), groups * right)
     t1 = {(avals[g * left + i], g) for g in range(groups) for i in range(left)}
     t2 = {(g, cvals[g * right + j]) for g in range(groups) for j in range(right)}
-    return Relation(Side.LEFT, frozenset(t1)), Relation(Side.RIGHT, frozenset(t2))
+    return Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2)
 
 
 def brute_force_pairs(r1: Relation, r2: Relation) -> set:

@@ -208,16 +208,16 @@ def test_criterion_7_linear_work(mini_fimi_path):
     grouped = group_and_prune(r1, r2)
     p0 = choose_threshold(grouped, k, MODE_LINEAR)
     seeds = 100
-    emitted = [0] * len(grouped.groups)
+    emitted = [0] * len(grouped)
     for s in range(seeds):
         pair_hash = draw_pair_hash(run_rng(3222, (s,)))
-        for gi, grp in enumerate(grouped.groups):
-            sg = sort_group(grp.left_values, grp.right_values, pair_hash)
+        for gi, (_, left, right) in enumerate(grouped.groups()):
+            sg = sort_group(left, right, pair_hash)
             counters = scan_group(sg, lambda: p0, lambda x, y, hv: None)
             emitted[gi] += counters.emitted
     worst = 0.0
-    for gi, grp in enumerate(grouped.groups):
-        limit = 4 * max(grp.left_values.size, grp.right_values.size)
+    for gi, (_, left, right) in enumerate(grouped.groups()):
+        limit = 4 * max(left.size, right.size)
         mean = emitted[gi] / seeds
         worst = max(worst, mean / limit)
         assert mean <= limit, (gi, mean, limit)

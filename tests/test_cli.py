@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 import subprocess
 import sys
 
@@ -107,6 +108,25 @@ def test_malformed_file_is_data_error(capsys, tmp_path):
     bad.write_text("1 2 3\n")
     code, _, err = run_cli(capsys, ["estimate", "--self", str(bad), "-k", "4"])
     assert code == 2 and "line 1" in err
+
+
+def test_invalid_utf8_input_is_data_error(capsys, tmp_path):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"1 2\n\xff\xfe 3\n")
+    code, out, err = run_cli(capsys, ["estimate", "--self", str(bad), "-k", "4"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2:") and err.count("\n") == 1
+
+
+def test_estimate_reports_the_work_of_every_run(capsys, tiny_pair):
+    left, right = tiny_pair
+    report = run_json(
+        capsys,
+        ["estimate", "--left", str(left), "--right", str(right), "-k", "2", "--runs", "3"],
+    )
+    per_run = report["work_per_run"]
+    assert len(per_run) == 3
+    assert report["work"] == {key: sum(w[key] for w in per_run) for key in report["work"]}
 
 
 def test_exact_subcommand(capsys, tiny_pair):
@@ -312,6 +332,17 @@ def test_sample_estimate_corrupt_file(capsys, tmp_path):
     bad.write_bytes(b"JPDSgarbage")
     code, _, _ = run_cli(capsys, ["sample-estimate", str(bad), str(bad), "-k", "4"])
     assert code == 2
+
+
+@pytest.mark.parametrize("prob", [0.0, float("nan")])
+def test_sample_estimate_invalid_probability_is_data_error(capsys, tmp_path, tiny_pair, prob):
+    ls, rs = _make_samples(capsys, tmp_path, tiny_pair)
+    blob = bytearray(ls.read_bytes())
+    blob[40:48] = struct.pack("<d", prob)  # the header's prob field
+    ls.write_bytes(bytes(blob))
+    code, out, err = run_cli(capsys, ["sample-estimate", str(ls), str(rs), "-k", "16", "--json"])
+    assert code == 2 and out == ""
+    assert "probability" in err and err.count("\n") == 1
 
 
 def test_no_subcommand_prints_help(capsys):

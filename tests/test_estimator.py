@@ -12,7 +12,6 @@ from joinsketch import (
     ConfigError,
     Estimate,
     EstimatorConfig,
-    GroupedInput,
     Relation,
     Side,
     WorkCounters,
@@ -31,7 +30,7 @@ from conftest import disjoint_instance, random_instance
 
 def grouped_from(t1, t2):
     return group_and_prune(
-        Relation(Side.LEFT, frozenset(t1)), Relation(Side.RIGHT, frozenset(t2))
+        Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2)
     )
 
 
@@ -78,27 +77,34 @@ def test_sqrt_n_preset():
     assert EstimatorConfig.with_sqrt_n_k(0).resolved_k == 1
 
 
+def one_group(left, right):
+    """Grouped input of a single group with |A| = left and |C| = right."""
+    g = group_and_prune(*disjoint_instance(1, left, right))
+    assert g.max_group_product == left * right
+    return g
+
+
 def test_choose_threshold_product_term_binds():
-    g = GroupedInput((), 10, 10**6, 10**6)
+    g = one_group(1000, 1000)
     assert choose_threshold(g, 100) == (100 * GRID) // 10**6
     assert choose_threshold(g, 100) / GRID == pytest.approx(1e-4)
 
 
 def test_choose_threshold_k_term_binds():
-    g = GroupedInput((), 10, 25, 25)
+    g = one_group(5, 5)
     assert choose_threshold(g, 100) == GRID // 100
 
 
 def test_choose_threshold_boundary_equal_terms():
-    g = GroupedInput((), 10, 100**2, 100**2)
+    g = one_group(100, 100)
     assert choose_threshold(g, 100) == GRID // 100
 
 
 def test_choose_threshold_empty_and_start_at_one():
-    empty = GroupedInput((), 0, 0, 0)
+    empty = grouped_from({(1, 1)}, {(2, 5)})
     assert choose_threshold(empty, 10) == 0
     assert choose_threshold(empty, 10, MODE_START_AT_ONE) == 0
-    g = GroupedInput((), 10, 25, 25)
+    g = one_group(5, 5)
     assert choose_threshold(g, 10, MODE_START_AT_ONE) == GRID
 
 
@@ -198,6 +204,17 @@ def test_single_run_median_equals_run_once():
     g = group_and_prune(r1, r2)
     cfg = EstimatorConfig(k=16, seed=9, threshold_mode=MODE_START_AT_ONE)
     assert estimate_median(g, cfg) == run_once(g, cfg, key=(0,))
+
+
+def test_median_sums_the_work_of_all_runs():
+    r1, r2 = disjoint_instance(10, 8, 8)
+    g = group_and_prune(r1, r2)
+    cfg = EstimatorConfig(k=16, runs=3, seed=5, threshold_mode=MODE_START_AT_ONE)
+    est = estimate_median(g, cfg)
+    runs = [run_once(g, cfg, key=(i,)).work for i in range(3)]
+    assert est.work_per_run == tuple(runs)
+    assert est.work == runs[0] + runs[1] + runs[2]
+    assert est.work.total == sum(w.total for w in runs) > max(w.total for w in runs)
 
 
 def test_median_mixes_kinds_by_value():

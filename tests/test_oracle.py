@@ -18,7 +18,7 @@ from conftest import random_instance
 
 def grouped_from(t1, t2):
     return group_and_prune(
-        Relation(Side.LEFT, frozenset(t1)), Relation(Side.RIGHT, frozenset(t2))
+        Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2)
     )
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from joinsketch import (
-    GroupedInput,
     ParseError,
     RangeError,
     Relation,
@@ -15,6 +14,7 @@ from joinsketch import (
     to_edges_text,
 )
 
+import reference_parsers
 from conftest import brute_force_pairs, random_instance
 
 
@@ -109,14 +109,14 @@ def test_unknown_format():
     )
 )
 def test_edges_round_trip_is_idempotent(tuples):
-    first = parse_relation(to_edges_text(Relation(Side.LEFT, tuples)), "edges")
+    first = parse_relation(to_edges_text(Relation.from_pairs(Side.LEFT, tuples)), "edges")
     again = parse_relation(to_edges_text(first), "edges")
     assert first == again
     assert first.tuples == tuples
 
 
 def test_mirrored_swaps_positions_and_side():
-    r = Relation(Side.LEFT, frozenset({(1, 2), (3, 4)}))
+    r = Relation.from_pairs(Side.LEFT, {(1, 2), (3, 4)})
     m = r.mirrored()
     assert m.side is Side.RIGHT
     assert m.tuples == frozenset({(2, 1), (4, 3)})
@@ -124,31 +124,32 @@ def test_mirrored_swaps_positions_and_side():
 
 
 def test_group_single_group():
-    r1 = Relation(Side.LEFT, frozenset({(1, 1), (2, 1)}))
-    r2 = Relation(Side.RIGHT, frozenset({(1, 5)}))
+    r1 = Relation.from_pairs(Side.LEFT, {(1, 1), (2, 1)})
+    r2 = Relation.from_pairs(Side.RIGHT, {(1, 5)})
     g = group_and_prune(r1, r2)
     assert len(g) == 1
-    assert g.groups[0].join_value == 1
-    assert g.groups[0].left_values.tolist() == [1, 2]
-    assert g.groups[0].right_values.tolist() == [5]
+    assert g.join_values.tolist() == [1]
+    assert g.left_offsets.tolist() == [0, 2] and g.left_values.tolist() == [1, 2]
+    assert g.right_offsets.tolist() == [0, 1] and g.right_values.tolist() == [5]
     assert g.tuple_count == 3
     assert g.max_group_product == 2
 
 
 def test_group_no_matching_join_value():
-    r1 = Relation(Side.LEFT, frozenset({(1, 1)}))
-    r2 = Relation(Side.RIGHT, frozenset({(2, 5)}))
+    r1 = Relation.from_pairs(Side.LEFT, {(1, 1)})
+    r2 = Relation.from_pairs(Side.RIGHT, {(2, 5)})
     g = group_and_prune(r1, r2)
-    assert g == GroupedInput((), 0, 0, 0)
+    assert len(g) == 0 and list(g.groups()) == []
+    assert g.left_offsets.tolist() == [0] and g.right_offsets.tolist() == [0]
+    assert (g.tuple_count, g.max_group_product, g.total_product) == (0, 0, 0)
 
 
 def test_group_hand_enumerated():
-    r1 = Relation(Side.LEFT, frozenset({(1, 1), (1, 2)}))
-    r2 = Relation(Side.RIGHT, frozenset({(1, 5), (2, 5), (2, 6)}))
+    r1 = Relation.from_pairs(Side.LEFT, {(1, 1), (1, 2)})
+    r2 = Relation.from_pairs(Side.RIGHT, {(1, 5), (2, 5), (2, 6)})
     g = group_and_prune(r1, r2)
     got = {
-        (grp.join_value, tuple(grp.left_values.tolist()), tuple(grp.right_values.tolist()))
-        for grp in g.groups
+        (b, tuple(left.tolist()), tuple(right.tolist())) for b, left, right in g.groups()
     }
     assert got == {(1, (1,), (5,)), (2, (1,), (5, 6))}
     assert g.tuple_count == 5
@@ -157,7 +158,7 @@ def test_group_hand_enumerated():
 
 
 def test_group_requires_correct_sides():
-    r = Relation(Side.LEFT, frozenset({(1, 1)}))
+    r = Relation.from_pairs(Side.LEFT, {(1, 1)})
     with pytest.raises(ValueError):
         group_and_prune(r, r)
     with pytest.raises(ValueError):
@@ -179,12 +180,126 @@ def test_group_structural_invariants():
         r1, r2 = random_instance(rng, max_each=120)
         g = group_and_prune(r1, r2)
         total = 0
-        for grp in g.groups:
-            left = grp.left_values.tolist()
-            right = grp.right_values.tolist()
+        products = []
+        for _, left_values, right_values in g.groups():
+            left = left_values.tolist()
+            right = right_values.tolist()
             assert left and right
             assert sorted(set(left)) == left
             assert sorted(set(right)) == right
             total += len(left) + len(right)
+            products.append(len(left) * len(right))
         assert total == g.tuple_count
-        assert g.max_group_product == max((grp.product for grp in g.groups), default=0)
+        assert g.max_group_product == max(products, default=0)
+        assert g.total_product == sum(products)
+
+
+# -- token grammar ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,fmt,want",
+    [
+        ("1 2\r\n3 4\r\n", "edges", {(1, 2), (3, 4)}),
+        ("1 2\r3 4", "edges", {(1, 2), (3, 4)}),
+        ("\t1\t 2 \n", "edges", {(1, 2)}),
+        ("007 -0\n", "edges", {(7, 0)}),
+        (f"{'0' * 30}{2**32 - 1} 5\n", "edges", {(2**32 - 1, 5)}),
+        ("# données ☕\n1 2\n".encode("utf-8"), "edges", {(1, 2)}),
+        (b"# \xff\xfe not UTF-8\n1 2\n", "edges", {(1, 2)}),
+        ("5\r\n\r\n6\r", "fimi", {(0, 5), (2, 6)}),
+        ("5\r6 7\n", "fimi", {(0, 5), (1, 6), (1, 7)}),
+        ("%%MatrixMarket matrix coordinate pattern general\r\n% é\r\n2 2 1\r\n1\t2\r\n",
+         "mtx-pattern", {(1, 2)}),
+    ],
+)
+def test_grammar_accepts(text, fmt, want):
+    assert parse_relation(text, fmt).tuples == want
+
+
+@pytest.mark.parametrize(
+    "text,fmt,line",
+    [
+        ("1 2\n1_0 2\n", "edges", 2),  # int() would read 10
+        ("+3 4\n", "edges", 1),
+        ("٣ 4\n", "edges", 1),  # ARABIC-INDIC DIGIT THREE
+        (b"1 2\r\n\xff\xfe 3\n", "edges", 2),  # not UTF-8
+        ("1\x0b2\n", "edges", 1),  # vertical tab is no separator
+        ("1\x0c2 3\n", "edges", 1),  # nor is form feed
+        ("1\xa02\n", "edges", 1),  # nor is a no-break space
+        ("1 2 # trailing comment\n", "edges", 1),
+        ("5\n6 ٣\n", "fimi", 2),
+        ("5\n# 6\n", "fimi", 2),  # fimi has no comments
+        ("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 +2\n", "mtx-pattern", 3),
+    ],
+)
+def test_grammar_rejects(text, fmt, line):
+    with pytest.raises(ParseError) as exc:
+        parse_relation(text, fmt)
+    assert exc.value.line == line
+    assert "\n" not in str(exc.value)
+
+
+def test_errors_report_the_first_bad_line():
+    text = "1 2\n3 4 5\n-6 7\n8 x\n"
+    with pytest.raises(ParseError) as exc:
+        parse_relation(text, "edges")
+    assert str(exc.value) == "line 2: expected two fields, got 3"
+    with pytest.raises(RangeError) as exc:
+        parse_relation(text.replace("3 4 5", "3 4"), "edges")
+    assert (exc.value.line, exc.value.value) == (3, -6)
+    with pytest.raises(ParseError) as exc:
+        parse_relation("1 2\n8 x\n-6 7\n", "edges")
+    assert str(exc.value) == "line 2: expected an integer, got 'x'"
+    with pytest.raises(RangeError) as exc:
+        parse_relation(f"1\n2 {'0' * 12}{2**32} 3\n", "fimi")
+    assert (exc.value.line, exc.value.value) == (2, 2**32)
+
+
+_VALUE = st.one_of(
+    st.integers(0, 2**32 + 5).map(str),
+    st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=12)).map(
+        "".join
+    ),
+)
+_JUNK = st.one_of(
+    st.sampled_from(["x", "1x", "-", "--1", "1-", "1-5", "#", "#5", "0x1", "1.0", "5#"]),
+    st.text("0123456789-#x.", min_size=1, max_size=5),
+)
+_SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def _grammar_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["pair", "pair", "pair", "fields", "comment", "blank"]))
+        if kind == "comment":
+            body = "#" + draw(st.text(st.characters(min_codepoint=32, max_codepoint=126)))
+        elif kind == "blank":
+            body = draw(st.sampled_from(["", " ", "\t"]))
+        else:
+            count = 2 if kind == "pair" else draw(st.integers(1, 4))
+            fields = [draw(st.one_of(_VALUE, _VALUE, _VALUE, _JUNK)) for _ in range(count)]
+            body = draw(_SEP).join(fields)
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " "]))
+        lines.append(lead + body + trail)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(parse, text):
+    try:
+        return ("ok", frozenset(parse(text)))
+    except (ParseError, RangeError) as exc:
+        return (type(exc).__name__, exc.line, str(exc))
+
+
+@given(_grammar_text())
+def test_tokenizer_agrees_with_the_line_parsers(text):
+    for fmt, reference in (("edges", reference_parsers.parse_edges),
+                           ("fimi", reference_parsers.parse_fimi)):
+        got = _outcome(lambda t: parse_relation(t.encode("ascii"), fmt).tuples, text)
+        assert got == _outcome(reference, text), fmt

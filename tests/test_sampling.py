@@ -1,5 +1,6 @@
 import math
 import statistics
+import struct
 
 import pytest
 
@@ -31,7 +32,7 @@ from conftest import disjoint_instance
 
 
 def left_relation(tuples):
-    return Relation(Side.LEFT, frozenset(tuples))
+    return Relation.from_pairs(Side.LEFT, tuples)
 
 
 def test_probability_one_keeps_everything():
@@ -52,7 +53,7 @@ def test_membership_is_per_value():
 
 
 def test_right_side_samples_on_second_attribute():
-    r = Relation(Side.RIGHT, frozenset({(b, c) for b in range(3) for c in range(100)}))
+    r = Relation.from_pairs(Side.RIGHT, {(b, c) for b in range(3) for c in range(100)})
     s = draw_sample(r, 0.4, draw_single(spawn_rng(3)))
     kept_values = {c for _, c in s.relation.tuples}
     for c in kept_values:
@@ -167,7 +168,7 @@ def _manual_sample(side, prob, tuples):
         prob=prob,
         cut=membership_cut(prob),
         selector=PairwiseHash(1, 0),
-        relation=Relation(side, frozenset(tuples)),
+        relation=Relation.from_pairs(side, tuples),
         source_tuples=len(tuples) * 2,
         source_distinct=len(tuples),
     )
@@ -242,7 +243,7 @@ def test_sample_round_trip(tmp_path):
 
 
 def test_sample_round_trip_all_pass_cut_and_mersenne(tmp_path):
-    r = Relation(Side.RIGHT, frozenset({(i % 9, i) for i in range(50)}))
+    r = Relation.from_pairs(Side.RIGHT, {(i % 9, i) for i in range(50)})
     sample = draw_sample(r, 1.0, draw_single(spawn_rng(11), MERSENNE))
     path = tmp_path / "right.sample"
     save_sample(sample, str(path))
@@ -285,4 +286,60 @@ def test_load_rejects_truncated_body(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-4])
     with pytest.raises(SampleFormatError):
+        load_sample(str(path))
+
+
+def test_sample_file_layout(tmp_path):
+    # Little-endian header, then one (u32, u32) record per tuple in sorted
+    # tuple order: the layout every earlier version wrote.
+    r = Relation.from_pairs(Side.RIGHT, {(i % 9, 7 * i) for i in range(60)})
+    sample = draw_sample(r, 0.5, draw_single(spawn_rng(14)))
+    path = tmp_path / "layout.sample"
+    save_sample(sample, str(path))
+    tuples = sorted(sample.relation.tuples)
+    header = struct.pack(
+        "<4sHBBQQQQdQQQ", b"JPDS", 1, 1, 0, sample.selector.multiplier, sample.selector.addend,
+        sample.cut, 0, 0.5, 60, 60, len(tuples),
+    )
+    body = b"".join(struct.pack("<II", x, y) for x, y in tuples)
+    assert 0 < len(tuples) < 60
+    assert path.read_bytes() == header + body
+
+
+def _patched(tmp_path, offset=None, value=b"", body=None):
+    r = left_relation({(i, i % 4) for i in range(20)})
+    path = tmp_path / "p.sample"
+    save_sample(draw_sample(r, 1.0, draw_single(spawn_rng(15))), str(path))
+    blob = bytearray(path.read_bytes())
+    if offset is not None:
+        blob[offset:offset + len(value)] = value
+    if body is not None:
+        blob[struct.calcsize("<4sHBBQQQQdQQQ"):] = body(blob[struct.calcsize("<4sHBBQQQQdQQQ"):])
+    path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("prob", [0.0, -0.25, 1.5, float("nan"), float("inf")])
+def test_load_rejects_probability_outside_unit_interval(tmp_path, prob):
+    path = _patched(tmp_path, 40, struct.pack("<d", prob))
+    with pytest.raises(SampleFormatError, match="probability"):
+        load_sample(str(path))
+
+
+def test_load_rejects_cut_that_does_not_match_probability(tmp_path):
+    path = _patched(tmp_path, 40, struct.pack("<d", 0.5))  # the cut stays at 2**64
+    with pytest.raises(SampleFormatError, match="cut"):
+        load_sample(str(path))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        lambda b: b[8:16] + b[0:8] + b[16:],  # first two records swapped
+        lambda b: b[0:8] + b[0:8] + b[16:],  # first record twice
+    ],
+)
+def test_load_rejects_records_not_strictly_ascending(tmp_path, body):
+    path = _patched(tmp_path, body=body)
+    with pytest.raises(SampleFormatError, match="ascending"):
         load_sample(str(path))
