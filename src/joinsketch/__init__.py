@@ -19,25 +19,10 @@ from .estimator import (
     Estimate,
     EstimatorConfig,
     WorkCounters,
-    choose_threshold,
     estimate_median,
-    median_by_value,
-    run_once,
 )
-from .hashing import (
-    FAMILIES,
-    GRID,
-    GRID_BITS,
-    MASK64,
-    MERSENNE,
-    WRAPPING64,
-    PairHash,
-    PairwiseHash,
-    draw_pair_hash,
-    draw_single,
-)
-from .kmin import KMinState, SketchOutcome, combine
-from .oracle import ExactResult, SizeCapError, exact_kth_hash, exact_size, exact_size_bitsets
+from .hashing import FAMILIES, MERSENNE, WRAPPING64, PairwiseHash
+from .oracle import ExactResult, SizeCapError, exact_size
 from .relation import (
     EDGES,
     FIMI,
@@ -51,7 +36,6 @@ from .relation import (
     group_and_prune,
     load_relation,
     parse_relation,
-    to_edges_text,
 )
 from .sampling import (
     DistinctSample,
@@ -81,17 +65,12 @@ __all__ = [
     "FAMILIES",
     "FIMI",
     "FORMATS",
-    "GRID",
-    "GRID_BITS",
     "GroupedInput",
-    "KMinState",
-    "MASK64",
     "MERSENNE",
     "MODE_LINEAR",
     "MODE_START_AT_ONE",
     "MTX_PATTERN",
     "POINT",
-    "PairHash",
     "PairwiseHash",
     "ParseError",
     "RangeError",
@@ -101,31 +80,21 @@ __all__ = [
     "SampleSizePlan",
     "Side",
     "SizeCapError",
-    "SketchOutcome",
     "THRESHOLD_MODES",
     "UPPER_BOUND",
     "WRAPPING64",
     "WorkCounters",
     "beta_bound",
-    "choose_threshold",
-    "combine",
-    "draw_pair_hash",
     "draw_sample",
-    "draw_single",
     "estimate_from_samples",
     "estimate_median",
-    "exact_kth_hash",
     "exact_size",
-    "exact_size_bitsets",
     "group_and_prune",
     "load_relation",
     "load_sample",
-    "median_by_value",
     "parse_relation",
     "plan_sample_size",
-    "run_once",
     "save_sample",
     "sufficient_sample_size",
     "theoretical_epsilon",
-    "to_edges_text",
 ]

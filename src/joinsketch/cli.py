@@ -102,7 +102,7 @@ def _config_from_args(args) -> EstimatorConfig:
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report))
+        print(json.dumps(report, allow_nan=False))
         return
     for key, value in report.items():
         if isinstance(value, dict):
@@ -170,6 +170,9 @@ def observed_epsilon(ratios: list[float], fraction: float = 2.0 / 3.0) -> float:
 
 def cmd_experiment(args) -> int:
     r1, r2 = _load_inputs(args)
+    name = args.name or Path(args.self_input or args.left).stem
+    if name in (".", "..") or Path(name).name != name:
+        raise UsageError(f"--name must be a file name without a directory, got {name!r}")
     grouped = group_and_prune(r1, r2)
     cfg = _config_from_args(args)
     if args.trials < 1:
@@ -178,8 +181,8 @@ def cmd_experiment(args) -> int:
         exact = args.exact_value
     else:
         exact = float(oracle.exact_size(grouped, cap=args.cap).z)
-    if exact <= 0:
-        raise UsageError("exact size must be positive to form ratios")
+    if not 0 < exact < math.inf:
+        raise UsageError("exact size must be positive and finite to form ratios")
 
     estimates = [estimate_median(grouped, cfg, key_prefix=(t,)) for t in range(args.trials)]
     trials = [
@@ -190,7 +193,6 @@ def cmd_experiment(args) -> int:
     theoretical = math.sqrt(9.0 / cfg.resolved_k)
     observed = observed_epsilon(ratios)
 
-    name = args.name or Path(args.self_input or args.left).stem
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cdf_path = out_dir / f"{name}_cdf.csv"
@@ -216,9 +218,9 @@ def cmd_experiment(args) -> int:
     }
     summary_path = out_dir / f"{name}_summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh)
+        json.dump(summary, fh, allow_nan=False)
     if args.json:
-        print(json.dumps(summary))
+        print(json.dumps(summary, allow_nan=False))
     else:
         print(
             f"{name}: k={cfg.resolved_k} trials={args.trials} exact={exact:g} "
@@ -271,8 +273,12 @@ def cmd_sample_estimate(args) -> int:
             left.source_tuples, right.source_tuples,
             left.source_distinct, right.source_distinct, s, epsilon,
         )
+        upper_bound_regime = bool(result.value < (1.0 + epsilon) * beta)
     else:
-        beta = math.inf
+        # Below one expected sampled tuple the scale is infinite: report no
+        # number, and every estimate is in the unreliable regime.
+        beta = None
+        upper_bound_regime = True
     _emit(
         {
             "command": "sample-estimate",
@@ -285,7 +291,7 @@ def cmd_sample_estimate(args) -> int:
             "k": cfg.resolved_k,
             "epsilon": epsilon,
             "beta": beta,
-            "upper_bound_regime": bool(result.value < (1.0 + epsilon) * beta),
+            "upper_bound_regime": upper_bound_regime,
             "seed": cfg.seed,
         },
         args.json,
@@ -362,8 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except oracle.SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (oracle.SizeCapError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
 
 

@@ -6,17 +6,18 @@ a single wraparound.  Each column is therefore scanned by moving a pointer
 to its minimum (the unique descent) and walking forward while values stay
 below the live threshold.  The pointer only ever moves forward cyclically
 across columns, so a whole group costs O(|A| + |C|) plus one step per
-emitted candidate, never |A| * |C|.
+emitted candidate, never |A| * |C|.  Candidates go straight to the sketch,
+whose threshold they may tighten mid-scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .hashing import MASK64, PairHash
+from .kmin import KMinState
 
 
 @dataclass(frozen=True)
@@ -56,20 +57,18 @@ class ScanCounters:
     emitted: int = 0
 
 
-def scan_group(
-    group: SortedGroup,
-    threshold: Callable[[], int],
-    sink: Callable[[int, int, int], object],
-) -> ScanCounters:
-    """Emit every pair of the group whose hash is below the live threshold.
+def scan_group(group: SortedGroup, sketch: KMinState) -> ScanCounters:
+    """Offer every pair of the group whose hash is below the live threshold.
 
-    ``threshold`` is re-read on every probe so that a sink which tightens the
-    cutoff mid-scan (the sketch) takes effect immediately; it must be
-    non-increasing.  ``sink(x, y, hv)`` receives each qualifying pair exactly
-    once per group.
+    The threshold is ``sketch.p``, re-read after every offer so that a merge
+    which tightens it mid-scan takes effect immediately; it must be
+    non-increasing.  ``sketch.offer(x, y, hv)`` receives each qualifying
+    pair exactly once per group.
     """
     xs, hx = group.xs, group.x_hashes
     ys, hy = group.ys, group.y_hashes
+    offer = sketch.offer
+    p = sketch.p
     m = len(xs)
     sbar = 0
     sbar_steps = 0
@@ -97,9 +96,10 @@ def scan_group(
         yt = ys[t]
         for _ in range(m):
             inner += 1
-            if hv >= threshold():
+            if hv >= p:
                 break
-            sink(xs[s], yt, hv)
+            offer(xs[s], yt, hv)
+            p = sketch.p
             emitted += 1
             s += 1
             if s == m:

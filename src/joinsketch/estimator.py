@@ -16,11 +16,8 @@ failure probability down exponentially in the number of runs.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
-
-import numpy as np
 
 from . import hashing
 from .enumerator import scan_group, sort_group
@@ -77,11 +74,6 @@ class EstimatorConfig:
         if self.k is not None:
             return self.k
         return math.ceil(9.0 / self.epsilon**2)
-
-    @classmethod
-    def with_sqrt_n_k(cls, n: int, **kwargs) -> "EstimatorConfig":
-        """Constant-relative-error preset: k = ceil(sqrt(n))."""
-        return cls(k=max(1, math.ceil(math.sqrt(n))), **kwargs)
 
 
 @dataclass
@@ -166,18 +158,17 @@ def run_once(
         key = (run_index,)
     rng = hashing.run_rng(cfg.seed, key)
     pair_hash = hashing.draw_pair_hash(rng, cfg.family)
-    select_rng = random.Random(int(rng.integers(0, hashing.GRID, dtype=np.uint64)))
     k = cfg.resolved_k
     p0 = choose_threshold(grouped, k, cfg.threshold_mode)
     work = WorkCounters()
     if grouped.tuple_count == 0:
         return Estimate(EXACT_SMALL, 0.0, k, p0, count=0, work=work, work_per_run=(work,))
 
-    state = KMinState(k, p0, select_rng)
+    state = KMinState(k, p0)
     for _, left, right in grouped.groups():
         sg = sort_group(left, right, pair_hash)
         work.sorted_elements += len(sg.xs) + len(sg.ys)
-        counters = scan_group(sg, state.threshold, state.offer)
+        counters = scan_group(sg, state)
         work.sbar_increments += counters.sbar_increments
         work.inner_iterations += counters.inner_iterations
         work.emitted_pairs += counters.emitted

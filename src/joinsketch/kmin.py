@@ -1,23 +1,22 @@
-"""k-minimum-values sketch with an unordered overflow buffer.
+"""k-minimum-values sketch kept as one sorted list of packed ints.
 
-The k smallest distinct pair hashes seen so far live in an unordered list S.
-New candidates go to a second unordered list F; when F holds k entries the
-two lists are merged by a rank-k selection (expected linear time), which also
-tightens the live threshold p to the new k-th smallest hash.  Insertion is
-therefore amortized O(1), with no heap and no ordering maintained between
-merges.
-
-Entries are (hash, a, c) tuples; their lexicographic order is the tie rule
+Each entry is one Python int, ``hv << 64 | a << 32 | c``: the pair hash
+above the pair.  Integer order is therefore (hash, a, c) order, the tie rule
 everywhere, so a merge keeps exactly k entries even under equal hashes and
 the whole sketch is deterministic given its inputs.
+
+The k smallest entries seen so far live in a sorted list S.  New candidates
+go to an unordered list F; when F holds k entries the two lists are merged
+by sorting S + F and keeping the first k, which also tightens the live
+threshold p to the new k-th smallest hash.  Timsort finds S already sorted,
+so a merge costs a sort of F; insertion is amortized O(log k), with no heap.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-Entry = tuple[int, int, int]  # (hash raw, a, c)
+from .hashing import MASK64
 
 
 @dataclass(frozen=True)
@@ -34,83 +33,39 @@ class SketchOutcome:
     count: int | None = None
 
 
-def select_smallest(entries: list[Entry], k: int, rng: random.Random) -> None:
-    """Partition ``entries`` in place so entries[:k] are the k smallest.
-
-    Randomized quickselect, expected linear time; no full sort.  Assumes the
-    entries are pairwise distinct tuples (distinct pairs guarantee this).
-    """
-    lo, hi = 0, len(entries) - 1
-    goal = k - 1
-    while lo < hi:
-        pivot = entries[rng.randint(lo, hi)]
-        i, j = lo, hi
-        while i <= j:
-            while entries[i] < pivot:
-                i += 1
-            while entries[j] > pivot:
-                j -= 1
-            if i <= j:
-                entries[i], entries[j] = entries[j], entries[i]
-                i += 1
-                j -= 1
-        if goal <= j:
-            hi = j
-        elif goal >= i:
-            lo = i
-        else:
-            return
-
-
-def combine(
-    sketch: list[Entry],
-    buffer: list[Entry],
-    k: int,
-    current_p: int,
-    rng: random.Random,
-) -> tuple[int, list[Entry]]:
-    """Rank-k selection over sketch + buffer.
+def combine(sketch: list[int], buffer: list[int], k: int, current_p: int) -> tuple[int, list[int]]:
+    """Merge the sorted ``sketch`` with ``buffer`` and keep the k smallest.
 
     Returns the new threshold (the k-th smallest hash, or ``current_p``
-    unchanged when fewer than k entries exist in total) and the list of kept
-    entries.  Ties at the rank boundary break by (hash, a, c) order.
+    unchanged when fewer than k entries exist in total) and the sorted list
+    of kept entries.
     """
     merged = sketch + buffer
+    merged.sort()
     if len(merged) < k:
         return current_p, merged
-    select_smallest(merged, k, rng)
-    return merged[k - 1][0], merged[:k]
+    del merged[k:]
+    return merged[-1] >> 64, merged
 
 
 class KMinState:
     """Mutable sketch state for one estimator run (single owner, no sharing)."""
 
-    __slots__ = ("k", "p", "sketch", "buffer", "members", "accepted", "combines",
-                 "_select_rng", "_evicted")
+    __slots__ = ("k", "p", "sketch", "buffer", "members", "accepted", "combines", "_evicted")
 
-    def __init__(
-        self,
-        k: int,
-        p0: int,
-        select_rng: random.Random | None = None,
-        track_evictions: bool = False,
-    ):
+    def __init__(self, k: int, p0: int, track_evictions: bool = False):
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
         self.p = p0  # live threshold in grid units; only ever decreases
-        self.sketch: list[Entry] = []
-        self.buffer: list[Entry] = []
+        self.sketch: list[int] = []  # sorted
+        self.buffer: list[int] = []
         self.members: set[int] = set()  # encoded (a << 32 | c) keys of sketch + buffer
         self.accepted = 0
         self.combines = 0
-        self._select_rng = select_rng if select_rng is not None else random.Random(0)
         # Debug-only shadow set: a pair dropped by a merge has hash >= every
         # later threshold, so it must never be offered again.
         self._evicted: set[int] | None = set() if track_evictions else None
-
-    def threshold(self) -> int:
-        return self.p
 
     def offer(self, a: int, c: int, hv: int) -> bool:
         """Insert pair (a, c) with hash ``hv``.
@@ -126,7 +81,7 @@ class KMinState:
             return False
         if self._evicted is not None and key in self._evicted:
             raise AssertionError("evicted pair offered again; threshold discipline broken")
-        self.buffer.append((hv, a, c))
+        self.buffer.append(hv << 64 | key)
         self.members.add(key)
         self.accepted += 1
         if len(self.buffer) == self.k:
@@ -135,10 +90,10 @@ class KMinState:
 
     def _merge(self) -> None:
         held = len(self.sketch) + len(self.buffer)
-        self.p, self.sketch = combine(self.sketch, self.buffer, self.k, self.p, self._select_rng)
+        self.p, self.sketch = combine(self.sketch, self.buffer, self.k, self.p)
         self.buffer = []
         if held > self.k:
-            kept = {(a << 32) | c for _, a, c in self.sketch}
+            kept = {entry & MASK64 for entry in self.sketch}
             if self._evicted is not None:
                 self._evicted.update(self.members - kept)
             self.members = kept

@@ -24,7 +24,6 @@ class SizeCapError(RuntimeError):
 @dataclass(frozen=True)
 class ExactResult:
     z: int
-    pairs: frozenset[tuple[int, int]] | None = None
 
 
 def _check_cap(grouped: GroupedInput, cap: int) -> None:
@@ -62,13 +61,9 @@ def distinct_pair_keys(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> np.ndar
     return sorted_distinct(keys)
 
 
-def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP, materialize: bool = False) -> ExactResult:
+def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> ExactResult:
     """Exact join-project size by unioning every group's product."""
-    keys = distinct_pair_keys(grouped, cap)
-    if materialize:
-        a, c = unpack(keys)
-        return ExactResult(int(keys.size), frozenset(zip(a.tolist(), c.tolist())))
-    return ExactResult(int(keys.size))
+    return ExactResult(int(distinct_pair_keys(grouped, cap).size))
 
 
 def exact_size_bitsets(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> int:

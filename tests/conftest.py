@@ -46,6 +46,18 @@ def brute_force_pairs(r1: Relation, r2: Relation) -> set:
     return out
 
 
+class FixedThreshold:
+    """Stand-in sketch for ``scan_group``: a constant threshold ``p`` and an
+    ``offer`` that collects the offered pairs in order."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pairs = []
+
+    def offer(self, x, y, hv):
+        self.pairs.append((x, y))
+
+
 @pytest.fixture(scope="session")
 def mini_fimi_path():
     from pathlib import Path

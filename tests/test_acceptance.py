@@ -16,7 +16,6 @@ import pytest
 
 from joinsketch import (
     EXACT_SMALL,
-    GRID,
     MODE_LINEAR,
     MODE_START_AT_ONE,
     POINT,
@@ -24,17 +23,16 @@ from joinsketch import (
     draw_sample,
     estimate_from_samples,
     estimate_median,
-    exact_kth_hash,
     exact_size,
     group_and_prune,
-    run_once,
 )
 from joinsketch.cli import main as cli_main, observed_epsilon
 from joinsketch.enumerator import scan_group, sort_group
-from joinsketch.estimator import choose_threshold
-from joinsketch.hashing import draw_pair_hash, draw_single, run_rng, spawn_rng
+from joinsketch.estimator import choose_threshold, run_once
+from joinsketch.hashing import GRID, draw_pair_hash, draw_single, run_rng, spawn_rng
+from joinsketch.oracle import exact_kth_hash
 from joinsketch.relation import load_relation
-from conftest import disjoint_instance, random_instance, scattered_instance
+from conftest import FixedThreshold, disjoint_instance, random_instance, scattered_instance
 
 
 def report(number, name, ok, detail=""):
@@ -124,8 +122,9 @@ def test_criterion_3_enumeration_completeness():
         pair_hash = draw_pair_hash(spawn_rng(61500, trial))
         p = thresholds[trial % 4]
         group = sort_group(A, C, pair_hash)
-        got = []
-        counters = scan_group(group, lambda: p, lambda x, y, hv: got.append((x, y)))
+        sketch = FixedThreshold(p)
+        counters = scan_group(group, sketch)
+        got = sketch.pairs
         assert counters.sbar_increments <= 2 * na, trial
         assert len(got) == len(set(got)), trial
         hx = pair_hash.h1.values(np.asarray(A, dtype=np.uint64))
@@ -213,7 +212,7 @@ def test_criterion_7_linear_work(mini_fimi_path):
         pair_hash = draw_pair_hash(run_rng(3222, (s,)))
         for gi, (_, left, right) in enumerate(grouped.groups()):
             sg = sort_group(left, right, pair_hash)
-            counters = scan_group(sg, lambda: p0, lambda x, y, hv: None)
+            counters = scan_group(sg, FixedThreshold(p0))
             emitted[gi] += counters.emitted
     worst = 0.0
     for gi, (_, left, right) in enumerate(grouped.groups()):

@@ -218,6 +218,39 @@ def test_experiment_exact_value_override(capsys, tmp_path, tiny_pair):
     assert report["trial_estimates"][0]["ratio"] == report["trial_estimates"][0]["estimate"] / 6.0
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_experiment_rejects_exact_value_that_is_not_positive_and_finite(
+    capsys, tmp_path, tiny_pair, value
+):
+    left, right = tiny_pair
+    code, out, err = run_cli(
+        capsys,
+        [
+            "experiment", "--left", str(left), "--right", str(right),
+            "-k", "4", "--trials", "1", "--name", "x", "--out-dir", str(tmp_path / "out"),
+            "--exact-value", value, "--json",
+        ],
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/escaped", ".", ".."])
+def test_experiment_name_with_a_directory_is_usage_error(capsys, tmp_path, tiny_pair, name):
+    left, right = tiny_pair
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(
+        capsys,
+        [
+            "experiment", "--left", str(left), "--right", str(right),
+            "-k", "4", "--trials", "1", "--name", name, "--out-dir", str(tmp_path / "out"),
+        ],
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_experiment_human_summary_rounds_epsilon(capsys, tmp_path, tiny_pair):
     left, right = tiny_pair
     code, out, err = run_cli(
@@ -327,6 +360,21 @@ def test_sample_estimate_empty_samples_fall_back(capsys, tmp_path, tiny_pair):
     assert report["upper_bound_regime"] is True
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_sample_estimate_json_is_strict_below_one_expected_tuple(capsys, tmp_path, tiny_pair):
+    # s = prob * tuples < 1 makes the beta scale infinite, which has no JSON
+    # spelling: it is reported as null, and the regime flag stays set.
+    ls, rs = _make_samples(capsys, tmp_path, tiny_pair, prob="1e-9", seed="6")
+    code, out, err = run_cli(capsys, ["sample-estimate", str(ls), str(rs), "-k", "16", "--json"])
+    assert code == 0, err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["beta"] is None
+    assert report["upper_bound_regime"] is True
+
+
 def test_sample_estimate_corrupt_file(capsys, tmp_path):
     bad = tmp_path / "bad.sample"
     bad.write_bytes(b"JPDSgarbage")
@@ -343,6 +391,17 @@ def test_sample_estimate_invalid_probability_is_data_error(capsys, tmp_path, tin
     code, out, err = run_cli(capsys, ["sample-estimate", str(ls), str(rs), "-k", "16", "--json"])
     assert code == 2 and out == ""
     assert "probability" in err and err.count("\n") == 1
+
+
+def test_memory_error_is_cap_exit(capsys, monkeypatch, tiny_pair):
+    def exhausted(grouped, cfg):
+        raise MemoryError
+
+    monkeypatch.setattr("joinsketch.cli.estimate_median", exhausted)
+    left, right = tiny_pair
+    code, out, err = run_cli(capsys, ["estimate", "--left", str(left), "--right", str(right), "-k", "4"])
+    assert code == 3 and out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_no_subcommand_prints_help(capsys):

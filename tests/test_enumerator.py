@@ -2,15 +2,17 @@ import random
 
 import numpy as np
 
-from joinsketch import GRID, MASK64, PairHash, PairwiseHash
+from joinsketch import PairwiseHash
 from joinsketch.enumerator import scan_group, sort_group
-from joinsketch.hashing import draw_pair_hash, spawn_rng
+from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, spawn_rng
+
+from conftest import FixedThreshold
 
 
 def collect(group, p):
-    out = []
-    counters = scan_group(group, lambda: p, lambda x, y, hv: out.append((x, y)))
-    return out, counters
+    sketch = FixedThreshold(p)
+    counters = scan_group(group, sketch)
+    return sketch.pairs, counters
 
 
 def brute(pair_hash, A, C, p):
@@ -98,6 +100,20 @@ def test_fixed_threshold_matches_brute_force():
         assert counters.emitted == len(got)
 
 
+class TighteningThreshold(FixedThreshold):
+    """Steps down ``schedule`` once every ``every`` offers."""
+
+    def __init__(self, schedule, every):
+        super().__init__(schedule[0])
+        self.left = schedule[1:]
+        self.every = every
+
+    def offer(self, x, y, hv):
+        super().offer(x, y, hv)
+        if self.left and len(self.pairs) % self.every == 0:
+            self.p = self.left.pop(0)
+
+
 def test_decreasing_threshold_keeps_everything_below_final_value():
     # The scan may be robbed of candidates mid-flight by a tightening
     # threshold, but everything below the final value must still come out.
@@ -106,17 +122,10 @@ def test_decreasing_threshold_keeps_everything_below_final_value():
         A, C = random_group(rng, max_side=50)
         h = draw_pair_hash(spawn_rng(4000 + trial))
         schedule = sorted((rng.randrange(GRID) for _ in range(4)), reverse=True)
-        state = {"p": schedule[0], "left": schedule[1:], "every": rng.randint(3, 20)}
-        out = []
-
-        def sink(x, y, hv):
-            out.append((x, y))
-            if state["left"] and len(out) % state["every"] == 0:
-                state["p"] = state["left"].pop(0)
-
-        scan_group(sort_group(A, C, h), lambda: state["p"], sink)
-        final_p = state["p"]
-        assert set(out) >= brute(h, A, C, final_p)
+        sketch = TighteningThreshold(schedule, rng.randint(3, 20))
+        scan_group(sort_group(A, C, h), sketch)
+        out = sketch.pairs
+        assert set(out) >= brute(h, A, C, sketch.p)
         assert set(out) <= brute(h, A, C, schedule[0])
 
 

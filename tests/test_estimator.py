@@ -4,7 +4,6 @@ import pytest
 
 from joinsketch import (
     EXACT_SMALL,
-    GRID,
     MODE_LINEAR,
     MODE_START_AT_ONE,
     POINT,
@@ -15,15 +14,13 @@ from joinsketch import (
     Relation,
     Side,
     WorkCounters,
-    choose_threshold,
     estimate_median,
-    exact_kth_hash,
     exact_size,
     group_and_prune,
-    median_by_value,
-    run_once,
 )
-from joinsketch.hashing import draw_pair_hash, run_rng
+from joinsketch.estimator import choose_threshold, median_by_value, run_once
+from joinsketch.hashing import GRID, draw_pair_hash, run_rng
+from joinsketch.oracle import exact_kth_hash
 
 from conftest import disjoint_instance, random_instance
 
@@ -70,11 +67,6 @@ def test_bad_mode_family_seed_rejected():
         EstimatorConfig(k=4, seed=-1)
     with pytest.raises(ConfigError):
         EstimatorConfig(k=4, seed=2**64)
-
-
-def test_sqrt_n_preset():
-    assert EstimatorConfig.with_sqrt_n_k(10_000).resolved_k == 100
-    assert EstimatorConfig.with_sqrt_n_k(0).resolved_k == 1
 
 
 def one_group(left, right):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joinsketch import GRID, MASK64, MERSENNE, WRAPPING64, PairHash, PairwiseHash
-from joinsketch.hashing import draw_pair_hash, draw_single, run_rng, spawn_rng
+from joinsketch import MERSENNE, WRAPPING64, PairwiseHash
+from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, draw_single, run_rng, spawn_rng
 
 
 def raw(fraction: float) -> int:

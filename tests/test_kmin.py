@@ -3,16 +3,24 @@ import random
 
 import pytest
 
-from joinsketch import GRID, KMinState, combine
-from joinsketch.kmin import select_smallest
+from joinsketch.hashing import GRID
+from joinsketch.kmin import KMinState, combine
 
 
 def raw(fraction: float) -> int:
     return int(fraction * GRID)
 
 
+def entry(hv: int, a: int, c: int) -> int:
+    return hv << 64 | a << 32 | c
+
+
+def sorted_hashes(entries) -> list[int]:
+    return sorted(e >> 64 for e in entries)
+
+
 def fresh(k, p0=GRID, **kwargs):
-    return KMinState(k, p0, random.Random(99), **kwargs)
+    return KMinState(k, p0, **kwargs)
 
 
 def test_duplicate_offer_is_a_no_op():
@@ -30,7 +38,7 @@ def test_buffer_fill_triggers_merge_and_threshold_drop():
     state.offer(2, 2, raw(0.2))
     assert state.combines == 1
     assert state.p == raw(0.2)
-    assert sorted(h for h, _, _ in state.sketch) == [raw(0.1), raw(0.2)]
+    assert sorted_hashes(state.sketch) == [raw(0.1), raw(0.2)]
 
 
 def test_rank_two_selection_hand_trace():
@@ -40,40 +48,37 @@ def test_rank_two_selection_hand_trace():
     state.offer(3, 3, raw(0.15))
     state.offer(4, 4, raw(0.05))  # merge over {0.1, 0.2, 0.15, 0.05}
     assert state.p == raw(0.1)
-    assert sorted(h for h, _, _ in state.sketch) == [raw(0.05), raw(0.1)]
+    assert sorted_hashes(state.sketch) == [raw(0.05), raw(0.1)]
 
 
 def test_combine_exactly_k_entries():
-    rng = random.Random(0)
-    entries = [(raw(0.3), 1, 1), (raw(0.1), 2, 2), (raw(0.2), 3, 3)]
-    v, kept = combine([], list(entries), 3, GRID, rng)
+    entries = [entry(raw(0.3), 1, 1), entry(raw(0.1), 2, 2), entry(raw(0.2), 3, 3)]
+    v, kept = combine([], list(entries), 3, GRID)
     assert v == raw(0.3)
     assert sorted(kept) == sorted(entries)
 
 
 def test_combine_undersupplied_keeps_threshold():
-    rng = random.Random(0)
-    v, kept = combine([(raw(0.4), 1, 1)], [(raw(0.6), 2, 2)], 5, raw(0.9), rng)
+    v, kept = combine([entry(raw(0.4), 1, 1)], [entry(raw(0.6), 2, 2)], 5, raw(0.9))
     assert v == raw(0.9)
     assert len(kept) == 2
 
 
 def test_combine_selects_k_smallest():
-    rng = random.Random(0)
-    sketch = [(raw(f), i, i) for i, f in enumerate([0.1, 0.2, 0.3, 0.4])]
-    buffer = [(raw(0.05), 9, 9)]
-    v, kept = combine(sketch, buffer, 4, raw(0.4), rng)
+    sketch = [entry(raw(f), i, i) for i, f in enumerate([0.1, 0.2, 0.3, 0.4])]
+    buffer = [entry(raw(0.05), 9, 9)]
+    v, kept = combine(sketch, buffer, 4, raw(0.4))
     assert v == raw(0.3)
-    assert sorted(h for h, _, _ in kept) == [raw(0.05), raw(0.1), raw(0.2), raw(0.3)]
+    assert sorted_hashes(kept) == [raw(0.05), raw(0.1), raw(0.2), raw(0.3)]
 
 
 def test_combine_breaks_hash_ties_by_pair():
-    rng = random.Random(0)
-    entries = [(raw(0.1), 5, 5), (raw(0.2), 3, 1), (raw(0.2), 2, 9), (raw(0.2), 2, 4)]
-    v, kept = combine([], list(entries), 2, GRID, rng)
+    entries = [entry(raw(0.1), 5, 5), entry(raw(0.2), 3, 1), entry(raw(0.2), 2, 9),
+               entry(raw(0.2), 2, 4)]
+    v, kept = combine([], list(entries), 2, GRID)
     assert v == raw(0.2)
     # The lexicographically smallest 0.2 entry survives: (0.2, 2, 4).
-    assert sorted(kept) == [(raw(0.1), 5, 5), (raw(0.2), 2, 4)]
+    assert sorted(kept) == [entry(raw(0.1), 5, 5), entry(raw(0.2), 2, 4)]
 
 
 def test_finalize_undersupplied():
@@ -108,7 +113,7 @@ def test_live_threshold_matches_full_sort_oracle():
         k = rng.randint(1, 12)
         n = rng.randint(0, 80)
         hashes = [rng.randrange(GRID) for _ in range(n)]
-        state = KMinState(k, GRID, random.Random(trial))
+        state = KMinState(k, GRID)
         for i, hv in enumerate(hashes):
             if hv < state.p:
                 state.offer(i, i, hv)
@@ -132,7 +137,7 @@ def test_lagging_threshold_schedule_matches_full_sort_oracle():
         steps = sorted((rng.randrange(p0) for _ in range(3)), reverse=True)
         schedule = [p0] + steps
         hashes = [rng.randrange(GRID) for _ in range(n)]
-        state = KMinState(k, p0, random.Random(trial))
+        state = KMinState(k, p0)
         offered = []
         for i, hv in enumerate(hashes):
             caller_p = schedule[min(i * len(schedule) // max(n, 1), len(schedule) - 1)]
@@ -185,14 +190,15 @@ def test_evicted_pair_cannot_return():
         state.offer(2, 2, raw(0.05))
 
 
-def test_select_smallest_matches_sorted_prefix():
+def test_combine_keeps_sorted_prefix():
     rng = random.Random(77)
     for trial in range(300):
         n = rng.randint(1, 60)
-        entries = [(rng.randrange(1000), rng.randrange(50), rng.randrange(50)) for _ in range(n)]
+        entries = [entry(rng.randrange(1000), rng.randrange(50), rng.randrange(50))
+                   for _ in range(n)]
         entries = list(dict.fromkeys(entries))
         k = rng.randint(1, len(entries))
-        work = list(entries)
-        select_smallest(work, k, random.Random(trial))
-        assert sorted(work[:k]) == sorted(entries)[:k]
-        assert sorted(work) == sorted(entries)
+        split = rng.randint(0, len(entries))
+        v, kept = combine(sorted(entries[:split]), entries[split:], k, GRID)
+        assert kept == sorted(entries)[:k]
+        assert v == sorted(entries)[k - 1] >> 64

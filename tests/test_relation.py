@@ -11,8 +11,8 @@ from joinsketch import (
     exact_size,
     group_and_prune,
     parse_relation,
-    to_edges_text,
 )
+from joinsketch.relation import to_edges_text
 
 import reference_parsers
 from conftest import brute_force_pairs, random_instance

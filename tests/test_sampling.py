@@ -5,7 +5,6 @@ import struct
 import pytest
 
 from joinsketch import (
-    GRID,
     MERSENNE,
     DistinctSample,
     EstimatorConfig,
@@ -19,13 +18,13 @@ from joinsketch import (
     exact_size,
     group_and_prune,
     load_sample,
-    run_once,
     save_sample,
     sufficient_sample_size,
     theoretical_epsilon,
 )
 from joinsketch import plan_sample_size
-from joinsketch.hashing import draw_single, spawn_rng
+from joinsketch.estimator import run_once
+from joinsketch.hashing import GRID, draw_single, spawn_rng
 from joinsketch.sampling import membership_cut
 
 from conftest import disjoint_instance
