@@ -52,7 +52,14 @@ class _Parser(argparse.ArgumentParser):
 def _u64(text: str) -> int:
     value = int(text)
     if not 0 <= value < hashing.GRID:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
     return value
 
 
@@ -130,6 +137,7 @@ def _estimate_report(est: Estimate, cfg: EstimatorConfig, grouped) -> dict:
         "n": grouped.tuple_count,
         "groups": len(grouped),
         "max_group_product": grouped.max_group_product,
+        "total_product": grouped.total_product,
         "work": est.work.as_dict(),
         "work_per_run": [w.as_dict() for w in est.work_per_run],
     }
@@ -155,6 +163,7 @@ def cmd_exact(args) -> int:
             "n": grouped.tuple_count,
             "groups": len(grouped),
             "max_group_product": grouped.max_group_product,
+            "total_product": grouped.total_product,
         },
         args.json,
     )
@@ -313,7 +322,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("exact", help="exact size by brute force (desk scale)")
     _add_input_flags(p)
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    p.add_argument("--cap", type=_u64, default=oracle.DEFAULT_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_exact)
 
@@ -322,7 +331,7 @@ def build_parser() -> _Parser:
     _add_estimator_flags(p, MODE_START_AT_ONE)
     p.add_argument("--trials", type=int, default=60)
     p.add_argument("--exact-value", type=float, help="known exact size (skips the oracle)")
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    p.add_argument("--cap", type=_u64, default=oracle.DEFAULT_CAP)
     p.add_argument("--name", help="instance name for output files (default: input stem)")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--json", action="store_true")
@@ -332,7 +341,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--format", choices=FORMATS, default=EDGES)
     p.add_argument("--side", choices=("left", "right"), required=True)
-    p.add_argument("--prob", type=float, required=True)
+    p.add_argument("--prob", type=_probability, required=True)
     p.add_argument("--seed", type=_u64, default=0)
     p.add_argument("--hash-family", choices=hashing.FAMILIES, default=hashing.WRAPPING64)
     p.add_argument("--out", required=True, metavar="FILE")
@@ -343,7 +352,7 @@ def build_parser() -> _Parser:
     p.add_argument("left_sample", metavar="LEFT_SAMPLE")
     p.add_argument("right_sample", metavar="RIGHT_SAMPLE")
     _add_estimator_flags(p, MODE_START_AT_ONE)
-    p.add_argument("--exact-cutoff", type=int, default=sampling.DEFAULT_EXACT_CUTOFF,
+    p.add_argument("--exact-cutoff", type=_u64, default=sampling.DEFAULT_EXACT_CUTOFF,
                    help="sampled-product size up to which the join is counted exactly")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sample_estimate)

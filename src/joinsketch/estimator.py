@@ -16,7 +16,7 @@ failure probability down exponentially in the number of runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 from . import hashing
@@ -98,15 +98,7 @@ class WorkCounters:
         return self.sorted_elements + self.sbar_increments + self.inner_iterations
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "sorted_elements": self.sorted_elements,
-            "sbar_increments": self.sbar_increments,
-            "inner_iterations": self.inner_iterations,
-            "emitted_pairs": self.emitted_pairs,
-            "accepted_offers": self.accepted_offers,
-            "combine_calls": self.combine_calls,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 @dataclass(frozen=True)

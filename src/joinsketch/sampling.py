@@ -263,6 +263,9 @@ def load_sample(path: str) -> DistinctSample:
     cut = (cut_hi << 64) | cut_lo
     if cut != membership_cut(prob):
         raise SampleFormatError(f"{path}: membership cut {cut} does not match probability {prob}")
+    if count > source_tuples or not min(source_tuples, 1) <= source_distinct <= source_tuples:
+        raise SampleFormatError(f"{path}: header counts disagree: {count} records, {source_tuples} "
+                                f"source tuples, {source_distinct} distinct source values")
     body = blob[_HEADER.size:]
     if len(body) != count * 8:
         raise SampleFormatError(f"{path}: expected {count} tuple records, got {len(body) // 8}")

@@ -129,11 +129,39 @@ def test_estimate_reports_the_work_of_every_run(capsys, tiny_pair):
     assert report["work"] == {key: sum(w[key] for w in per_run) for key in report["work"]}
 
 
-def test_exact_subcommand(capsys, tiny_pair):
+def test_exact_subcommand(capsys, tiny_pair, mini_fimi_path):
     left, right = tiny_pair
     report = run_json(capsys, ["exact", "--left", str(left), "--right", str(right)])
     assert report["z"] == 3
     assert report["n"] == 4
+    # Each group's product is distinct pairs, and every pair is in some group.
+    inputs = ["--self", str(mini_fimi_path), "--format", "fimi"]
+    exact = run_json(capsys, ["exact", *inputs])
+    assert exact["max_group_product"] < exact["z"] < exact["total_product"]
+    estimate = run_json(capsys, ["estimate", *inputs, "-k", "4"])
+    for key in ("max_group_product", "total_product"):
+        assert estimate[key] == exact[key]
+
+
+def one_error_line(code, out, err):
+    return code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("exact", "--cap", "-1"),
+    ("experiment", "--cap", "-1"),
+    ("sample-estimate", "--exact-cutoff", "-5"),
+])
+def test_negative_count_flag_is_usage_error(capsys, tmp_path, tiny_pair, command, flag, value):
+    left, right = tiny_pair
+    if command == "sample-estimate":
+        inputs = [str(p) for p in _make_samples(capsys, tmp_path, tiny_pair)] + ["-k", "4"]
+    else:
+        inputs = ["--left", str(left), "--right", str(right)]
+        if command == "experiment":
+            inputs += ["-k", "4", "--trials", "1", "--out-dir", str(tmp_path / "out")]
+    assert one_error_line(*run_cli(capsys, [command, *inputs, flag, value]))
+    assert not (tmp_path / "out").exists()
 
 
 def test_exact_cap_exit_code(capsys, tmp_path):
@@ -303,6 +331,17 @@ def test_sample_reports_counts(capsys, tmp_path, tiny_pair):
     assert report["source_tuples"] == 3
     assert report["source_distinct"] == 3
     assert out.exists()
+
+
+@pytest.mark.parametrize("prob", ["0", "nan", "1.5", "-1"])
+def test_sample_invalid_probability_is_usage_error(capsys, tmp_path, tiny_pair, prob):
+    left, _ = tiny_pair
+    out = tmp_path / "s.sample"
+    assert one_error_line(*run_cli(
+        capsys,
+        ["sample", "--input", str(left), "--side", "left", "--prob", prob, "--out", str(out)],
+    ))
+    assert not out.exists()
 
 
 def test_sample_estimate_full_probability_matches_estimate(capsys, tmp_path, tiny_pair):

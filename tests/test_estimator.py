@@ -153,6 +153,27 @@ def test_point_v_matches_full_sort_oracle():
         assert est.value == (k << 64) / want.v
 
 
+@pytest.mark.parametrize("k", [1, 7, 50, 399, 400, 401])
+def test_repeated_pairs_are_counted_once(k):
+    # Every one of the 400 pairs (a, c) comes from each of the 10 groups.
+    g = grouped_from({(a, b) for a in range(20) for b in range(10)},
+                     {(b, c) for b in range(10) for c in range(20)})
+    z = exact_size(g).z
+    assert z == 400
+    for seed in range(3):
+        cfg = EstimatorConfig(k=k, threshold_mode=MODE_START_AT_ONE, seed=seed)
+        est = run_once(g, cfg)
+        want = exact_kth_hash(g, draw_pair_hash(run_rng(seed, (0,))), k)
+        if want.filled:
+            assert est.kind == POINT and est.v == want.v
+            assert est.work.accepted_offers <= z
+        else:
+            # The threshold never dropped: each group emitted all its pairs.
+            assert est.kind == EXACT_SMALL and est.count == z
+            assert est.work.emitted_pairs == g.total_product == 4000
+            assert est.work.accepted_offers == z
+
+
 def test_upper_bound_when_size_is_far_below_k_squared():
     g = grouped_from({(i, 0) for i in range(20)}, {(0, j) for j in range(20)})
     est = run_once(g, EstimatorConfig(k=64, threshold_mode=MODE_LINEAR, seed=5))

@@ -1,8 +1,6 @@
 import math
 import random
 
-import pytest
-
 from joinsketch.hashing import GRID
 from joinsketch.kmin import KMinState, combine
 
@@ -19,16 +17,18 @@ def sorted_hashes(entries) -> list[int]:
     return sorted(e >> 64 for e in entries)
 
 
-def fresh(k, p0=GRID, **kwargs):
-    return KMinState(k, p0, **kwargs)
+def fresh(k, p0=GRID):
+    return KMinState(k, p0)
 
 
 def test_duplicate_offer_is_a_no_op():
     state = fresh(4)
-    assert state.offer(1, 2, raw(0.5))
-    snapshot = (list(state.buffer), set(state.members), state.p, state.accepted)
-    assert not state.offer(1, 2, raw(0.5))
-    assert (list(state.buffer), set(state.members), state.p, state.accepted) == snapshot
+    state.offer(1, 2, raw(0.5))
+    state.offer(1, 2, raw(0.5))
+    outcome = state.finalize()
+    assert state.sketch == [entry(raw(0.5), 1, 2)]
+    assert state.accepted == 1
+    assert not outcome.filled and outcome.count == 1
 
 
 def test_buffer_fill_triggers_merge_and_threshold_drop():
@@ -53,13 +53,13 @@ def test_rank_two_selection_hand_trace():
 
 def test_combine_exactly_k_entries():
     entries = [entry(raw(0.3), 1, 1), entry(raw(0.1), 2, 2), entry(raw(0.2), 3, 3)]
-    v, kept = combine([], list(entries), 3, GRID)
+    v, kept, _ = combine([], list(entries), 3, GRID)
     assert v == raw(0.3)
     assert sorted(kept) == sorted(entries)
 
 
 def test_combine_undersupplied_keeps_threshold():
-    v, kept = combine([entry(raw(0.4), 1, 1)], [entry(raw(0.6), 2, 2)], 5, raw(0.9))
+    v, kept, _ = combine([entry(raw(0.4), 1, 1)], [entry(raw(0.6), 2, 2)], 5, raw(0.9))
     assert v == raw(0.9)
     assert len(kept) == 2
 
@@ -67,7 +67,7 @@ def test_combine_undersupplied_keeps_threshold():
 def test_combine_selects_k_smallest():
     sketch = [entry(raw(f), i, i) for i, f in enumerate([0.1, 0.2, 0.3, 0.4])]
     buffer = [entry(raw(0.05), 9, 9)]
-    v, kept = combine(sketch, buffer, 4, raw(0.4))
+    v, kept, _ = combine(sketch, buffer, 4, raw(0.4))
     assert v == raw(0.3)
     assert sorted_hashes(kept) == [raw(0.05), raw(0.1), raw(0.2), raw(0.3)]
 
@@ -75,7 +75,7 @@ def test_combine_selects_k_smallest():
 def test_combine_breaks_hash_ties_by_pair():
     entries = [entry(raw(0.1), 5, 5), entry(raw(0.2), 3, 1), entry(raw(0.2), 2, 9),
                entry(raw(0.2), 2, 4)]
-    v, kept = combine([], list(entries), 2, GRID)
+    v, kept, _ = combine([], list(entries), 2, GRID)
     assert v == raw(0.2)
     # The lexicographically smallest 0.2 entry survives: (0.2, 2, 4).
     assert sorted(kept) == [entry(raw(0.1), 5, 5), entry(raw(0.2), 2, 4)]
@@ -158,13 +158,14 @@ def test_merge_count_is_amortized():
     rng = random.Random(5)
     for k in (1, 3, 8):
         state = fresh(k)
-        accepted = 0
+        offers = 0
         for i in range(200):
             if state.p == 0:
                 break
-            accepted += state.offer(i, i, rng.randrange(state.p))
+            state.offer(i, i, rng.randrange(state.p))
+            offers += 1
         state.finalize()
-        assert state.combines <= math.ceil(accepted / k) + 1
+        assert state.combines <= math.ceil(offers / k) + 1
 
 
 def test_membership_stays_bounded():
@@ -174,31 +175,39 @@ def test_membership_stays_bounded():
     for i in range(500):
         hv = rng.randrange(GRID)
         if hv < state.p:
-            state.offer(i, i, hv)
-        assert len(state.members) <= 2 * k - 1
-        assert len(state.members) == len(state.sketch) + len(state.buffer)
+            state.offer(i % 40, i % 40, hv)
+        assert len(state.sketch) + len(state.buffer) <= 2 * k - 1
+        assert len(set(state.sketch)) == len(state.sketch)
 
 
-def test_evicted_pair_cannot_return():
-    state = fresh(2, track_evictions=True)
+def test_reoffered_evicted_pair_leaves_threshold_unchanged():
+    state = fresh(2)
     state.offer(1, 1, raw(0.8))
     state.offer(2, 2, raw(0.9))  # merge: p = 0.9
     state.offer(3, 3, raw(0.1))
     state.offer(4, 4, raw(0.2))  # merge: p = 0.2; pairs (1,1) and (2,2) evicted
     assert state.p == raw(0.2)
-    with pytest.raises(AssertionError):
-        state.offer(2, 2, raw(0.05))
+    state.offer(2, 2, raw(0.9))
+    state.offer(1, 1, raw(0.8))  # merge: both are cut again
+    assert state.p == raw(0.2)
+    assert state.finalize().v == raw(0.2)
+    assert state.sketch == [entry(raw(0.1), 3, 3), entry(raw(0.2), 4, 4)]
 
 
 def test_combine_keeps_sorted_prefix():
     rng = random.Random(77)
     for trial in range(300):
         n = rng.randint(1, 60)
-        entries = [entry(rng.randrange(1000), rng.randrange(50), rng.randrange(50))
+        entries = [entry(rng.randrange(30), rng.randrange(4), rng.randrange(4))
                    for _ in range(n)]
-        entries = list(dict.fromkeys(entries))
-        k = rng.randint(1, len(entries))
-        split = rng.randint(0, len(entries))
-        v, kept = combine(sorted(entries[:split]), entries[split:], k, GRID)
-        assert kept == sorted(entries)[:k]
-        assert v == sorted(entries)[k - 1] >> 64
+        split = rng.randint(0, n)
+        # The sketch half is sorted and duplicate-free; the buffer may repeat
+        # its own entries and the sketch's.
+        sketch = sorted(set(entries[:split]))
+        buffer = entries[split:] + rng.sample(sketch, rng.randint(0, len(sketch)))
+        distinct = sorted(set(entries))
+        k = rng.randint(1, len(distinct) + 1)
+        v, kept, count = combine(sketch, buffer, k, GRID)
+        assert count == len(distinct)
+        assert kept == distinct[:k]
+        assert v == (distinct[k - 1] >> 64 if k <= len(distinct) else GRID)

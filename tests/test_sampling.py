@@ -332,6 +332,27 @@ def test_load_rejects_cut_that_does_not_match_probability(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "source_tuples, source_distinct, count",
+    [
+        (19, 19, None),  # more records than source tuples
+        (20, 21, None),  # more distinct values than source tuples
+        (20, 0, None),  # no distinct value in a non-empty source
+        (1, 10**6, 3),  # three records from a one-tuple source
+    ],
+)
+def test_load_rejects_header_counts_that_disagree(tmp_path, source_tuples, source_distinct, count):
+    # The sample keeps all 20 tuples of 20 distinct values; the last case
+    # also cuts the records to 3.
+    path = _patched(tmp_path, 48, struct.pack("<QQ", source_tuples, source_distinct))
+    if count is not None:
+        blob = path.read_bytes()
+        size = struct.calcsize("<4sHBBQQQQdQQQ")
+        path.write_bytes(blob[:64] + struct.pack("<Q", count) + blob[size:size + 8 * count])
+    with pytest.raises(SampleFormatError, match="counts disagree"):
+        load_sample(str(path))
+
+
+@pytest.mark.parametrize(
     "body",
     [
         lambda b: b[8:16] + b[0:8] + b[16:],  # first two records swapped
