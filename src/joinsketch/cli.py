@@ -50,17 +50,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < hashing.GRID:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
-    return value
+    try:
+        value = int(text)
+        if 0 <= value < hashing.GRID:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
 
 
 def _probability(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
-    return value
+    try:
+        value = float(text)
+        if 0 < value <= 1:  # also rejects NaN
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:

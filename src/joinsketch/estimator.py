@@ -42,8 +42,9 @@ class EstimatorConfig:
     """Run parameters.
 
     Give either ``epsilon`` (target relative error, 0 < epsilon < 1/4, which
-    sets k = ceil(9 / epsilon^2)) or ``k`` directly.  ``runs`` must be odd so
-    the median is well defined.  All randomness derives from ``seed``.
+    sets k = ceil(9 / epsilon^2)) or ``k`` directly; k must lie in
+    [1, 2**64).  ``runs`` must be odd so the median is well defined.  All
+    randomness derives from ``seed``.
     """
 
     epsilon: float | None = None
@@ -58,8 +59,6 @@ class EstimatorConfig:
             raise ConfigError("give exactly one of epsilon or k")
         if self.epsilon is not None and not 0 < self.epsilon < 0.25:
             raise ConfigError(f"epsilon must be in (0, 1/4), got {self.epsilon}")
-        if self.k is not None and self.k < 1:
-            raise ConfigError(f"k must be positive, got {self.k}")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigError(f"unknown threshold mode: {self.threshold_mode!r}")
         if self.runs < 1 or self.runs % 2 == 0:
@@ -68,6 +67,12 @@ class EstimatorConfig:
             raise ConfigError("seed must fit in 64 bits")
         if self.family not in hashing.FAMILIES:
             raise ConfigError(f"unknown hash family: {self.family!r}")
+        # The grid holds 2**64 hash values.  A tiny epsilon is rejected
+        # before 9 / epsilon**2 can divide by zero or overflow.
+        if self.epsilon is not None and self.epsilon**2 * hashing.GRID < 9.0:
+            raise ConfigError(f"epsilon {self.epsilon} needs k = ceil(9 / epsilon**2) >= 2**64")
+        if not 1 <= self.resolved_k < hashing.GRID:
+            raise ConfigError(f"k must be in [1, 2**64), got {self.resolved_k}")
 
     @property
     def resolved_k(self) -> int:

@@ -16,7 +16,6 @@ groups' value arrays.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -34,8 +33,7 @@ _LOW = np.uint64(MAX_ATTRIBUTE)
 
 # Token grammar, shared by all formats: ASCII "-?[0-9]+" fields separated by
 # spaces and tabs.  Lines end at "\n", "\r\n" or a lone "\r".
-_TOKEN = re.compile(rb"-?[0-9]+")
-_TAB, _NEWLINE, _SPACE, _HASH, _MINUS, _ZERO = 9, 10, 32, 35, 45, 48
+_TAB, _NEWLINE, _SPACE, _HASH, _PERCENT, _MINUS, _ZERO = 9, 10, 32, 35, 37, 45, 48
 # Fields of at most this many digits are converted in uint64 arithmetic;
 # longer ones (leading zeros, or out of range anyway) by Python's int().
 _FAST_DIGITS = 10
@@ -152,40 +150,10 @@ class Relation:
 
 # -- parsing ---------------------------------------------------------------
 #
-# The fast path tokenizes the whole input with a few numpy passes over its
-# bytes and finds the first line that breaks the grammar, if any.  Only that
-# line is then re-read by the line checkers below, which raise the error the
-# line deserves, with its message and 1-based number.
-
-
-def _int_field(token: bytes, line: int) -> int:
-    if not _TOKEN.fullmatch(token):
-        shown = token.decode("ascii", "backslashreplace")
-        raise ParseError(f"expected an integer, got {shown!r}", line)
-    value = int(token)
-    if value < 0 or value > MAX_ATTRIBUTE:
-        raise RangeError(value, line)
-    return value
-
-
-def _split(line: bytes) -> list[bytes]:
-    """The space- or tab-separated fields of one line."""
-    return [f for f in line.replace(b"\t", b" ").split(b" ") if f]
-
-
-def _check_edges_line(line: bytes, lineno: int) -> None:
-    fields = _split(line)
-    if not fields or fields[0].startswith(b"#"):
-        return
-    if len(fields) != 2:
-        raise ParseError(f"expected two fields, got {len(fields)}", lineno)
-    for field in fields:
-        _int_field(field, lineno)
-
-
-def _check_fimi_line(line: bytes, lineno: int) -> None:
-    for field in _split(line):
-        _int_field(field, lineno)
+# One tokenizer reads all three formats: a few numpy passes over the input
+# bytes split and convert its fields and find the first bad one.  Each format
+# then checks its line rules (field counts, the mtx shape and entry count) on
+# those arrays; no parser walks its lines in Python.
 
 
 def _normalized(text: str | bytes) -> bytes:
@@ -197,21 +165,27 @@ def _normalized(text: str | bytes) -> bytes:
     return bytes(text)
 
 
-def _raise_at(data: bytes, lineno: int, check) -> None:
-    """Re-read line ``lineno`` (1-based), which the fast path flagged."""
-    line = data.split(b"\n", lineno)[lineno - 1]
-    check(line, lineno)
-    raise ParseError("malformed line", lineno)  # unreachable if both paths agree
+def _field_error(token: bytes, line: int) -> ParseError | RangeError:
+    """The error of a field that breaks the grammar or the 32-bit range."""
+    if token.removeprefix(b"-").isdigit():  # ASCII digits only, for bytes
+        return RangeError(int(token), line)
+    shown = token.decode("ascii", "backslashreplace")
+    return ParseError(f"expected an integer, got {shown!r}", line)
 
 
-def _tokenize(data: bytes, comments: bool) -> tuple[np.ndarray, np.ndarray, int]:
+def _first_error(*errors: ValueError | None) -> ValueError | None:
+    """The error on the earliest line; on a tie, the one given first."""
+    return min((e for e in errors if e is not None), key=lambda e: e.line, default=None)
+
+
+def _tokenize(data: bytes, comment: int | None) -> tuple[np.ndarray, np.ndarray, ValueError | None]:
     """Split ``data`` into fields at spaces, tabs and newlines, and convert
     each field of the grammar to its value.
 
-    Returns the 0-based line and the value of each field, and the 0-based
-    number of the first line with a field that breaks the token grammar or
-    the 32-bit range (-1 if none).  With ``comments``, a line whose first
-    field starts with "#" is dropped whole, whatever bytes follow.
+    Returns the 0-based line and the value of each field, and the error of
+    the first field that breaks the token grammar or the 32-bit range (None
+    if none).  A line whose first field starts with the byte ``comment`` is
+    dropped whole, whatever bytes follow.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     gap = buf == _SPACE
@@ -223,15 +197,6 @@ def _tokenize(data: bytes, comments: bool) -> tuple[np.ndarray, np.ndarray, int]
     del edge
     lines = np.searchsorted(np.flatnonzero(buf == _NEWLINE), starts)
 
-    keep = None
-    if comments and starts.size:
-        first = np.empty(starts.size, dtype=bool)
-        first[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=first[1:])
-        comment_line = np.zeros(int(lines[-1]) + 1, dtype=bool)
-        comment_line[lines[first & (buf[starts] == _HASH)]] = True
-        keep = ~comment_line[lines]
-
     # Bytes that are neither gaps nor digits: minus signs, comment text, and
     # anything that breaks the grammar.  A minus may only open a field that
     # has a digit after it.
@@ -240,12 +205,9 @@ def _tokenize(data: bytes, comments: bool) -> tuple[np.ndarray, np.ndarray, int]
     del gap
     field = np.searchsorted(starts, odd, side="right") - 1
     allowed = (buf[odd] == _MINUS) & (odd == starts[field]) & (ends[field] - odd >= 2)
-    if keep is not None:
-        allowed |= ~keep[field]
-    bad = [int(lines[field[~allowed][0]])] if not allowed.all() else []
+    bad = np.zeros(starts.size, dtype=bool)
+    bad[field[~allowed]] = True
 
-    if keep is not None:
-        starts, ends, lines = starts[keep], ends[keep], lines[keep]
     negative = buf[starts] == _MINUS
     digits = ends - starts - negative
     values = np.zeros(starts.size, dtype=np.uint64)
@@ -255,33 +217,47 @@ def _tokenize(data: bytes, comments: bool) -> tuple[np.ndarray, np.ndarray, int]
         digit[digits <= j] = 0
         values += digit * np.uint64(10**j)
         pos -= 1
-    for i in np.flatnonzero(digits > _FAST_DIGITS).tolist():
-        token = data[starts[i] + negative[i]:ends[i]]
-        values[i] = min(int(token), MAX_ATTRIBUTE + 1) if token.isdigit() else 0
-    out_of_range = (values > MAX_ATTRIBUTE) | (negative & (values != 0))
-    if out_of_range.any():
-        bad.append(int(lines[np.argmax(out_of_range)]))
-    return lines, values, min(bad, default=-1)
+    for i in np.flatnonzero((digits > _FAST_DIGITS) & ~bad).tolist():
+        values[i] = min(int(data[starts[i] + negative[i]:ends[i]]), MAX_ATTRIBUTE + 1)
+    bad |= values > MAX_ATTRIBUTE
+    bad |= negative & (values != 0)
+    del negative, digits, pos
+
+    keep = None
+    if comment is not None and starts.size:
+        first = np.empty(starts.size, dtype=bool)
+        first[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=first[1:])
+        comment_line = np.zeros(int(lines[-1]) + 1, dtype=bool)
+        comment_line[lines[first & (buf[starts] == comment)]] = True
+        keep = ~comment_line[lines]
+        bad &= keep
+    error = None
+    if bad.any():
+        i = int(np.argmax(bad))
+        error = _field_error(data[starts[i]:ends[i]], int(lines[i]) + 1)
+    if keep is not None:
+        lines, values = lines[keep], values[keep]
+    return lines, values, error
 
 
 def _parse_edges(text: str | bytes) -> np.ndarray:
-    data = _normalized(text)
-    lines, values, bad_line = _tokenize(data, comments=True)
+    lines, values, error = _tokenize(_normalized(text), _HASH)
     # Every line that is not blank or a comment holds exactly two fields.
     counts = np.bincount(lines)
-    wrong = np.flatnonzero((counts != 0) & (counts != 2))
-    bad = [line for line in (bad_line, *wrong[:1].tolist()) if line >= 0]
-    if bad:
-        _raise_at(data, min(bad) + 1, _check_edges_line)
+    wrong = np.flatnonzero((counts != 0) & (counts != 2))[:1].tolist()
+    error = _first_error(
+        *(ParseError(f"expected two fields, got {counts[i]}", i + 1) for i in wrong), error)
+    if error:
+        raise error
     return pack(values[0::2], values[1::2])
 
 
 def _parse_fimi(text: str | bytes) -> np.ndarray:
     # One transaction per line; tuple = (0-based line index, item id).
-    data = _normalized(text)
-    lines, values, bad_line = _tokenize(data, comments=False)
-    if bad_line >= 0:
-        _raise_at(data, bad_line + 1, _check_fimi_line)
+    lines, values, error = _tokenize(_normalized(text), None)
+    if error:
+        raise error
     if lines.size and lines[-1] > MAX_ATTRIBUTE:
         row = int(lines[-1])
         raise RangeError(row, row + 1)
@@ -289,43 +265,52 @@ def _parse_fimi(text: str | bytes) -> np.ndarray:
 
 
 def _parse_mtx(text: str | bytes) -> np.ndarray:
-    lines = _normalized(text).split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
-    if not lines or not lines[0].startswith(b"%%MatrixMarket"):
+    data = _normalized(text)
+    end = data.find(b"\n")
+    header = data[:end] if end >= 0 else data
+    if not header.startswith(b"%%MatrixMarket"):
         raise ParseError("missing %%MatrixMarket header", 1)
-    header = lines[0].lower().split()
-    if b"coordinate" not in header or b"pattern" not in header:
+    words = header.lower().split()
+    if b"coordinate" not in words or b"pattern" not in words:
         raise ParseError("only coordinate pattern matrices are supported", 1)
-    if b"general" not in header:
+    if b"general" not in words:
         raise ParseError("only general symmetry is supported", 1)
 
-    dims: tuple[int, int, int] | None = None
-    rows: list[int] = []
-    cols: list[int] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        fields = _split(raw)
-        if not fields or fields[0].startswith(b"%"):
-            continue
-        if dims is None:
-            if len(fields) != 3:
-                raise ParseError("dimension line must be 'rows cols entries'", lineno)
-            dims = tuple(_int_field(f, lineno) for f in fields)
-            continue
-        if len(fields) != 2:
-            raise ParseError(f"expected 'row col', got {len(fields)} fields", lineno)
-        r, c = (_int_field(f, lineno) for f in fields)
-        if not (1 <= r <= dims[0]) or not (1 <= c <= dims[1]):
-            raise ParseError(f"entry ({r}, {c}) outside declared {dims[0]}x{dims[1]} shape", lineno)
-        if len(rows) == dims[2]:
-            raise ParseError(f"more entries than the declared {dims[2]}", lineno)
-        rows.append(r)
-        cols.append(c)
-    if dims is None:
-        raise ParseError("missing dimension line", len(lines) + 1)
-    if len(rows) < dims[2]:
-        raise ParseError(f"declared {dims[2]} entries, found {len(rows)}", len(lines) + 1)
-    return pack(np.array(rows, dtype=np.uint64), np.array(cols, dtype=np.uint64))
+    # The header is a comment line.  The first used line holds the
+    # dimensions, every later one an entry.
+    lines, values, error = _tokenize(data, _PERCENT)
+    counts = np.bincount(lines)
+    expected = np.full(counts.size, 2)
+    expected[lines[:1]] = 3
+    wrong = np.flatnonzero((counts != 0) & (counts != expected))[:1].tolist()
+    error = _first_error(*(
+        ParseError("dimension line must be 'rows cols entries'" if i == lines[0]
+                   else f"expected 'row col', got {counts[i]} fields", i + 1)
+        for i in wrong), error)
+
+    # Lines before the first error are well formed; check the entries among
+    # them in line order, the shape before the count.
+    used = int(np.searchsorted(lines, error.line - 1)) if error else lines.size
+    rows, cols = values[3:used:2], values[4:used:2]
+    if used:
+        shape_rows, shape_cols, declared = values[:3].tolist()
+        outside = (rows < 1) | (rows > shape_rows) | (cols < 1) | (cols > shape_cols)
+        i = int(np.argmax(outside)) if outside.any() else rows.size
+        if i < rows.size and i <= declared:
+            raise ParseError(
+                f"entry ({rows[i]}, {cols[i]}) outside declared {shape_rows}x{shape_cols} shape",
+                int(lines[3 + 2 * i]) + 1)
+        if rows.size > declared:
+            raise ParseError(f"more entries than the declared {declared}",
+                             int(lines[3 + 2 * declared]) + 1)
+    if error:
+        raise error
+    last = data.count(b"\n") + (not data.endswith(b"\n"))
+    if not used:
+        raise ParseError("missing dimension line", last + 1)
+    if rows.size < declared:
+        raise ParseError(f"declared {declared} entries, found {rows.size}", last + 1)
+    return pack(rows, cols)
 
 
 _PARSERS = {EDGES: _parse_edges, FIMI: _parse_fimi, MTX_PATTERN: _parse_mtx}

@@ -1,4 +1,4 @@
-"""Line-by-line reference parsers for the edges and fimi formats.
+"""Line-by-line reference parsers for the three input formats.
 
 These are the straightforward parsers that joinsketch's vectorized
 tokenizer replaced: one ``str.splitlines`` pass, ``str.split`` per line and
@@ -48,4 +48,42 @@ def parse_fimi(text: str) -> set[tuple[int, int]]:
         _check_value(row, row + 1)
         for token in raw.split():
             tuples.add((row, _int_field(token, row + 1)))
+    return tuples
+
+
+def parse_mtx(text: str) -> set[tuple[int, int]]:
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("%%MatrixMarket"):
+        raise ParseError("missing %%MatrixMarket header", 1)
+    header = lines[0].lower().split()
+    if "coordinate" not in header or "pattern" not in header:
+        raise ParseError("only coordinate pattern matrices are supported", 1)
+    if "general" not in header:
+        raise ParseError("only general symmetry is supported", 1)
+
+    dims: tuple[int, int, int] | None = None
+    tuples: set[tuple[int, int]] = set()
+    entries = 0
+    for lineno, raw in enumerate(lines[1:], start=2):
+        fields = raw.split()
+        if not fields or fields[0].startswith("%"):
+            continue
+        if dims is None:
+            if len(fields) != 3:
+                raise ParseError("dimension line must be 'rows cols entries'", lineno)
+            dims = tuple(_int_field(f, lineno) for f in fields)
+            continue
+        if len(fields) != 2:
+            raise ParseError(f"expected 'row col', got {len(fields)} fields", lineno)
+        r, c = (_int_field(f, lineno) for f in fields)
+        if not (1 <= r <= dims[0]) or not (1 <= c <= dims[1]):
+            raise ParseError(f"entry ({r}, {c}) outside declared {dims[0]}x{dims[1]} shape", lineno)
+        if entries == dims[2]:
+            raise ParseError(f"more entries than the declared {dims[2]}", lineno)
+        entries += 1
+        tuples.add((r, c))
+    if dims is None:
+        raise ParseError("missing dimension line", len(lines) + 1)
+    if entries < dims[2]:
+        raise ParseError(f"declared {dims[2]} entries, found {entries}", len(lines) + 1)
     return tuples

@@ -164,6 +164,34 @@ def test_negative_count_flag_is_usage_error(capsys, tmp_path, tiny_pair, command
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("size", [["-k", "1" + "0" * 200], ["--epsilon", "1e-200"],
+                                  ["--epsilon", "1e-150"]], ids=["k", "eps-1e-200", "eps-1e-150"])
+def test_sketch_size_of_2_64_or_more_is_usage_error(capsys, tiny_pair, size):
+    left, _ = tiny_pair
+    assert one_error_line(*run_cli(
+        capsys, ["estimate", "--self", str(left), "--threshold-mode", "linear", *size]))
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("exact", "--cap"),
+    ("estimate", "--seed"),
+    ("sample-estimate", "--exact-cutoff"),
+    ("sample", "--prob"),
+])
+def test_non_numeric_flag_value_says_what_is_expected(capsys, tiny_pair, command, flag):
+    left, right = tiny_pair
+    expected = "a number in (0, 1]" if flag == "--prob" else "an integer in [0, 2**64)"
+    inputs = {
+        "exact": ["--left", str(left), "--right", str(right)],
+        "estimate": ["--left", str(left), "--right", str(right), "-k", "4"],
+        "sample-estimate": [str(left), str(right), "-k", "4"],
+        "sample": ["--input", str(left), "--side", "left", "--out", str(left) + ".sample"],
+    }[command]
+    code, out, err = run_cli(capsys, [command, *inputs, flag, "x"])
+    assert one_error_line(code, out, err)
+    assert err == f"error: argument {flag}: must be {expected}, got 'x'\n"
+
+
 def test_exact_cap_exit_code(capsys, tmp_path):
     left = tmp_path / "l.edges"
     left.write_text("".join(f"{i} 0\n" for i in range(40)))

@@ -50,6 +50,24 @@ def test_k_from_epsilon():
     assert EstimatorConfig(epsilon=0.2).resolved_k == 225
 
 
+@pytest.mark.parametrize("kw", [
+    dict(k=2**64), dict(k=10**200), dict(epsilon=1e-150), dict(epsilon=1e-200), dict(epsilon=5e-324),
+])
+def test_sketch_size_of_2_64_or_more_rejected(kw):
+    # The grid holds 2**64 hash values; 1e-200 squared is 0.0, 5e-324 the
+    # smallest float.
+    with pytest.raises(ConfigError):
+        EstimatorConfig(**kw)
+
+
+def test_largest_sketch_size_runs():
+    g = grouped_from({(1, 1), (2, 1)}, {(1, 5)})
+    linear = estimate_median(g, EstimatorConfig(k=2**64 - 1, threshold_mode=MODE_LINEAR))
+    assert (linear.kind, linear.value) == (UPPER_BOUND, float((2**64 - 1) ** 2))
+    full = estimate_median(g, EstimatorConfig(k=2**64 - 1, threshold_mode=MODE_START_AT_ONE))
+    assert (full.kind, full.count) == (EXACT_SMALL, 2)
+
+
 def test_runs_must_be_odd():
     with pytest.raises(ConfigError):
         EstimatorConfig(k=4, runs=2)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from joinsketch import (
     ParseError,
@@ -254,6 +254,22 @@ def test_errors_report_the_first_bad_line():
     with pytest.raises(RangeError) as exc:
         parse_relation(f"1\n2 {'0' * 12}{2**32} 3\n", "fimi")
     assert (exc.value.line, exc.value.value) == (2, 2**32)
+    header = "%%MatrixMarket matrix coordinate pattern general\n"
+    for body, message in [
+        ("% c\n3 x 2\n1 1\n", "line 3: expected an integer, got 'x'"),
+        ("3 3\n", "line 2: dimension line must be 'rows cols entries'"),
+        ("3 3 2\n1 1\n1 x 2\n", "line 4: expected 'row col', got 3 fields"),
+        ("3 3 2\n4 1\n1 x\n", "line 3: entry (4, 1) outside declared 3x3 shape"),
+        ("3 3 1\n% c\n1 1\n\n2 2\n3 3\n", "line 6: more entries than the declared 1"),
+        ("3 3 1\n1 1\n4 4\n", "line 4: entry (4, 4) outside declared 3x3 shape"),
+        ("3 3 2\n1 1\n", "line 4: declared 2 entries, found 1"),
+        ("3 3 2\n1 1", "line 4: declared 2 entries, found 1"),
+        ("3 3 2\n1 1\n\n", "line 5: declared 2 entries, found 1"),
+        ("% c\n", "line 3: missing dimension line"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_relation(header + body, "mtx-pattern")
+        assert str(exc.value) == message
 
 
 _VALUE = st.one_of(
@@ -290,6 +306,58 @@ def _grammar_text(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+_MTX_HEADERS = [
+    "%%MatrixMarket matrix coordinate pattern general",
+    "%%MatrixMarket MATRIX Coordinate\tPattern GENERAL % x",
+    "%%MatrixMarket matrix coordinate real general",
+    "%%MatrixMarket matrix coordinate pattern symmetric",
+    " %%MatrixMarket matrix coordinate pattern general",
+    "% matrix coordinate pattern general",
+]
+
+
+def _mostly(draw, good):
+    """Mostly ``good``, otherwise any value or a junk field."""
+    pick = draw(st.integers(0, 19))
+    return good if pick < 18 else draw(_VALUE if pick == 18 else _JUNK)
+
+
+@st.composite
+def _mtx_text(draw):
+    """A header, % comments, a dimension line and entries inside and outside
+    the shape, around the declared count, with wrong field counts and junk."""
+    rows, cols, declared = (draw(st.integers(0, 4)) for _ in range(3))
+    low, high = (0, 1) if draw(st.booleans()) else (1, 0)  # with or without out-of-shape
+
+    def index(bound):
+        return str(draw(st.integers(low, max(bound, 1) + high)))
+
+    kinds = draw(st.lists(st.sampled_from(["comment", "blank"]), max_size=2))
+    kinds.append(draw(st.sampled_from(["dims", "dims", "dims", "fields"])))
+    for _ in range(draw(st.integers(max(0, declared - 1), declared + 2))):
+        kinds.append(draw(st.sampled_from(["entry"] * 6 + ["fields", "comment", "blank"])))
+    header = draw(st.sampled_from(_MTX_HEADERS)) if draw(st.integers(0, 3)) == 0 else _MTX_HEADERS[0]
+    lines = [header]
+    for kind in kinds:
+        if kind == "comment":
+            body = "%" + draw(st.text(st.characters(min_codepoint=32, max_codepoint=126)))
+        elif kind == "blank":
+            body = draw(st.sampled_from(["", " ", "\t"]))
+        elif kind == "dims":
+            fields = [_mostly(draw, str(n)) for n in (rows, cols, declared)]
+            body = draw(_SEP).join(fields)
+        elif kind == "entry":
+            body = draw(_SEP).join([_mostly(draw, index(rows)), _mostly(draw, index(cols))])
+        else:
+            field = st.one_of(st.integers(low, 4 + high).map(str), _VALUE, _JUNK)
+            body = draw(_SEP).join(draw(st.lists(field, min_size=1, max_size=4)))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + body)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
 def _outcome(parse, text):
     try:
         return ("ok", frozenset(parse(text)))
@@ -297,9 +365,11 @@ def _outcome(parse, text):
         return (type(exc).__name__, exc.line, str(exc))
 
 
-@given(_grammar_text())
-def test_tokenizer_agrees_with_the_line_parsers(text):
-    for fmt, reference in (("edges", reference_parsers.parse_edges),
-                           ("fimi", reference_parsers.parse_fimi)):
-        got = _outcome(lambda t: parse_relation(t.encode("ascii"), fmt).tuples, text)
-        assert got == _outcome(reference, text), fmt
+@settings(max_examples=300)
+@given(_grammar_text(), _mtx_text())
+def test_tokenizer_agrees_with_the_line_parsers(text, mtx_text):
+    for fmt, reference, sample in (("edges", reference_parsers.parse_edges, text),
+                                   ("fimi", reference_parsers.parse_fimi, text),
+                                   ("mtx-pattern", reference_parsers.parse_mtx, mtx_text)):
+        got = _outcome(lambda t: parse_relation(t.encode("ascii"), fmt).tuples, sample)
+        assert got == _outcome(reference, sample), fmt
