@@ -1,8 +1,8 @@
 """End-to-end size estimation runs.
 
-A run draws fresh pair-hash parameters, picks the initial threshold, drives
-the per-group scans into one k-minimum-values sketch and converts the
-outcome:
+A run draws fresh pair-hash parameters, picks the initial threshold, sorts
+the groups chunk by chunk, drives the per-group scans into one
+k-minimum-values sketch and converts the outcome:
 
 * sketch filled: point estimate  z_hat = k / v  from the k-th smallest hash v;
 * sketch not filled, threshold started at 1: the sketch holds every distinct
@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 from . import hashing
-from .enumerator import scan_group, sort_group
+from .enumerator import chunk_bounds, scan_group, sort_group
 from .kmin import KMinState
 from .relation import GroupedInput
 
@@ -83,10 +83,14 @@ class EstimatorConfig:
 
 @dataclass
 class WorkCounters:
-    """Per-run work tally, aggregated over groups."""
+    """Per-run work tally.
+
+    ``sorted_elements`` counts tuples sorted, ``inner_iterations`` probes of
+    the pair hash: one per emitted pair plus the one that stops a column
+    before a full cycle, made in the chunk sort for a skipped column.
+    """
 
     sorted_elements: int = 0
-    sbar_increments: int = 0
     inner_iterations: int = 0
     emitted_pairs: int = 0
     accepted_offers: int = 0
@@ -99,8 +103,8 @@ class WorkCounters:
 
     @property
     def total(self) -> int:
-        """Scan-side work: elements sorted + pointer advances + inner probes."""
-        return self.sorted_elements + self.sbar_increments + self.inner_iterations
+        """Scan-side work: elements sorted + probes of the pair hash."""
+        return self.sorted_elements + self.inner_iterations
 
     def as_dict(self) -> dict[str, int]:
         return {**asdict(self), "total": self.total}
@@ -157,21 +161,25 @@ def run_once(
     pair_hash = hashing.draw_pair_hash(rng, cfg.family)
     k = cfg.resolved_k
     p0 = choose_threshold(grouped, k, cfg.threshold_mode)
-    work = WorkCounters()
     if grouped.tuple_count == 0:
+        work = WorkCounters()
         return Estimate(EXACT_SMALL, 0.0, k, p0, count=0, work=work, work_per_run=(work,))
 
     state = KMinState(k, p0)
-    for _, left, right in grouped.groups():
-        sg = sort_group(left, right, pair_hash)
-        work.sorted_elements += len(sg.xs) + len(sg.ys)
-        counters = scan_group(sg, state)
-        work.sbar_increments += counters.sbar_increments
-        work.inner_iterations += counters.inner_iterations
-        work.emitted_pairs += counters.emitted
+    inner = emitted = 0
+    bounds = chunk_bounds(grouped)
+    for lo, hi in zip(bounds, bounds[1:]):
+        # A column skipped at the chunk's threshold took one probe.
+        chunk = sort_group(grouped, lo, hi, pair_hash, state.p)
+        inner += chunk.skipped
+        for g in range(hi - lo):
+            counters = scan_group(chunk, g, state)
+            inner += counters.inner_iterations
+            emitted += counters.emitted
     outcome = state.finalize()
-    work.accepted_offers = state.accepted
-    work.combine_calls = state.combines
+    work = WorkCounters(sorted_elements=grouped.tuple_count, inner_iterations=inner,
+                        emitted_pairs=emitted, accepted_offers=state.accepted,
+                        combine_calls=state.combines)
 
     done = dict(k=k, p0=p0, work=work, work_per_run=(work,))
     if outcome.filled:

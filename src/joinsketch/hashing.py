@@ -53,14 +53,46 @@ class PairwiseHash:
         return (v << GRID_BITS) // MERSENNE61
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value` over a uint64 array."""
+        """Vectorized :meth:`value` over a uint64 array of 32-bit values."""
         if self.family == WRAPPING64:
             out = np.uint64(self.multiplier) * xs
             out += np.uint64(self.addend)  # in place: one temporary fewer
             return out
-        m, a = self.multiplier, self.addend
-        out = [((m * x + a) % MERSENNE61 << GRID_BITS) // MERSENNE61 for x in xs.tolist()]
-        return np.array(out, dtype=np.uint64)
+        return _mersenne_values(self.multiplier % MERSENNE61, self.addend % MERSENNE61, xs)
+
+
+_LOW29 = np.uint64((1 << 29) - 1)
+_P61 = np.uint64(MERSENNE61)
+
+
+def _mersenne_values(m: int, a: int, xs: np.ndarray) -> np.ndarray:
+    """``((m * x + a) mod p) * 2**64 // p`` for p = 2**61 - 1, m, a < p and
+    32-bit x, exactly in uint64 arithmetic.
+
+    With m = mh * 2**32 + ml, both products mh * x < 2**61 and ml * x < 2**64
+    fit a word.  Since 2**61 = 1 (mod p), a word w reduces to
+    (w >> 61) + (w & p), and mh * x * 2**32 to (t >> 29) + (t & (2**29 - 1))
+    * 2**32 for t = mh * x.  Finally 2**64 = 8 (p + 1), so
+    v * 2**64 // p = 8v + 8v // p.
+    """
+    t = xs * np.uint64(m >> 32)
+    v = t >> np.uint64(29)
+    t &= _LOW29
+    t <<= np.uint64(32)
+    v += t
+    t = xs * np.uint64(m & 0xFFFFFFFF)
+    v += t >> np.uint64(61)
+    t &= _P61
+    v += t
+    v += np.uint64(a)  # now below 3 * 2**61 + 2**33
+    t = v >> np.uint64(61)
+    v &= _P61
+    v += t  # now at most p + 3
+    v -= _P61 * (v >= _P61)
+    v <<= np.uint64(3)
+    t = v // _P61
+    v += t
+    return v
 
 
 @dataclass(frozen=True)

@@ -47,14 +47,16 @@ def combine(sketch: list[int], buffer: list[int], k: int,
     """
     merged = sketch + buffer
     merged.sort()
-    # Keep each entry that differs from its predecessor.
-    merged = merged[:1] + list(compress(islice(merged, 1, None),
-                                        map(ne, islice(merged, 1, None), merged)))
-    distinct = len(merged)
+    # Keep each entry that differs from its predecessor, in one new list.
+    kept = list(compress(islice(merged, 1, None), map(ne, islice(merged, 1, None), merged)))
+    if merged:
+        kept.insert(0, merged[0])
+    del merged
+    distinct = len(kept)
     if distinct < k:
-        return current_p, merged, distinct
-    del merged[k:]
-    return merged[-1] >> 64, merged, distinct
+        return current_p, kept, distinct
+    del kept[k:]
+    return kept[-1] >> 64, kept, distinct
 
 
 class KMinState:

@@ -16,7 +16,7 @@ groups' value arrays.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,10 +48,15 @@ class ParseError(ValueError):
 
 
 class RangeError(ValueError):
-    """Attribute value outside the unsigned 32-bit range."""
+    """Attribute value outside the unsigned 32-bit range.
 
-    def __init__(self, value: int, line: int):
-        super().__init__(f"line {line}: attribute value {value} outside unsigned 32-bit range")
+    A value with more digits than ``int()`` converts is reported by its
+    digit count, and ``value`` is None.
+    """
+
+    def __init__(self, value: int | None, line: int, digits: int = 0):
+        shown = f"of {digits} digits" if value is None else value
+        super().__init__(f"line {line}: attribute value {shown} outside unsigned 32-bit range")
         self.value = value
         self.line = line
 
@@ -167,8 +172,12 @@ def _normalized(text: str | bytes) -> bytes:
 
 def _field_error(token: bytes, line: int) -> ParseError | RangeError:
     """The error of a field that breaks the grammar or the 32-bit range."""
-    if token.removeprefix(b"-").isdigit():  # ASCII digits only, for bytes
-        return RangeError(int(token), line)
+    digits = token.removeprefix(b"-")
+    if digits.isdigit():  # ASCII digits only, for bytes
+        try:
+            return RangeError(int(token), line)
+        except ValueError:  # beyond the interpreter's integer string limit
+            return RangeError(None, line, len(digits))
     shown = token.decode("ascii", "backslashreplace")
     return ParseError(f"expected an integer, got {shown!r}", line)
 
@@ -218,7 +227,9 @@ def _tokenize(data: bytes, comment: int | None) -> tuple[np.ndarray, np.ndarray,
         values += digit * np.uint64(10**j)
         pos -= 1
     for i in np.flatnonzero((digits > _FAST_DIGITS) & ~bad).tolist():
-        values[i] = min(int(data[starts[i] + negative[i]:ends[i]]), MAX_ATTRIBUTE + 1)
+        significant = data[starts[i] + negative[i]:ends[i]].lstrip(b"0")
+        too_long = len(significant) > _FAST_DIGITS
+        values[i] = MAX_ATTRIBUTE + 1 if too_long else int(significant or b"0")
     bad |= values > MAX_ATTRIBUTE
     bad |= negative & (values != 0)
     del negative, digits, pos
@@ -363,26 +374,21 @@ class GroupedInput:
     right_offsets: np.ndarray
     right_values: np.ndarray
 
-    _views: tuple = field(init=False, repr=False)
-
     def __post_init__(self):
         for arr in (self.join_values, self.left_offsets, self.left_values,
                     self.right_offsets, self.right_values):
             arr.setflags(write=False)
-        # Per-group views, made once: slicing anew in every run costs about
-        # a microsecond per group, a few percent of a run on inputs of many
-        # small groups.
-        lo, ro = self.left_offsets.tolist(), self.right_offsets.tolist()
-        left = [self.left_values[i:j] for i, j in zip(lo, lo[1:])]
-        right = [self.right_values[i:j] for i, j in zip(ro, ro[1:])]
-        object.__setattr__(self, "_views", (left, right))
 
     def __len__(self) -> int:
         return int(self.join_values.size)
 
     def groups(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(join value, left values, right values) of each group, as views."""
-        return zip(self.join_values.tolist(), *self._views)
+        """(join value, left values, right values) of each group, as views
+        sliced on demand."""
+        lo, ro = self.left_offsets.tolist(), self.right_offsets.tolist()
+        lv, rv = self.left_values, self.right_values
+        for i, b in enumerate(self.join_values.tolist()):
+            yield b, lv[lo[i]:lo[i + 1]], rv[ro[i]:ro[i + 1]]
 
     @property
     def products(self) -> np.ndarray:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from joinsketch import Relation, Side
+from joinsketch import Relation, Side, group_and_prune
 
 
 def random_instance(rng: random.Random, max_each=200, a_range=40, b_range=12, c_range=40):
@@ -34,6 +34,12 @@ def scattered_instance(groups: int, left: int, right: int, seed=4):
     t1 = {(avals[g * left + i], g) for g in range(groups) for i in range(left)}
     t2 = {(g, cvals[g * right + j]) for g in range(groups) for j in range(right)}
     return Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2)
+
+
+def single_group(A, C):
+    """One group joining left values A to right values C."""
+    return group_and_prune(Relation.from_pairs(Side.LEFT, [(a, 0) for a in A]),
+                           Relation.from_pairs(Side.RIGHT, [(0, c) for c in C]))
 
 
 def brute_force_pairs(r1: Relation, r2: Relation) -> set:

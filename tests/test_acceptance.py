@@ -32,7 +32,8 @@ from joinsketch.estimator import choose_threshold, run_once
 from joinsketch.hashing import GRID, draw_pair_hash, draw_single, run_rng, spawn_rng
 from joinsketch.oracle import exact_kth_hash
 from joinsketch.relation import load_relation
-from conftest import FixedThreshold, disjoint_instance, random_instance, scattered_instance
+from conftest import (FixedThreshold, disjoint_instance, random_instance, scattered_instance,
+                      single_group)
 
 
 def report(number, name, ok, detail=""):
@@ -121,11 +122,12 @@ def test_criterion_3_enumeration_completeness():
         C = rng.sample(range(100_000), nc)
         pair_hash = draw_pair_hash(spawn_rng(61500, trial))
         p = thresholds[trial % 4]
-        group = sort_group(A, C, pair_hash)
+        chunk = sort_group(single_group(A, C), 0, 1, pair_hash, p)
         sketch = FixedThreshold(p)
-        counters = scan_group(group, sketch)
+        counters = scan_group(chunk, 0, sketch)
         got = sketch.pairs
-        assert counters.sbar_increments <= 2 * na, trial
+        # One probe per column, plus one per emitted pair.
+        assert chunk.skipped + counters.inner_iterations <= nc + len(got), trial
         assert len(got) == len(set(got)), trial
         hx = pair_hash.h1.values(np.asarray(A, dtype=np.uint64))
         hy = pair_hash.h2.values(np.asarray(C, dtype=np.uint64))
@@ -210,10 +212,9 @@ def test_criterion_7_linear_work(mini_fimi_path):
     emitted = [0] * len(grouped)
     for s in range(seeds):
         pair_hash = draw_pair_hash(run_rng(3222, (s,)))
-        for gi, (_, left, right) in enumerate(grouped.groups()):
-            sg = sort_group(left, right, pair_hash)
-            counters = scan_group(sg, FixedThreshold(p0))
-            emitted[gi] += counters.emitted
+        chunk = sort_group(grouped, 0, len(grouped), pair_hash, p0)
+        for gi in range(len(grouped)):
+            emitted[gi] += scan_group(chunk, gi, FixedThreshold(p0)).emitted
     worst = 0.0
     for gi, (_, left, right) in enumerate(grouped.groups()):
         limit = 4 * max(left.size, right.size)

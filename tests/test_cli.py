@@ -110,6 +110,23 @@ def test_malformed_file_is_data_error(capsys, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+@pytest.mark.parametrize("field, digits", [("1" * 5000, 5000), ("-" + "9" * 4301, 4301)],
+                         ids=["5000-ones", "minus-4301-nines"])
+def test_field_too_long_to_convert_is_data_error(capsys, tmp_path, field, digits):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(f"1 {field}\n")
+    code, out, err = run_cli(capsys, ["estimate", "--self", str(bad), "-k", "4"])
+    assert (code, out) == (2, "")
+    assert err == f"error: line 1: attribute value of {digits} digits outside unsigned 32-bit range\n"
+
+
+def test_leading_zeros_beyond_the_conversion_limit_still_parse(capsys, tmp_path):
+    data = tmp_path / "zeros.edges"
+    data.write_text(f"1 {'0' * 5000}7\n")
+    report = run_json(capsys, ["estimate", "--self", str(data), "-k", "4"])
+    assert (report["kind"], report["count"]) == ("exact_small", 1)
+
+
 def test_invalid_utf8_input_is_data_error(capsys, tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_bytes(b"1 2\n\xff\xfe 3\n")

@@ -18,11 +18,12 @@ from joinsketch import (
     exact_size,
     group_and_prune,
 )
+from joinsketch import enumerator
 from joinsketch.estimator import choose_threshold, median_by_value, run_once
 from joinsketch.hashing import GRID, draw_pair_hash, run_rng
 from joinsketch.oracle import exact_kth_hash
 
-from conftest import disjoint_instance, random_instance
+from conftest import disjoint_instance, random_instance, scattered_instance
 
 
 def grouped_from(t1, t2):
@@ -265,7 +266,7 @@ def test_work_counters_accumulate():
     work = est.work
     assert work.sorted_elements == g.tuple_count
     assert work.emitted_pairs >= work.accepted_offers >= 16
-    assert work.total == work.sorted_elements + work.sbar_increments + work.inner_iterations
+    assert work.total == work.sorted_elements + work.inner_iterations
     assert work.as_dict()["total"] == work.total
 
 
@@ -277,3 +278,99 @@ def test_mersenne_family_end_to_end():
     est = run_once(g, cfg)
     assert est.kind == POINT
     assert abs(est.value / z - 1) < 0.5
+
+
+def _golden_instances():
+    for i in range(10):
+        rng = random.Random(8100 + i)
+        yield random_instance(rng, max_each=600 if i % 4 else 15,
+                              a_range=rng.choice([40, 300, 2**31]), b_range=rng.choice([3, 12, 40]),
+                              c_range=rng.choice([40, 300, 2**31]))
+    yield scattered_instance(30, 20, 25, seed=8110)
+    yield scattered_instance(4, 60, 50, seed=8111)
+
+
+# (instance, mode, family): (kind, v, count, emitted_pairs, accepted_offers,
+# combine_calls) of a median of three runs with k = 4, 16 or 64, recorded
+# from the group-by-group scan that the chunked scan replaced.
+GOLDEN = {
+    (0, 'linear', 'wrapping64'): ('upper_bound', None, None, 1, 1, 3),
+    (0, 'linear', 'mersenne61'): ('upper_bound', None, None, 1, 1, 3),
+    (0, 'start-at-one', 'wrapping64'): ('exact_small', None, 3, 9, 9, 3),
+    (0, 'start-at-one', 'mersenne61'): ('exact_small', None, 3, 9, 9, 3),
+    (1, 'linear', 'wrapping64'): ('point', 192517619329331022, None, 183, 174, 13),
+    (1, 'linear', 'mersenne61'): ('point', 192517619329331016, None, 183, 174, 13),
+    (1, 'start-at-one', 'wrapping64'): ('point', 192517619329331022, None, 402, 392, 27),
+    (1, 'start-at-one', 'mersenne61'): ('point', 192517619329331016, None, 402, 392, 27),
+    (2, 'linear', 'wrapping64'): ('upper_bound', None, None, 12, 12, 3),
+    (2, 'linear', 'mersenne61'): ('upper_bound', None, None, 12, 12, 3),
+    (2, 'start-at-one', 'wrapping64'): ('point', 4404420784801294742, None, 550, 550, 9),
+    (2, 'start-at-one', 'mersenne61'): ('point', 4404420783237190146, None, 550, 550, 9),
+    (3, 'linear', 'wrapping64'): ('point', 10128892843752452, None, 49, 49, 14),
+    (3, 'linear', 'mersenne61'): ('point', 10128893800776464, None, 49, 49, 14),
+    (3, 'start-at-one', 'wrapping64'): ('point', 10128892843752452, None, 88, 88, 23),
+    (3, 'start-at-one', 'mersenne61'): ('point', 10128893800776464, None, 88, 88, 23),
+    (4, 'linear', 'wrapping64'): ('exact_small', None, 0, 0, 0, 0),
+    (4, 'linear', 'mersenne61'): ('exact_small', None, 0, 0, 0, 0),
+    (4, 'start-at-one', 'wrapping64'): ('exact_small', None, 0, 0, 0, 0),
+    (4, 'start-at-one', 'mersenne61'): ('exact_small', None, 0, 0, 0, 0),
+    (5, 'linear', 'wrapping64'): ('upper_bound', None, None, 33, 32, 3),
+    (5, 'linear', 'mersenne61'): ('upper_bound', None, None, 33, 32, 3),
+    (5, 'start-at-one', 'wrapping64'): ('point', 1250608086697260023, None, 909, 887, 15),
+    (5, 'start-at-one', 'mersenne61'): ('point', 1250608086697259385, None, 909, 887, 15),
+    (6, 'linear', 'wrapping64'): ('point', 273650612673254683, None, 47, 47, 14),
+    (6, 'linear', 'mersenne61'): ('point', 273650612673254601, None, 47, 47, 14),
+    (6, 'start-at-one', 'wrapping64'): ('point', 273650612673254683, None, 85, 85, 23),
+    (6, 'start-at-one', 'mersenne61'): ('point', 273650612673254601, None, 85, 85, 23),
+    (7, 'linear', 'wrapping64'): ('point', 312986188108408929, None, 114, 112, 9),
+    (7, 'linear', 'mersenne61'): ('point', 312986188108408856, None, 114, 112, 9),
+    (7, 'start-at-one', 'wrapping64'): ('point', 312986188108408929, None, 244, 242, 17),
+    (7, 'start-at-one', 'mersenne61'): ('point', 312986188108408856, None, 244, 242, 17),
+    (8, 'linear', 'wrapping64'): ('upper_bound', None, None, 0, 0, 3),
+    (8, 'linear', 'mersenne61'): ('upper_bound', None, None, 0, 0, 3),
+    (8, 'start-at-one', 'wrapping64'): ('exact_small', None, 1, 3, 3, 3),
+    (8, 'start-at-one', 'mersenne61'): ('exact_small', None, 1, 3, 3, 3),
+    (9, 'linear', 'wrapping64'): ('point', 8272164375868444, None, 26, 26, 8),
+    (9, 'linear', 'mersenne61'): ('point', 8272162248658544, None, 26, 26, 8),
+    (9, 'start-at-one', 'wrapping64'): ('point', 8272164375868444, None, 153, 153, 40),
+    (9, 'start-at-one', 'mersenne61'): ('point', 8272162248658544, None, 153, 153, 40),
+    (10, 'linear', 'wrapping64'): ('point', 19629127703516613, None, 282, 282, 20),
+    (10, 'linear', 'mersenne61'): ('point', 19629128380821704, None, 282, 282, 20),
+    (10, 'start-at-one', 'wrapping64'): ('point', 19629127703516613, None, 504, 504, 33),
+    (10, 'start-at-one', 'mersenne61'): ('point', 19629128380821704, None, 504, 504, 33),
+    (11, 'linear', 'wrapping64'): ('point', 95841950032781603, None, 461, 461, 9),
+    (11, 'linear', 'mersenne61'): ('point', 95841955687657120, None, 461, 461, 9),
+    (11, 'start-at-one', 'wrapping64'): ('point', 95841950032781603, None, 1592, 1592, 27),
+    (11, 'start-at-one', 'mersenne61'): ('point', 95841955687657120, None, 1592, 1592, 27),
+}
+
+
+def test_outcomes_and_sketch_work_match_the_recorded_values():
+    got = {}
+    for i, (r1, r2) in enumerate(_golden_instances()):
+        g = group_and_prune(r1, r2)
+        for mode in (MODE_LINEAR, MODE_START_AT_ONE):
+            for family in ("wrapping64", "mersenne61"):
+                cfg = EstimatorConfig(k=(4, 16, 64)[i % 3], threshold_mode=mode, runs=3,
+                                      seed=8200 + i, family=family)
+                e = estimate_median(g, cfg)
+                got[i, mode, family] = (e.kind, e.v, e.count, e.work.emitted_pairs,
+                                        e.work.accepted_offers, e.work.combine_calls)
+    assert got == GOLDEN
+
+
+@pytest.mark.parametrize("family", ["wrapping64", "mersenne61"])
+@pytest.mark.parametrize("mode", [MODE_LINEAR, MODE_START_AT_ONE])
+def test_chunk_size_changes_no_outcome_or_counter(monkeypatch, mode, family):
+    rng = random.Random(8300)
+    for trial in range(25):
+        r1, r2 = random_instance(rng, max_each=400, a_range=rng.choice([50, 2**31]),
+                                 b_range=rng.choice([2, 10, 50]), c_range=rng.choice([50, 2**31]))
+        g = group_and_prune(r1, r2)
+        cfg = EstimatorConfig(k=rng.choice([1, 4, 16, 64]), threshold_mode=mode, runs=3,
+                              seed=trial, family=family)
+        outcomes = []
+        for tuples in (1, 16, enumerator.CHUNK_TUPLES):
+            monkeypatch.setattr(enumerator, "CHUNK_TUPLES", tuples)
+            outcomes.append(estimate_median(g, cfg))
+        assert outcomes[0] == outcomes[1] == outcomes[2], trial

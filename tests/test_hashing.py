@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from joinsketch import MERSENNE, WRAPPING64, PairwiseHash
-from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, draw_single, run_rng, spawn_rng
+from joinsketch.hashing import (GRID, MASK64, MERSENNE61, PairHash, draw_pair_hash, draw_single,
+                               run_rng, spawn_rng)
 
 
 def raw(fraction: float) -> int:
@@ -144,6 +145,23 @@ def test_mersenne_rescaling_stays_on_grid():
     values = h.values(np.arange(1000, dtype=np.uint64))
     assert int(values.max()) < GRID
     assert [h.value(i) for i in range(10)] == values[:10].tolist()
+
+
+def test_mersenne_values_match_the_scalar_formula():
+    rng = np.random.default_rng(150)
+    xs = np.concatenate(([0, 1, 2**32 - 2, 2**32 - 1],
+                         rng.integers(0, 2**32, 400))).astype(np.uint64)
+    p = MERSENNE61
+    hashes = [draw_single(spawn_rng(150, i), MERSENNE) for i in range(100)]
+    # Edge parameters, and parameters of 2**61 or more as a loaded sample
+    # file may hold them.
+    for m in (1, 2**32 - 1, 2**32, p - 1, p, p + 1, GRID - 1):
+        for a in (0, 1, p - 1, GRID - 1):
+            hashes.append(PairwiseHash(m, a, MERSENNE))
+    # A sum that folds to p + 1 before the last reduction, at x = 2**32 - 1.
+    hashes.append(PairwiseHash(2**40 + 12345, 2305791087354062905, MERSENNE))
+    for h in hashes:
+        assert h.values(xs).tolist() == [h.value(x) for x in xs.tolist()], h
 
 
 def test_spawned_streams_are_independent_and_stable():

@@ -3,6 +3,7 @@ import statistics
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from joinsketch import (
     MERSENNE,
@@ -24,7 +25,7 @@ from joinsketch import (
 )
 from joinsketch import plan_sample_size
 from joinsketch.estimator import run_once
-from joinsketch.hashing import GRID, draw_single, spawn_rng
+from joinsketch.hashing import GRID, WRAPPING64, draw_single, spawn_rng
 from joinsketch.sampling import membership_cut
 
 from conftest import disjoint_instance
@@ -256,6 +257,63 @@ def test_empty_sample_round_trip(tmp_path):
     path = tmp_path / "empty.sample"
     save_sample(sample, str(path))
     assert load_sample(str(path)) == sample
+
+
+_U32 = st.integers(0, 2**32 - 1)
+_U64 = st.integers(0, GRID - 1)
+
+
+@st.composite
+def _samples(draw):
+    side = draw(st.sampled_from([Side.LEFT, Side.RIGHT]))
+    relation = Relation.from_pairs(side, draw(st.lists(st.tuples(_U32, _U32), max_size=40)))
+    prob = draw(st.one_of(st.just(1.0), st.floats(0, 1, exclude_min=True)))
+    selector = PairwiseHash(draw(_U64), draw(_U64), draw(st.sampled_from([WRAPPING64, MERSENNE])))
+    return draw_sample(relation, prob, selector)
+
+
+def _saved(sample, directory, name="fuzz.sample"):
+    path = directory / name
+    save_sample(sample, str(path))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sample-fuzz")
+
+
+@settings(max_examples=200)
+@given(sample=_samples())
+def test_saved_samples_round_trip_byte_for_byte(fuzz_dir, sample):
+    blob = _saved(sample, fuzz_dir)
+    loaded = load_sample(str(fuzz_dir / "fuzz.sample"))
+    assert loaded == sample
+    assert _saved(loaded, fuzz_dir) == blob
+
+
+# Arbitrary bytes, or a saved sample with bytes overwritten, cut off or
+# appended, so that every header check is reached.
+@settings(max_examples=400)
+@given(base=st.one_of(st.binary(max_size=120), _samples()),
+       edits=st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 255)), max_size=3),
+       cut=st.one_of(st.none(), st.integers(0, 10**4)), tail=st.binary(max_size=9))
+def test_every_byte_string_loads_or_is_a_format_error(fuzz_dir, base, edits, cut, tail):
+    blob = bytearray(base if isinstance(base, bytes) else _saved(base, fuzz_dir))
+    for pos, byte in edits:
+        if blob:
+            blob[pos % len(blob)] = byte
+    if cut is not None:
+        del blob[cut:]
+    blob += tail
+    path = fuzz_dir / "fuzzed.sample"
+    path.write_bytes(blob)
+    try:
+        loaded = load_sample(str(path))
+    except SampleFormatError:
+        return
+    # A file that loads is one that save_sample writes.
+    assert _saved(loaded, fuzz_dir) == blob
 
 
 def test_load_rejects_garbage(tmp_path):
