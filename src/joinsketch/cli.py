@@ -15,6 +15,7 @@ from pathlib import Path
 from . import hashing, oracle, sampling
 from .estimator import (
     MODE_START_AT_ONE,
+    POINT,
     THRESHOLD_MODES,
     ConfigError,
     Estimate,
@@ -144,6 +145,10 @@ def _estimate_report(est: Estimate, cfg: EstimatorConfig, grouped) -> dict:
         "groups": len(grouped),
         "max_group_product": grouped.max_group_product,
         "total_product": grouped.total_product,
+        # max_group_product <= z <= total_product always holds, so a point
+        # estimate outside that bracket is known to be off.
+        "outside_bracket": est.kind == POINT and not (
+            grouped.max_group_product <= est.value <= grouped.total_product),
         "work": est.work.as_dict(),
         "work_per_run": [w.as_dict() for w in est.work_per_run],
     }

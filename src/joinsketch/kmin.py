@@ -1,25 +1,26 @@
-"""k-minimum-values sketch kept as one sorted list of packed ints.
+"""k-minimum-values sketch kept as two sorted uint64 columns.
 
-Each entry is one Python int, ``hv << 64 | a << 32 | c``: the pair hash
-above the pair.  Integer order is therefore (hash, a, c) order, the tie rule
-everywhere, so a merge keeps exactly k entries even under equal hashes and
-the whole sketch is deterministic given its inputs.  A pair offered twice
-gives the same int twice, so duplicates sit side by side once sorted.
+An entry is a pair hash and its pair, ``a << 32 | c``.  Entries are ordered
+by (hash, pair), the tie rule everywhere, so a merge keeps exactly k entries
+even under equal hashes and the whole sketch is deterministic given its
+inputs.  A pair offered twice gives the same entry twice, so duplicates sit
+side by side once sorted.
 
-The k smallest distinct entries seen so far live in a sorted list S.  Every
-offer is appended to an unordered list F; when F holds k entries the two
-lists are merged by sorting S + F, dropping equal neighbours and keeping the
-first k, which also tightens the live threshold p to the new k-th smallest
-hash.  The merge is the only place duplicates are removed; no set of held
-pairs is kept.  Timsort finds S already sorted, so a merge costs a sort of F;
-insertion is amortized O(log k), with no heap.
+The k smallest distinct entries seen so far live in the numpy columns
+``hashes`` and ``pairs``, sorted together.  Every offer is appended to two
+``array('Q')`` buffer columns; when they hold k entries they are merged with
+the sketch in numpy (``combine``): concatenate, sort, drop equal neighbours
+and keep the first k, which also tightens the live threshold p to the new
+k-th smallest hash.  The merge is the only place duplicates are removed; no
+set of held pairs is kept.  An entry costs 16 bytes in either place.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import ne
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -36,66 +37,87 @@ class SketchOutcome:
     count: int | None = None
 
 
-def combine(sketch: list[int], buffer: list[int], k: int,
-            current_p: int) -> tuple[int, list[int], int]:
-    """Merge the sorted, duplicate-free ``sketch`` with ``buffer``.
+def combine(hashes: np.ndarray, pairs: np.ndarray, new_hashes: np.ndarray,
+            new_pairs: np.ndarray, k: int,
+            current_p: int) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """Merge the sorted, duplicate-free sketch ``(hashes, pairs)`` with the
+    unordered entries ``(new_hashes, new_pairs)``, which may repeat.
 
     Returns the new threshold (the k-th smallest hash, or ``current_p``
-    unchanged when fewer than k distinct entries exist in total), the sorted
-    list of the k smallest distinct entries, and the number of distinct
-    entries before the cut.
+    unchanged when fewer than k distinct entries exist in total), the two
+    columns of the k smallest distinct entries in (hash, pair) order, and
+    the number of distinct entries before the cut.
     """
-    merged = sketch + buffer
-    merged.sort()
-    # Keep each entry that differs from its predecessor, in one new list.
-    kept = list(compress(islice(merged, 1, None), map(ne, islice(merged, 1, None), merged)))
-    if merged:
-        kept.insert(0, merged[0])
-    del merged
-    distinct = len(kept)
+    h = np.concatenate((hashes, new_hashes))
+    order = np.argsort(h)
+    h = h[order]
+    q = np.concatenate((pairs, new_pairs))[order]
+    del order
+    same = np.zeros(h.size, dtype=bool)  # entry equals its predecessor
+    np.equal(h[1:], h[:-1], out=same[1:])
+    if same.any():
+        # Only runs of equal hashes still need ordering by pair: a pair
+        # offered twice, or distinct pairs whose hashes collide.  A lexsort
+        # of both whole columns would cost about ten argsorts of the hash.
+        tied = same.copy()
+        tied[:-1] |= same[1:]
+        run = np.flatnonzero(tied)
+        q[run] = q[run][np.lexsort((q[run], h[run]))]
+        same[1:] &= q[1:] == q[:-1]
+    kept = np.flatnonzero(~same)
+    distinct = kept.size
+    kept = kept[:k]
+    h, q = h[kept], q[kept]
     if distinct < k:
-        return current_p, kept, distinct
-    del kept[k:]
-    return kept[-1] >> 64, kept, distinct
+        return current_p, h, q, distinct
+    return int(h[-1]), h, q, distinct
 
 
 class KMinState:
     """Mutable sketch state for one estimator run (single owner, no sharing)."""
 
-    __slots__ = ("k", "p", "sketch", "buffer", "accepted", "combines")
+    __slots__ = ("k", "p", "hashes", "pairs", "new_hashes", "new_pairs",
+                 "accepted", "combines")
 
     def __init__(self, k: int, p0: int):
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
         self.p = p0  # live threshold in grid units; only ever decreases
-        self.sketch: list[int] = []  # sorted, duplicate-free
-        self.buffer: list[int] = []
+        # Sorted by (hash, pair) and duplicate-free.
+        self.hashes = np.empty(0, dtype=np.uint64)
+        self.pairs = np.empty(0, dtype=np.uint64)
+        self.new_hashes = array("Q")
+        self.new_pairs = array("Q")
         self.accepted = 0  # distinct pairs that entered the sketch
         self.combines = 0
 
     def offer(self, a: int, c: int, hv: int) -> None:
-        """Append pair (a, c) with hash ``hv``; the k-th buffered offer merges.
+        """Buffer pair (a, c) with hash ``hv``; the k-th buffered offer merges.
 
         A pair already held is dropped at the next merge.  Callers normally
         guarantee hv < p; an offer above the live threshold (a caller working
         from a stale, lagging cutoff) is tolerated and simply evicted at the
         next merge, so the final rank is unaffected.
         """
-        self.buffer.append(hv << 64 | a << 32 | c)
-        if len(self.buffer) == self.k:
+        self.new_hashes.append(hv)
+        self.new_pairs.append(a << 32 | c)
+        if len(self.new_hashes) == self.k:
             self._merge()
 
     def _merge(self) -> None:
-        held = len(self.sketch)
-        self.p, self.sketch, distinct = combine(self.sketch, self.buffer, self.k, self.p)
-        self.buffer = []
+        held = self.hashes.size
+        self.p, self.hashes, self.pairs, distinct = combine(
+            self.hashes, self.pairs, np.frombuffer(self.new_hashes, dtype=np.uint64),
+            np.frombuffer(self.new_pairs, dtype=np.uint64), self.k, self.p)
+        self.new_hashes = array("Q")
+        self.new_pairs = array("Q")
         self.accepted += distinct - held
         self.combines += 1
 
     def finalize(self) -> SketchOutcome:
         """Run the closing merge and report the outcome."""
         self._merge()
-        if len(self.sketch) == self.k:
+        if self.hashes.size == self.k:
             return SketchOutcome(filled=True, v=self.p)
-        return SketchOutcome(filled=False, count=len(self.sketch))
+        return SketchOutcome(filled=False, count=self.hashes.size)

@@ -83,6 +83,28 @@ def test_estimate_report_round_trips(capsys, tiny_pair):
     assert other_seed["seed"] == 10
 
 
+def test_estimate_flags_a_point_estimate_outside_the_bracket(capsys, tmp_path):
+    # Two groups of 10 x 10 disjoint pairs: z = total_product = 200 and
+    # max_group_product = 100.
+    left = tmp_path / "left.edges"
+    left.write_text("".join(f"{g * 10 + i} {g}\n" for g in range(2) for i in range(10)))
+    right = tmp_path / "right.edges"
+    right.write_text("".join(f"{g} {g * 10 + j}\n" for g in range(2) for j in range(10)))
+    argv = ["estimate", "--left", str(left), "--right", str(right),
+            "--threshold-mode", "start-at-one"]
+    above = run_json(capsys, argv + ["-k", "16", "--seed", "2"])
+    assert (above["max_group_product"], above["total_product"]) == (100, 200)
+    assert above["kind"] == "point" and above["value"] > 200
+    assert above["outside_bracket"] is True
+    inside = run_json(capsys, argv + ["-k", "16", "--seed", "0"])
+    assert inside["kind"] == "point" and 100 <= inside["value"] <= 200
+    assert inside["outside_bracket"] is False
+    exact = run_json(capsys, argv + ["-k", "1000", "--seed", "2"])
+    assert exact["kind"] == "exact_small" and exact["outside_bracket"] is False
+    code, out, _ = run_cli(capsys, argv + ["-k", "16", "--seed", "2"])
+    assert code == 0 and "outside_bracket: True\n" in out
+
+
 def test_missing_inputs_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["estimate", "-k", "4"])
     assert code == 1 and "--left" in err

@@ -185,10 +185,12 @@ def test_repeated_pairs_are_counted_once(k):
         want = exact_kth_hash(g, draw_pair_hash(run_rng(seed, (0,))), k)
         if want.filled:
             assert est.kind == POINT and est.v == want.v
+            assert type(est.v) is int  # a numpy scalar breaks k << 64 / v and JSON
             assert est.work.accepted_offers <= z
         else:
             # The threshold never dropped: each group emitted all its pairs.
             assert est.kind == EXACT_SMALL and est.count == z
+            assert type(est.count) is int
             assert est.work.emitted_pairs == g.total_product == 4000
             assert est.work.accepted_offers == z
 

@@ -1,6 +1,9 @@
 import math
 import random
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from joinsketch.hashing import GRID
 from joinsketch.kmin import KMinState, combine
 
@@ -9,12 +12,27 @@ def raw(fraction: float) -> int:
     return int(fraction * GRID)
 
 
-def entry(hv: int, a: int, c: int) -> int:
-    return hv << 64 | a << 32 | c
+def entry(hv: int, a: int, c: int) -> tuple[int, int]:
+    return hv, a << 32 | c
 
 
-def sorted_hashes(entries) -> list[int]:
-    return sorted(e >> 64 for e in entries)
+def columns(entries) -> tuple[np.ndarray, np.ndarray]:
+    hashes = np.array([h for h, _ in entries], dtype=np.uint64)
+    pairs = np.array([q for _, q in entries], dtype=np.uint64)
+    return hashes, pairs
+
+
+def rows(hashes, pairs) -> list[tuple[int, int]]:
+    return list(zip(hashes.tolist(), pairs.tolist()))
+
+
+def held(state) -> list[tuple[int, int]]:
+    return rows(state.hashes, state.pairs)
+
+
+def combine_entries(sketch, batch, k, current_p):
+    v, hashes, pairs, distinct = combine(*columns(sketch), *columns(batch), k, current_p)
+    return v, rows(hashes, pairs), distinct
 
 
 def fresh(k, p0=GRID):
@@ -26,7 +44,7 @@ def test_duplicate_offer_is_a_no_op():
     state.offer(1, 2, raw(0.5))
     state.offer(1, 2, raw(0.5))
     outcome = state.finalize()
-    assert state.sketch == [entry(raw(0.5), 1, 2)]
+    assert held(state) == [entry(raw(0.5), 1, 2)]
     assert state.accepted == 1
     assert not outcome.filled and outcome.count == 1
 
@@ -38,7 +56,7 @@ def test_buffer_fill_triggers_merge_and_threshold_drop():
     state.offer(2, 2, raw(0.2))
     assert state.combines == 1
     assert state.p == raw(0.2)
-    assert sorted_hashes(state.sketch) == [raw(0.1), raw(0.2)]
+    assert state.hashes.tolist() == [raw(0.1), raw(0.2)]
 
 
 def test_rank_two_selection_hand_trace():
@@ -48,18 +66,18 @@ def test_rank_two_selection_hand_trace():
     state.offer(3, 3, raw(0.15))
     state.offer(4, 4, raw(0.05))  # merge over {0.1, 0.2, 0.15, 0.05}
     assert state.p == raw(0.1)
-    assert sorted_hashes(state.sketch) == [raw(0.05), raw(0.1)]
+    assert state.hashes.tolist() == [raw(0.05), raw(0.1)]
 
 
 def test_combine_exactly_k_entries():
     entries = [entry(raw(0.3), 1, 1), entry(raw(0.1), 2, 2), entry(raw(0.2), 3, 3)]
-    v, kept, _ = combine([], list(entries), 3, GRID)
+    v, kept, _ = combine_entries([], entries, 3, GRID)
     assert v == raw(0.3)
     assert sorted(kept) == sorted(entries)
 
 
 def test_combine_undersupplied_keeps_threshold():
-    v, kept, _ = combine([entry(raw(0.4), 1, 1)], [entry(raw(0.6), 2, 2)], 5, raw(0.9))
+    v, kept, _ = combine_entries([entry(raw(0.4), 1, 1)], [entry(raw(0.6), 2, 2)], 5, raw(0.9))
     assert v == raw(0.9)
     assert len(kept) == 2
 
@@ -67,18 +85,18 @@ def test_combine_undersupplied_keeps_threshold():
 def test_combine_selects_k_smallest():
     sketch = [entry(raw(f), i, i) for i, f in enumerate([0.1, 0.2, 0.3, 0.4])]
     buffer = [entry(raw(0.05), 9, 9)]
-    v, kept, _ = combine(sketch, buffer, 4, raw(0.4))
+    v, kept, _ = combine_entries(sketch, buffer, 4, raw(0.4))
     assert v == raw(0.3)
-    assert sorted_hashes(kept) == [raw(0.05), raw(0.1), raw(0.2), raw(0.3)]
+    assert [h for h, _ in kept] == [raw(0.05), raw(0.1), raw(0.2), raw(0.3)]
 
 
 def test_combine_breaks_hash_ties_by_pair():
     entries = [entry(raw(0.1), 5, 5), entry(raw(0.2), 3, 1), entry(raw(0.2), 2, 9),
                entry(raw(0.2), 2, 4)]
-    v, kept, _ = combine([], list(entries), 2, GRID)
+    v, kept, _ = combine_entries([], entries, 2, GRID)
     assert v == raw(0.2)
     # The lexicographically smallest 0.2 entry survives: (0.2, 2, 4).
-    assert sorted(kept) == [entry(raw(0.1), 5, 5), entry(raw(0.2), 2, 4)]
+    assert kept == [entry(raw(0.1), 5, 5), entry(raw(0.2), 2, 4)]
 
 
 def test_finalize_undersupplied():
@@ -176,8 +194,8 @@ def test_membership_stays_bounded():
         hv = rng.randrange(GRID)
         if hv < state.p:
             state.offer(i % 40, i % 40, hv)
-        assert len(state.sketch) + len(state.buffer) <= 2 * k - 1
-        assert len(set(state.sketch)) == len(state.sketch)
+        assert state.hashes.size + len(state.new_hashes) <= 2 * k - 1
+        assert len(set(held(state))) == state.hashes.size
 
 
 def test_reoffered_evicted_pair_leaves_threshold_unchanged():
@@ -191,7 +209,7 @@ def test_reoffered_evicted_pair_leaves_threshold_unchanged():
     state.offer(1, 1, raw(0.8))  # merge: both are cut again
     assert state.p == raw(0.2)
     assert state.finalize().v == raw(0.2)
-    assert state.sketch == [entry(raw(0.1), 3, 3), entry(raw(0.2), 4, 4)]
+    assert held(state) == [entry(raw(0.1), 3, 3), entry(raw(0.2), 4, 4)]
 
 
 def test_combine_keeps_sorted_prefix():
@@ -207,7 +225,49 @@ def test_combine_keeps_sorted_prefix():
         buffer = entries[split:] + rng.sample(sketch, rng.randint(0, len(sketch)))
         distinct = sorted(set(entries))
         k = rng.randint(1, len(distinct) + 1)
-        v, kept, count = combine(sketch, buffer, k, GRID)
+        v, kept, count = combine_entries(sketch, buffer, k, GRID)
         assert count == len(distinct)
         assert kept == distinct[:k]
-        assert v == (distinct[k - 1] >> 64 if k <= len(distinct) else GRID)
+        assert v == (distinct[k - 1][0] if k <= len(distinct) else GRID)
+
+
+ids = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1),
+                st.integers(2**31, 2**32 - 1))
+tiny_hashes = st.integers(0, 3)
+wide_hashes = st.one_of(st.integers(0, GRID - 1), st.integers(2**63, GRID - 1),
+                        st.just(GRID - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 12), p0=st.one_of(st.just(GRID), st.integers(1, GRID - 1)),
+       offers=st.one_of(st.lists(st.tuples(ids, ids, tiny_hashes), max_size=80),
+                        st.lists(st.tuples(ids, ids, wide_hashes), max_size=80)))
+def test_sketch_matches_sorted_distinct_reference(k, p0, offers):
+    # Reference: after every merge the sketch is the first k of the sorted
+    # distinct (hash, pair) tuples offered so far, p is the k-th hash once
+    # there are k of them, and accepted counts entries new to the sketch.
+    state = KMinState(k, p0)
+    seen: set[tuple[int, int]] = set()
+    kept: list[tuple[int, int]] = []
+    accepted = 0
+    p = p0
+    for a, c, hv in offers:
+        seen.add(entry(hv, a, c))
+        state.offer(a, c, hv)
+        if not state.new_hashes:  # this offer merged
+            accepted += len(seen) - len(kept)
+            kept = sorted(seen)[:k]
+            seen = set(kept)
+            p = kept[-1][0] if len(kept) == k else p
+            assert held(state) == kept
+            assert state.p == p and type(state.p) is int
+    outcome = state.finalize()
+    accepted += len(seen) - len(kept)
+    kept = sorted(seen)[:k]
+    assert held(state) == kept
+    assert state.accepted == accepted
+    if len(kept) == k:
+        assert outcome.filled and outcome.v == kept[-1][0] and type(outcome.v) is int
+    else:
+        assert not outcome.filled and outcome.count == len(kept)
+        assert type(outcome.count) is int and state.p == p
