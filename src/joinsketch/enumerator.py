@@ -10,12 +10,13 @@ candidate, never |A| * |C|.
 
 Groups are processed in chunks of consecutive groups (``chunk_bounds``).
 ``sort_group`` gives a chunk one numpy pass: it hashes both sides, orders
-them by (group, hash, value), finds every column's minimum and drops each
-column whose minimum is not below the live threshold, since the threshold
-never rises.  ``scan_group`` then walks one group's remaining columns in
-Python and hands each candidate straight to the sketch, whose threshold it
-may tighten mid-scan.  The candidates and their order are those of a
-column-by-column walk over every group.
+them by (group, hash, side, value) with one argsort of a uint64 key, finds
+every column's minimum and drops each column whose minimum is not below the
+live threshold, since the threshold never rises.  Only the groups that keep
+a column get their rows as Python lists.  ``scan_group`` then walks one
+group's remaining columns in Python and hands each candidate straight to
+the sketch, whose threshold it may tighten mid-scan.  The candidates and
+their order are those of a column-by-column walk over every group.
 """
 
 from __future__ import annotations
@@ -26,11 +27,15 @@ import numpy as np
 
 from .hashing import GRID, MASK64, PairHash
 from .kmin import KMinState
-from .relation import GroupedInput, sorted_distinct
+from .relation import GroupedInput, sorted_distinct, tie_runs
 
-# Tuples per chunk: large enough that numpy's per-call cost is spread over
-# many tuples, small enough that a chunk's lists stay a few hundred KiB.
-CHUNK_TUPLES = 1 << 11
+# Tuples per chunk.  A chunk pays a fixed numpy per-call cost, so larger
+# chunks spread it over more tuples; the price is the chunk's Python lists,
+# all of its rows when every column is kept.  Against 2**11, 2**13 took the
+# benchmark's host-scaled skewed-repeat estimate from 0.23 s to 0.18 s and
+# peak RSS on fimi-sketch, which keeps every column, from 47.5 to 48.1 MiB
+# (medians of 3-4 runs, 2-core Xeon VM, numpy 2.4).
+CHUNK_TUPLES = 1 << 13
 
 
 def chunk_bounds(grouped: GroupedInput) -> list[int]:
@@ -50,13 +55,15 @@ def chunk_bounds(grouped: GroupedInput) -> list[int]:
 class SortedChunk:
     """Consecutive groups, sorted for the scan, and their columns to walk.
 
-    ``xs`` holds every group's left values in (group, h1, value) order, with
-    ``x_hashes`` aligned; group g's rows are ``left_offsets[g]`` to
-    ``left_offsets[g + 1]``.  The columns whose minimum lies below the
-    threshold the chunk was sorted at are ``ys`` (right values in (group,
-    h2, value) order), ``y_hashes`` and ``starts`` (the row of each column's
-    minimum); group g's are ``kept_offsets[g]`` to ``kept_offsets[g + 1]``.
-    ``skipped`` counts the other columns.  All offsets are chunk-relative.
+    The columns whose minimum lies below the threshold the chunk was sorted
+    at are ``ys`` (right values in (group, h2, value) order), ``y_hashes``
+    and ``starts`` (the row of each column's minimum); group g's are
+    ``kept_offsets[g]`` to ``kept_offsets[g + 1]``.  ``skipped`` counts the
+    other columns.  ``xs`` holds the left values, in (group, h1, value)
+    order, of the groups that keep at least one column, with ``x_hashes``
+    aligned; group g's rows are ``left_offsets[g]`` to ``left_offsets[g +
+    1]``, an empty range for a group that keeps no column.  All offsets are
+    chunk-relative.
     """
 
     xs: list[int]
@@ -81,40 +88,37 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     xs = grouped.left_values[lb:le]
     ys = grouped.right_values[rb:re]
     nr = ys.size
+    groups = hi - lo
 
-    # One int64 key orders both sides: group * 2U + 2 * rank(hash) + side,
-    # with U distinct hashes in the chunk and side 1 on the left.  A column
-    # thus sorts just before the rows of its group whose hash is >= its own.
-    # Equal keys keep their CSR order, ascending by value; keys are distinct
-    # when the hashes are, and then any sort keeps it.
+    # One uint64 key orders both sides by (group, hash): the group in the
+    # top b bits, the hash's top 64 - b bits below it.  Equal keys (same
+    # group, same top bits) are then ordered by (hash, index) in the
+    # concatenation, which holds the columns first and each side in CSR
+    # order, ascending by value.  The result is (group, hash, side, value)
+    # order, so a column sorts just before the rows of its group whose hash
+    # is >= its own.
     hashes = np.concatenate((pair_hash.h2.values(ys), pair_hash.h1.values(xs)))
-    order = np.argsort(hashes)
-    ranked = hashes[order]
-    rank = np.empty(hashes.size, dtype=np.int64)
-    rank[:1] = 0
-    np.not_equal(ranked[1:], ranked[:-1], out=rank[1:])
-    np.cumsum(rank, out=rank)
-    distinct = int(rank[-1]) + 1
-    key = np.empty_like(rank)
-    key[order] = rank
-    del ranked, rank
-    key <<= 1
-    key[nr:] += 1
-    group_base = np.arange(hi - lo, dtype=np.int64) * (2 * distinct)
-    key[:nr] += np.repeat(group_base, right_sizes)
-    key[nr:] += np.repeat(group_base, left_sizes)
-    order = np.argsort(key, kind="stable" if distinct < hashes.size else None)
+    b = max(1, (groups - 1).bit_length())
+    key = hashes >> np.uint64(b)
+    group_base = np.arange(groups, dtype=np.uint64) << np.uint64(64 - b)
+    key[:nr] |= np.repeat(group_base, right_sizes)
+    key[nr:] |= np.repeat(group_base, left_sizes)
+    order = np.argsort(key)
+    key = key[order]
+    _, run = tie_runs(key)
+    if run.size:
+        tied = order[run]
+        order[run] = tied[np.lexsort((tied, hashes[tied], key[run]))]
     del key
 
     is_col = order < nr
     rows = order[~is_col]
     cols = order[is_col]
-    x_hashes = hashes[rows]
     # A column's minimum is the first row after it in the order, unless its
     # group has none: then it wraps to the group's first row.
     starts = np.flatnonzero(is_col)
     starts -= np.arange(nr)
-    group_of = np.repeat(np.arange(hi - lo), right_sizes)
+    group_of = np.repeat(np.arange(groups), right_sizes)
     wrapped = starts == left_offsets[1:][group_of]
     starts[wrapped] = left_offsets[group_of[wrapped]]
 
@@ -122,19 +126,27 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     if p >= GRID:
         kept = np.ones(nr, dtype=bool)
     else:
-        kept = x_hashes[starts] - y_hashes < np.uint64(p)
-    kept_offsets = np.zeros(hi - lo + 1, dtype=np.int64)
-    np.cumsum(np.bincount(group_of[kept], minlength=hi - lo), out=kept_offsets[1:])
-    walk = kept.any()
+        kept = hashes[rows[starts]] - y_hashes < np.uint64(p)
+    kept_group = group_of[kept]
+    kept_counts = np.bincount(kept_group, minlength=groups)
+    kept_offsets = np.zeros(groups + 1, dtype=np.int64)
+    np.cumsum(kept_counts, out=kept_offsets[1:])
+    # Only groups that keep a column get rows; the others an empty range.
+    walked = kept_counts > 0
+    row_offsets = np.zeros(groups + 1, dtype=np.int64)
+    np.cumsum(np.where(walked, left_sizes, 0), out=row_offsets[1:])
+    rows = rows[np.repeat(walked, left_sizes)]
+    starts = starts[kept]
+    starts += (row_offsets - left_offsets)[kept_group]
     return SortedChunk(
-        xs=xs[rows - nr].tolist() if walk else [],
-        x_hashes=x_hashes.tolist() if walk else [],
-        left_offsets=left_offsets.tolist(),
+        xs=xs[rows - nr].tolist(),
+        x_hashes=hashes[rows].tolist(),
+        left_offsets=row_offsets.tolist(),
         ys=ys[cols[kept]].tolist(),
         y_hashes=y_hashes[kept].tolist(),
-        starts=starts[kept].tolist(),
+        starts=starts.tolist(),
         kept_offsets=kept_offsets.tolist(),
-        skipped=nr - int(np.count_nonzero(kept)),
+        skipped=nr - kept_group.size,
     )
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .relation import tie_runs
+
 
 @dataclass(frozen=True)
 class SketchOutcome:
@@ -53,15 +55,11 @@ def combine(hashes: np.ndarray, pairs: np.ndarray, new_hashes: np.ndarray,
     h = h[order]
     q = np.concatenate((pairs, new_pairs))[order]
     del order
-    same = np.zeros(h.size, dtype=bool)  # entry equals its predecessor
-    np.equal(h[1:], h[:-1], out=same[1:])
-    if same.any():
+    same, run = tie_runs(h)  # same: entry equals its predecessor
+    if run.size:
         # Only runs of equal hashes still need ordering by pair: a pair
         # offered twice, or distinct pairs whose hashes collide.  A lexsort
         # of both whole columns would cost about ten argsorts of the hash.
-        tied = same.copy()
-        tied[:-1] |= same[1:]
-        run = np.flatnonzero(tied)
         q[run] = q[run][np.lexsort((q[run], h[run]))]
         same[1:] &= q[1:] == q[:-1]
     kept = np.flatnonzero(~same)

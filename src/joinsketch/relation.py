@@ -101,6 +101,23 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def tie_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal neighbours of the sorted array ``keys``.
+
+    Returns a mask of the entries equal to their predecessor and the
+    indices of every entry in a run of two or more equal keys (empty when
+    the keys are distinct).  Sorting those entries by (key, tie-breakers)
+    orders each run in place and leaves the rest of the array alone.
+    """
+    same = np.zeros(keys.size, dtype=bool)
+    np.equal(keys[1:], keys[:-1], out=same[1:])
+    if not same.any():
+        return same, np.empty(0, dtype=np.intp)
+    tied = same.copy()
+    tied[:-1] |= same[1:]
+    return same, np.flatnonzero(tied)
+
+
 @dataclass(frozen=True, eq=False)
 class Relation:
     """A deduplicated set of binary tuples over 32-bit attribute values.

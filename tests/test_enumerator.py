@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 
 from joinsketch import PairwiseHash, enumerator, group_and_prune
-from joinsketch.enumerator import chunk_bounds, scan_group, sort_group
+from joinsketch.enumerator import SortedChunk, chunk_bounds, scan_group, sort_group
 from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, spawn_rng
 
 from conftest import FixedThreshold, random_instance, single_group
@@ -194,18 +195,93 @@ def test_chunk_bounds_cover_every_group_once(monkeypatch):
         assert chunk_bounds(grouped) == list(range(len(grouped) + 1))
 
 
+def reference_chunk(grouped, lo, hi, pair_hash, p):
+    """``sort_group`` in plain Python: each group's sides in sorted (hash,
+    side, value) order, side 0 for columns, and rows only for the groups
+    that keep a column."""
+    xs, x_hashes, left_offsets, ys, y_hashes, starts, kept_offsets = [], [], [0], [], [], [], [0]
+    skipped = 0
+    for _, A, C in itertools.islice(grouped.groups(), lo, hi):
+        merged = sorted([(h, 1, x) for h, x in zip(pair_hash.h1.values(A).tolist(), A.tolist())]
+                        + [(h, 0, y) for h, y in zip(pair_hash.h2.values(C).tolist(), C.tolist())])
+        rows = [(h, x) for h, side, x in merged if side]
+        before = 0  # rows sorted before the current column
+        for h, side, y in merged:
+            if side:
+                before += 1
+                continue
+            start = before % len(rows)
+            if p >= GRID or (rows[start][0] - h) & MASK64 < p:
+                ys.append(y)
+                y_hashes.append(h)
+                starts.append(len(xs) + start)
+            else:
+                skipped += 1
+        if len(ys) > kept_offsets[-1]:
+            x_hashes.extend(h for h, _ in rows)
+            xs.extend(x for _, x in rows)
+        left_offsets.append(len(xs))
+        kept_offsets.append(len(ys))
+    return SortedChunk(xs, x_hashes, left_offsets, ys, y_hashes, starts, kept_offsets, skipped)
+
+
+def tie_prone_hashes(rng, trial):
+    """A drawn pair hash; the identity, whose hashes in a chunk share their
+    top bits, so the chunk's sort keys tie; and hashes with only their top
+    1 to 6 bits set, which tie outright."""
+    bits = rng.randint(1, 6)
+
+    def top():
+        return PairwiseHash(rng.randrange(1, 1 << bits) << (64 - bits),
+                            rng.randrange(1 << bits) << (64 - bits))
+
+    return [draw_pair_hash(spawn_rng(6000 + trial)), PairHash(PairwiseHash(1, 0), PairwiseHash(1, 0)),
+            PairHash(top(), top())]
+
+
 def test_a_chunk_offers_what_its_groups_offer_one_by_one():
     rng = random.Random(19)
     for trial in range(40):
-        grouped = group_and_prune(*random_instance(rng, max_each=300, b_range=8))
+        grouped = group_and_prune(*random_instance(rng, max_each=300, b_range=rng.choice([8, 60])))
         if not len(grouped):
             continue
-        h = draw_pair_hash(spawn_rng(6000 + trial))
-        p = rng.choice([0, 1 << 60, 1 << 62, 1 << 63, GRID])
-        whole = sort_group(grouped, 0, len(grouped), h, p)
-        assert_columns_start_at_minima(whole)
-        for g in range(len(grouped)):
+        for h in tie_prone_hashes(rng, trial):
+            p = rng.choice([0, 1 << 60, 1 << 62, 1 << 63, GRID])
+            whole = sort_group(grouped, 0, len(grouped), h, p)
+            assert whole == reference_chunk(grouped, 0, len(grouped), h, p)
+            assert_columns_start_at_minima(whole)
+            for g in range(len(grouped)):
+                alone, together = FixedThreshold(p), FixedThreshold(p)
+                one = sort_group(grouped, g, g + 1, h, p)
+                assert scan_group(one, 0, alone) == scan_group(whole, g, together)
+                assert alone.pairs == together.pairs
+
+
+def test_groups_that_keep_no_column_get_no_rows():
+    rng = random.Random(20)
+    for trial in range(30):
+        grouped = group_and_prune(*random_instance(rng, max_each=400, b_range=30, a_range=10**6,
+                                                   c_range=10**6))
+        if len(grouped) < 2:
+            continue
+        h = draw_pair_hash(spawn_rng(7000 + trial))
+        # Each group's smallest pair hash; a threshold between two of them
+        # keeps the columns of some groups and none of the others.
+        lowest = sorted(int((h.h1.values(A)[:, None] - h.h2.values(C)[None, :]).min())
+                        for _, A, C in grouped.groups())
+        if lowest[0] == lowest[-1]:
+            continue
+        p = rng.choice([x for x in lowest if x > lowest[0]])
+        chunk = sort_group(grouped, 0, len(grouped), h, p)
+        assert chunk == reference_chunk(grouped, 0, len(grouped), h, p)
+        assert_columns_start_at_minima(chunk)
+        idle = [g for g in range(len(grouped)) if chunk.kept_offsets[g] == chunk.kept_offsets[g + 1]]
+        assert 0 < len(idle) < len(grouped)
+        for g, (_, A, _) in enumerate(grouped.groups()):
+            rows = chunk.left_offsets[g + 1] - chunk.left_offsets[g]
+            assert rows == (0 if g in idle else A.size)
             alone, together = FixedThreshold(p), FixedThreshold(p)
             one = sort_group(grouped, g, g + 1, h, p)
-            assert scan_group(one, 0, alone) == scan_group(whole, g, together)
+            assert scan_group(one, 0, alone) == scan_group(chunk, g, together)
             assert alone.pairs == together.pairs
+            assert (alone.pairs == []) == (g in idle)
