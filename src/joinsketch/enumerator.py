@@ -27,7 +27,7 @@ import numpy as np
 
 from .hashing import GRID, MASK64, PairHash
 from .kmin import KMinState
-from .relation import GroupedInput, sorted_distinct, tie_runs
+from .relation import GroupedInput, offsets, sorted_distinct, tie_runs
 
 # Tuples per chunk.  A chunk pays a fixed numpy per-call cost, so larger
 # chunks spread it over more tuples; the price is the chunk's Python lists,
@@ -129,12 +129,10 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
         kept = hashes[rows[starts]] - y_hashes < np.uint64(p)
     kept_group = group_of[kept]
     kept_counts = np.bincount(kept_group, minlength=groups)
-    kept_offsets = np.zeros(groups + 1, dtype=np.int64)
-    np.cumsum(kept_counts, out=kept_offsets[1:])
+    kept_offsets = offsets(kept_counts)
     # Only groups that keep a column get rows; the others an empty range.
     walked = kept_counts > 0
-    row_offsets = np.zeros(groups + 1, dtype=np.int64)
-    np.cumsum(np.where(walked, left_sizes, 0), out=row_offsets[1:])
+    row_offsets = offsets(np.where(walked, left_sizes, 0))
     rows = rows[np.repeat(walked, left_sizes)]
     starts = starts[kept]
     starts += (row_offsets - left_offsets)[kept_group]

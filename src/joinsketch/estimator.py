@@ -16,7 +16,7 @@ failure probability down exponentially in the number of runs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 from . import hashing
@@ -118,8 +118,8 @@ class Estimate:
     the exact distinct-pair count, also in ``count``) or ``upper_bound``
     (value = k^2, meaning the true size is at most that with probability
     2/3).  ``p0`` is the initial threshold in 2**-64 grid units and ``v`` the
-    finalized k-th smallest hash for point outcomes.  ``work`` is the sum
-    of ``work_per_run``, the counters of every run behind the outcome.
+    finalized k-th smallest hash for point outcomes.  ``work_per_run``
+    holds the counters of every run behind the outcome.
     """
 
     kind: str
@@ -128,8 +128,12 @@ class Estimate:
     p0: int
     v: int | None = None
     count: int | None = None
-    work: WorkCounters = field(default_factory=WorkCounters)
     work_per_run: tuple[WorkCounters, ...] = ()
+
+    @property
+    def work(self) -> WorkCounters:
+        """The counters of ``work_per_run`` summed."""
+        return sum(self.work_per_run, WorkCounters())
 
 
 def choose_threshold(grouped: GroupedInput, k: int, mode: str = MODE_LINEAR) -> int:
@@ -148,22 +152,14 @@ def choose_threshold(grouped: GroupedInput, k: int, mode: str = MODE_LINEAR) -> 
     return min(hashing.GRID // k, (k * hashing.GRID) // grouped.max_group_product)
 
 
-def run_once(
-    grouped: GroupedInput,
-    cfg: EstimatorConfig,
-    run_index: int = 0,
-    key: tuple[int, ...] | None = None,
-) -> Estimate:
+def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] = (0,)) -> Estimate:
     """One full estimation run with hash parameters drawn from (seed, key)."""
-    if key is None:
-        key = (run_index,)
     rng = hashing.run_rng(cfg.seed, key)
     pair_hash = hashing.draw_pair_hash(rng, cfg.family)
     k = cfg.resolved_k
     p0 = choose_threshold(grouped, k, cfg.threshold_mode)
     if grouped.tuple_count == 0:
-        work = WorkCounters()
-        return Estimate(EXACT_SMALL, 0.0, k, p0, count=0, work=work, work_per_run=(work,))
+        return Estimate(EXACT_SMALL, 0.0, k, p0, count=0, work_per_run=(WorkCounters(),))
 
     state = KMinState(k, p0)
     inner = emitted = 0
@@ -181,7 +177,7 @@ def run_once(
                         emitted_pairs=emitted, accepted_offers=state.accepted,
                         combine_calls=state.combines)
 
-    done = dict(k=k, p0=p0, work=work, work_per_run=(work,))
+    done = dict(k=k, p0=p0, work_per_run=(work,))
     if outcome.filled:
         v = outcome.v or 1  # all-zero hash ties; degenerate but divisible
         return Estimate(POINT, (k << hashing.GRID_BITS) / v, v=outcome.v, **done)
@@ -207,6 +203,5 @@ def estimate_median(
     The result carries the median run's outcome and the work of all runs.
     """
     estimates = [run_once(grouped, cfg, key=key_prefix + (i,)) for i in range(cfg.runs)]
-    per_run = tuple(e.work for e in estimates)
-    return replace(median_by_value(estimates), work=sum(per_run, WorkCounters()),
-                   work_per_run=per_run)
+    per_run = tuple(w for e in estimates for w in e.work_per_run)
+    return replace(median_by_value(estimates), work_per_run=per_run)

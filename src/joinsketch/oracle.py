@@ -69,11 +69,12 @@ def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> ExactResult:
 def exact_size_bitsets(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> int:
     """Independent second path: per-left-value sets of reachable right values."""
     _check_cap(grouped, cap)
+    lo, ro = grouped.left_offsets.tolist(), grouped.right_offsets.tolist()
+    left, right = grouped.left_values.tolist(), grouped.right_values.tolist()
     reach: dict[int, set[int]] = {}
-    for _, left, right_values in grouped.groups():
-        right = right_values.tolist()
-        for a in left.tolist():
-            reach.setdefault(a, set()).update(right)
+    for l0, l1, r0, r1 in zip(lo, lo[1:], ro, ro[1:]):
+        for a in left[l0:l1]:
+            reach.setdefault(a, set()).update(right[r0:r1])
     return sum(len(s) for s in reach.values())
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -86,6 +86,23 @@ def _swapped(keys: np.ndarray) -> np.ndarray:
     return out
 
 
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``a`` that differ from their predecessor: the
+    first entry of each run of equal values."""
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
+def offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive runs of the given lengths: 0, then the
+    running totals (int64)."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     """Sort ``keys`` in place and return its distinct values.
 
@@ -93,12 +110,7 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     slower on large uint64 arrays.
     """
     keys.sort()
-    if keys.size < 2:
-        return keys
-    keep = np.empty(keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    return keys[run_starts(keys)]
 
 
 def tie_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,8 +121,7 @@ def tie_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the keys are distinct).  Sorting those entries by (key, tie-breakers)
     orders each run in place and leaves the rest of the array alone.
     """
-    same = np.zeros(keys.size, dtype=bool)
-    np.equal(keys[1:], keys[:-1], out=same[1:])
+    same = ~run_starts(keys)
     if not same.any():
         return same, np.empty(0, dtype=np.intp)
     tied = same.copy()
@@ -253,11 +264,8 @@ def _tokenize(data: bytes, comment: int | None) -> tuple[np.ndarray, np.ndarray,
 
     keep = None
     if comment is not None and starts.size:
-        first = np.empty(starts.size, dtype=bool)
-        first[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=first[1:])
         comment_line = np.zeros(int(lines[-1]) + 1, dtype=bool)
-        comment_line[lines[first & (buf[starts] == comment)]] = True
+        comment_line[lines[run_starts(lines) & (buf[starts] == comment)]] = True
         keep = ~comment_line[lines]
         bad &= keep
     error = None
@@ -399,14 +407,6 @@ class GroupedInput:
     def __len__(self) -> int:
         return int(self.join_values.size)
 
-    def groups(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(join value, left values, right values) of each group, as views
-        sliced on demand."""
-        lo, ro = self.left_offsets.tolist(), self.right_offsets.tolist()
-        lv, rv = self.left_values, self.right_values
-        for i, b in enumerate(self.join_values.tolist()):
-            yield b, lv[lo[i]:lo[i + 1]], rv[ro[i]:ro[i + 1]]
-
     @property
     def products(self) -> np.ndarray:
         """|left| * |right| of each group (int64)."""
@@ -430,17 +430,8 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Runs of sorted keys sharing their high half: (high value, run length)
     per run and the low halves."""
     high, low = unpack(keys)
-    first = np.empty(high.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(high[1:], high[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(run_starts(high))
     return high[starts], np.diff(starts, append=high.size), low
-
-
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    out = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
 
 
 def group_and_prune(r1: Relation, r2: Relation) -> GroupedInput:
@@ -464,8 +455,8 @@ def group_and_prune(r1: Relation, r2: Relation) -> GroupedInput:
     right_kept = np.isin(right_b, left_b, assume_unique=True)
     return GroupedInput(
         join_values=left_b[left_kept],
-        left_offsets=_offsets(left_counts[left_kept]),
+        left_offsets=offsets(left_counts[left_kept]),
         left_values=left_values[np.repeat(left_kept, left_counts)],
-        right_offsets=_offsets(right_counts[right_kept]),
+        right_offsets=offsets(right_counts[right_kept]),
         right_values=right_values[np.repeat(right_kept, right_counts)],
     )

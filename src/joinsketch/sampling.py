@@ -106,7 +106,6 @@ def estimate_from_samples(
     right: DistinctSample,
     inner: EstimatorConfig,
     exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
-    cap: int = oracle.DEFAULT_CAP,
 ) -> SampleEstimate:
     """Join the two samples and rescale by 1 / (p1 * p2)."""
     if left.side is not Side.LEFT or right.side is not Side.RIGHT:
@@ -114,13 +113,15 @@ def estimate_from_samples(
     grouped: GroupedInput = group_and_prune(left.relation, right.relation)
     scale = left.prob * right.prob
     if 0 < grouped.total_product <= exact_cutoff:
-        z_sample = oracle.exact_size(grouped, cap=cap).z
+        z_sample = oracle.exact_size(grouped).z
         return SampleEstimate(z_sample / scale, float(z_sample), "exact", False)
     # Empty input also takes this branch: the sketch never fills, the exact
-    # buffered count (zero) is used, and the fallback flag records it.
+    # buffered count (zero) is used, and the fallback flag records it.  Its
+    # value is 0 even if p1 * p2 underflows to 0, which only a cut of 0 does.
     cfg = replace(inner, threshold_mode=MODE_START_AT_ONE)
     est = estimate_median(grouped, cfg)
-    return SampleEstimate(est.value / scale, est.value, "sketch", est.kind == EXACT_SMALL, est)
+    value = est.value / scale if est.value else 0.0
+    return SampleEstimate(value, est.value, "sketch", est.kind == EXACT_SMALL, est)
 
 
 def beta_bound(n1: int, n2: int, n_a: int, n_c: int, s: float, epsilon: float) -> float:
@@ -274,11 +275,18 @@ def load_sample(path: str) -> DistinctSample:
     if np.any(keys[1:] <= keys[:-1]):
         raise SampleFormatError(f"{path}: tuple records are not strictly ascending")
     side = _SIDE_FROM_CODE[side_code]
+    selector = PairwiseHash(multiplier, addend, _FAMILY_FROM_CODE[family_code])
+    attrs = sorted_distinct(unpack(keys)[0 if side is Side.LEFT else 1])
+    if attrs.size > source_distinct:
+        raise SampleFormatError(f"{path}: {attrs.size} distinct sampled values, more than the "
+                                f"{source_distinct} distinct source values")
+    if cut < GRID and np.any(selector.values(attrs) >= np.uint64(cut)):
+        raise SampleFormatError(f"{path}: a record's value fails the sample's membership cut")
     return DistinctSample(
         side=side,
         prob=prob,
         cut=cut,
-        selector=PairwiseHash(multiplier, addend, _FAMILY_FROM_CODE[family_code]),
+        selector=selector,
         relation=Relation(side, keys),
         source_tuples=source_tuples,
         source_distinct=source_distinct,

@@ -1,8 +1,9 @@
 import random
+import struct
 
 import pytest
 
-from joinsketch import Relation, Side, group_and_prune
+from joinsketch import Relation, Side, group_and_prune, load_sample
 
 
 def random_instance(rng: random.Random, max_each=200, a_range=40, b_range=12, c_range=40):
@@ -42,6 +43,12 @@ def single_group(A, C):
                            Relation.from_pairs(Side.RIGHT, [(0, c) for c in C]))
 
 
+def group_values(grouped, g):
+    """Left and right values of group ``g``, sliced from the CSR arrays."""
+    lo, ro = grouped.left_offsets, grouped.right_offsets
+    return grouped.left_values[lo[g]:lo[g + 1]], grouped.right_values[ro[g]:ro[g + 1]]
+
+
 def brute_force_pairs(r1: Relation, r2: Relation) -> set:
     """Quadratic-time join-project, independent of the grouping code."""
     out = set()
@@ -50,6 +57,18 @@ def brute_force_pairs(r1: Relation, r2: Relation) -> set:
             if b == b2:
                 out.add((a, c))
     return out
+
+
+def break_the_cut(path) -> None:
+    """Give the last record of the non-empty left sample file ``path`` a
+    larger value that the file's own selector rejects.  The records stay
+    strictly ascending, so only the membership check can catch it."""
+    sample = load_sample(str(path))
+    last = max(a for a, _ in sample.relation.tuples)
+    bad = next(a for a in range(last + 1, 2**32) if sample.selector.value(a) >= sample.cut)
+    blob = bytearray(path.read_bytes())
+    blob[-8:-4] = struct.pack("<I", bad)
+    path.write_bytes(bytes(blob))
 
 
 class FixedThreshold:

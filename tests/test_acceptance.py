@@ -64,7 +64,7 @@ def accuracy_ratios(accuracy_instance):
         start = time.monotonic()
         trials = []
         for t in range(200):
-            est = run_once(grouped, cfg, run_index=t)
+            est = run_once(grouped, cfg, key=(t,))
             assert est.kind == POINT
             trials.append(est.value / z)
         elapsed[k] = time.monotonic() - start
@@ -105,7 +105,7 @@ def test_criterion_2_kth_hash_equivalence():
         assert z <= 10_000
         k = rng.randint(1, z)
         cfg = EstimatorConfig(k=k, threshold_mode=MODE_START_AT_ONE, seed=9000)
-        est = run_once(grouped, cfg, run_index=checked)
+        est = run_once(grouped, cfg, key=(checked,))
         want = exact_kth_hash(grouped, draw_pair_hash(run_rng(9000, (checked,))), k)
         assert est.kind == POINT and want.filled
         assert est.v == want.v, (checked, est.v, want.v)
@@ -199,7 +199,7 @@ def test_criterion_7_linear_work(mini_fimi_path):
     for name, grouped in _work_corpus(mini_fimi_path):
         cfg = EstimatorConfig(k=k, threshold_mode=MODE_LINEAR, seed=3111)
         for s in range(20):
-            est = run_once(grouped, cfg, run_index=s)
+            est = run_once(grouped, cfg, key=(s,))
             bound = 16 * grouped.tuple_count
             assert est.work.total <= bound, (name, s, est.work.total, bound)
 
@@ -216,8 +216,10 @@ def test_criterion_7_linear_work(mini_fimi_path):
         for gi in range(len(grouped)):
             emitted[gi] += scan_group(chunk, gi, FixedThreshold(p0)).emitted
     worst = 0.0
-    for gi, (_, left, right) in enumerate(grouped.groups()):
-        limit = 4 * max(left.size, right.size)
+    left_sizes = np.diff(grouped.left_offsets).tolist()
+    right_sizes = np.diff(grouped.right_offsets).tolist()
+    for gi, (left_size, right_size) in enumerate(zip(left_sizes, right_sizes)):
+        limit = 4 * max(left_size, right_size)
         mean = emitted[gi] / seeds
         worst = max(worst, mean / limit)
         assert mean <= limit, (gi, mean, limit)

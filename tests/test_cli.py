@@ -8,6 +8,8 @@ import pytest
 
 from joinsketch.cli import main, observed_epsilon
 
+from conftest import break_the_cut
+
 
 @pytest.fixture
 def tiny_pair(tmp_path):
@@ -479,6 +481,32 @@ def test_sample_estimate_json_is_strict_below_one_expected_tuple(capsys, tmp_pat
     report = json.loads(out, parse_constant=_reject_constant)
     assert report["beta"] is None
     assert report["upper_bound_regime"] is True
+
+
+@pytest.mark.parametrize("prob", ["1e-170", "1e-200"])
+def test_sample_estimate_survives_a_scale_that_underflows(capsys, tmp_path, prob):
+    # p1 * p2 underflows to 0.0.  Both membership cuts are 0, so the sampled
+    # join is empty and estimates 0.
+    edges = tmp_path / "four.edges"
+    edges.write_text("1 1\n2 1\n1 2\n3 2\n")
+    ls, rs = _make_samples(capsys, tmp_path, (edges, edges), prob=prob)
+    code, out, err = run_cli(capsys, ["sample-estimate", str(ls), str(rs), "-k", "16", "--json"])
+    assert code == 0, err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["p1"] * report["p2"] == 0.0
+    assert report["value"] == 0.0 and report["sampled_size"] == 0.0
+    assert report["beta"] is None
+    assert report["upper_bound_regime"] is True
+
+
+def test_sample_estimate_rejects_a_record_that_fails_the_cut(capsys, tmp_path):
+    edges = tmp_path / "many.edges"
+    edges.write_text("".join(f"{i} {i % 7}\n" for i in range(300)))
+    ls, rs = _make_samples(capsys, tmp_path, (edges, edges), prob="0.1")
+    break_the_cut(ls)
+    code, out, err = run_cli(capsys, ["sample-estimate", str(ls), str(rs), "-k", "16", "--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_sample_estimate_corrupt_file(capsys, tmp_path):

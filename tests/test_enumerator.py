@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import numpy as np
@@ -7,7 +6,7 @@ from joinsketch import PairwiseHash, enumerator, group_and_prune
 from joinsketch.enumerator import SortedChunk, chunk_bounds, scan_group, sort_group
 from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, spawn_rng
 
-from conftest import FixedThreshold, random_instance, single_group
+from conftest import FixedThreshold, group_values, random_instance, single_group
 
 
 def sort_one(A, C, pair_hash, p=GRID):
@@ -201,7 +200,8 @@ def reference_chunk(grouped, lo, hi, pair_hash, p):
     that keep a column."""
     xs, x_hashes, left_offsets, ys, y_hashes, starts, kept_offsets = [], [], [0], [], [], [], [0]
     skipped = 0
-    for _, A, C in itertools.islice(grouped.groups(), lo, hi):
+    for g in range(lo, hi):
+        A, C = group_values(grouped, g)
         merged = sorted([(h, 1, x) for h, x in zip(pair_hash.h1.values(A).tolist(), A.tolist())]
                         + [(h, 0, y) for h, y in zip(pair_hash.h2.values(C).tolist(), C.tolist())])
         rows = [(h, x) for h, side, x in merged if side]
@@ -267,8 +267,9 @@ def test_groups_that_keep_no_column_get_no_rows():
         h = draw_pair_hash(spawn_rng(7000 + trial))
         # Each group's smallest pair hash; a threshold between two of them
         # keeps the columns of some groups and none of the others.
+        sides = [group_values(grouped, g) for g in range(len(grouped))]
         lowest = sorted(int((h.h1.values(A)[:, None] - h.h2.values(C)[None, :]).min())
-                        for _, A, C in grouped.groups())
+                        for A, C in sides)
         if lowest[0] == lowest[-1]:
             continue
         p = rng.choice([x for x in lowest if x > lowest[0]])
@@ -277,7 +278,7 @@ def test_groups_that_keep_no_column_get_no_rows():
         assert_columns_start_at_minima(chunk)
         idle = [g for g in range(len(grouped)) if chunk.kept_offsets[g] == chunk.kept_offsets[g + 1]]
         assert 0 < len(idle) < len(grouped)
-        for g, (_, A, _) in enumerate(grouped.groups()):
+        for g, (A, _) in enumerate(sides):
             rows = chunk.left_offsets[g + 1] - chunk.left_offsets[g]
             assert rows == (0 if g in idle else A.size)
             alone, together = FixedThreshold(p), FixedThreshold(p)

@@ -13,7 +13,6 @@ from joinsketch import (
     EstimatorConfig,
     Relation,
     Side,
-    WorkCounters,
     estimate_median,
     exact_size,
     group_and_prune,
@@ -140,9 +139,9 @@ def test_same_seed_same_estimate_bit_exact():
     r1, r2 = random_instance(random.Random(21), max_each=150)
     g = group_and_prune(r1, r2)
     cfg = EstimatorConfig(k=32, seed=77, threshold_mode=MODE_START_AT_ONE)
-    assert run_once(g, cfg, run_index=3) == run_once(g, cfg, run_index=3)
+    assert run_once(g, cfg, key=(3,)) == run_once(g, cfg, key=(3,))
     cfg2 = EstimatorConfig(k=32, seed=78, threshold_mode=MODE_START_AT_ONE)
-    assert run_once(g, cfg, run_index=3) != run_once(g, cfg2, run_index=3)
+    assert run_once(g, cfg, key=(3,)) != run_once(g, cfg2, key=(3,))
 
 
 def test_start_at_one_never_upper_bounds():
@@ -165,7 +164,7 @@ def test_point_v_matches_full_sort_oracle():
             continue
         k = rng.randint(1, z)
         cfg = EstimatorConfig(k=k, threshold_mode=MODE_START_AT_ONE, seed=4040)
-        est = run_once(g, cfg, run_index=i)
+        est = run_once(g, cfg, key=(i,))
         want = exact_kth_hash(g, draw_pair_hash(run_rng(4040, (i,))), k)
         assert est.kind == POINT and want.filled
         assert est.v == want.v
@@ -209,7 +208,7 @@ def test_linear_mode_point_accuracy_when_filled():
     cfg = EstimatorConfig(k=256, threshold_mode=MODE_LINEAR, seed=11)
     within = 0
     for i in range(30):
-        est = run_once(g, cfg, run_index=i)
+        est = run_once(g, cfg, key=(i,))
         assert est.kind == POINT
         within += abs(est.value / z - 1) <= 0.1875
     assert within >= 20  # 2/3 of 30
@@ -220,12 +219,12 @@ def test_sixty_runs_accuracy_start_at_one():
     g = group_and_prune(r1, r2)
     z = exact_size(g).z
     cfg = EstimatorConfig(k=256, threshold_mode=MODE_START_AT_ONE, seed=2)
-    ratios = [run_once(g, cfg, run_index=i).value / z for i in range(60)]
+    ratios = [run_once(g, cfg, key=(i,)).value / z for i in range(60)]
     assert sum(abs(r - 1) <= 0.1875 for r in ratios) >= 40
 
 
 def _estimate(value):
-    return Estimate(POINT, value, 4, GRID, work=WorkCounters())
+    return Estimate(POINT, value, 4, GRID)
 
 
 def test_median_by_value():
@@ -253,7 +252,7 @@ def test_median_sums_the_work_of_all_runs():
 
 def test_median_mixes_kinds_by_value():
     estimates = [
-        Estimate(UPPER_BOUND, 16.0, 4, GRID, work=WorkCounters()),
+        Estimate(UPPER_BOUND, 16.0, 4, GRID),
         _estimate(9.0),
         _estimate(30.0),
     ]

@@ -15,7 +15,7 @@ from joinsketch import (
 from joinsketch.relation import to_edges_text
 
 import reference_parsers
-from conftest import brute_force_pairs, random_instance
+from conftest import brute_force_pairs, group_values, random_instance
 
 
 def test_edges_deduplicates():
@@ -139,7 +139,7 @@ def test_group_no_matching_join_value():
     r1 = Relation.from_pairs(Side.LEFT, {(1, 1)})
     r2 = Relation.from_pairs(Side.RIGHT, {(2, 5)})
     g = group_and_prune(r1, r2)
-    assert len(g) == 0 and list(g.groups()) == []
+    assert len(g) == 0 and g.join_values.tolist() == []
     assert g.left_offsets.tolist() == [0] and g.right_offsets.tolist() == [0]
     assert (g.tuple_count, g.max_group_product, g.total_product) == (0, 0, 0)
 
@@ -148,9 +148,8 @@ def test_group_hand_enumerated():
     r1 = Relation.from_pairs(Side.LEFT, {(1, 1), (1, 2)})
     r2 = Relation.from_pairs(Side.RIGHT, {(1, 5), (2, 5), (2, 6)})
     g = group_and_prune(r1, r2)
-    got = {
-        (b, tuple(left.tolist()), tuple(right.tolist())) for b, left, right in g.groups()
-    }
+    got = {(b, *(tuple(v.tolist()) for v in group_values(g, i)))
+           for i, b in enumerate(g.join_values.tolist())}
     assert got == {(1, (1,), (5,)), (2, (1,), (5, 6))}
     assert g.tuple_count == 5
     assert g.max_group_product == 2
@@ -181,9 +180,8 @@ def test_group_structural_invariants():
         g = group_and_prune(r1, r2)
         total = 0
         products = []
-        for _, left_values, right_values in g.groups():
-            left = left_values.tolist()
-            right = right_values.tolist()
+        for i in range(len(g)):
+            left, right = (v.tolist() for v in group_values(g, i))
             assert left and right
             assert sorted(set(left)) == left
             assert sorted(set(right)) == right

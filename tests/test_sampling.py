@@ -28,7 +28,7 @@ from joinsketch.estimator import run_once
 from joinsketch.hashing import GRID, WRAPPING64, draw_single, spawn_rng
 from joinsketch.sampling import membership_cut
 
-from conftest import disjoint_instance
+from conftest import break_the_cut, disjoint_instance
 
 
 def left_relation(tuples):
@@ -189,6 +189,15 @@ def test_empty_samples_estimate_zero():
     right = _manual_sample(Side.RIGHT, 0.25, {(0, 1)})
     result = estimate_from_samples(left, right, EstimatorConfig(k=16, seed=1))
     assert result.value == 0.0
+
+
+def test_empty_samples_estimate_zero_when_the_scale_underflows():
+    # p1 * p2 is 0.0 in floating point; both cuts are 0, so nothing is kept.
+    left = _manual_sample(Side.LEFT, 1e-170, set())
+    right = _manual_sample(Side.RIGHT, 1e-170, set())
+    assert left.prob * right.prob == 0.0 and left.cut == right.cut == 0
+    result = estimate_from_samples(left, right, EstimatorConfig(k=16, seed=1))
+    assert result.value == 0.0 and result.sampled_size == 0.0
 
 
 def test_side_mismatch_rejected():
@@ -420,4 +429,22 @@ def test_load_rejects_header_counts_that_disagree(tmp_path, source_tuples, sourc
 def test_load_rejects_records_not_strictly_ascending(tmp_path, body):
     path = _patched(tmp_path, body=body)
     with pytest.raises(SampleFormatError, match="ascending"):
+        load_sample(str(path))
+
+
+def test_load_rejects_a_record_that_fails_the_cut(tmp_path):
+    sample = draw_sample(left_relation({(i, i % 9) for i in range(2000)}), 0.1,
+                         draw_single(spawn_rng(16)))
+    path = tmp_path / "cut.sample"
+    save_sample(sample, str(path))
+    break_the_cut(path)
+    with pytest.raises(SampleFormatError, match="fails the sample's membership cut"):
+        load_sample(str(path))
+
+
+def test_load_rejects_more_distinct_values_than_the_source(tmp_path):
+    # 20 records of 20 distinct values; the header claims 19 distinct
+    # source values among 20 source tuples.
+    path = _patched(tmp_path, 56, struct.pack("<Q", 19))
+    with pytest.raises(SampleFormatError, match="more than the 19 distinct source values"):
         load_sample(str(path))
