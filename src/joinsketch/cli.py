@@ -78,10 +78,9 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default=EDGES)
 
 
-def _add_estimator_flags(p: argparse.ArgumentParser, default_mode: str) -> None:
+def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, help="target relative error in (0, 1/4)")
     p.add_argument("-k", dest="k", type=int, help="sketch size (alternative to --epsilon)")
-    p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=default_mode)
     p.add_argument("--runs", type=int, default=1, help="odd number of runs; the median is reported")
     p.add_argument("--seed", type=_u64, default=0)
     p.add_argument("--hash-family", choices=hashing.FAMILIES, default=hashing.WRAPPING64)
@@ -280,9 +279,10 @@ def cmd_sample(args) -> int:
 def cmd_sample_estimate(args) -> int:
     first = sampling.load_sample(args.left_sample)
     second = sampling.load_sample(args.right_sample)
-    if first.side is second.side:
-        raise SampleFormatError(f"both samples are {first.side.value}-side; need one of each")
-    left, right = (first, second) if first.side is Side.LEFT else (second, first)
+    side = first.relation.side
+    if side is second.relation.side:
+        raise SampleFormatError(f"both samples are {side.value}-side; need one of each")
+    left, right = (first, second) if side is Side.LEFT else (second, first)
     cfg = _config_from_args(args)
     result = sampling.estimate_from_samples(left, right, cfg, exact_cutoff=args.exact_cutoff)
 
@@ -327,7 +327,8 @@ def build_parser() -> _Parser:
     # --threshold-mode linear for the O(n)-work analysis mode.
     p = sub.add_parser("estimate", help="estimate the join-project size")
     _add_input_flags(p)
-    _add_estimator_flags(p, MODE_START_AT_ONE)
+    _add_estimator_flags(p)
+    p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=MODE_START_AT_ONE)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
@@ -339,7 +340,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="repeated-trial accuracy harness with CDF output")
     _add_input_flags(p)
-    _add_estimator_flags(p, MODE_START_AT_ONE)
+    _add_estimator_flags(p)
+    p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=MODE_START_AT_ONE)
     p.add_argument("--trials", type=int, default=60)
     p.add_argument("--exact-value", type=float, help="known exact size (skips the oracle)")
     p.add_argument("--cap", type=_u64, default=oracle.DEFAULT_CAP)
@@ -362,7 +364,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample-estimate", help="estimate from two persisted samples")
     p.add_argument("left_sample", metavar="LEFT_SAMPLE")
     p.add_argument("right_sample", metavar="RIGHT_SAMPLE")
-    _add_estimator_flags(p, MODE_START_AT_ONE)
+    _add_estimator_flags(p)
+    # No --threshold-mode: estimate_from_samples always starts at threshold 1.
+    p.set_defaults(threshold_mode=MODE_START_AT_ONE)
     p.add_argument("--exact-cutoff", type=_u64, default=sampling.DEFAULT_EXACT_CUTOFF,
                    help="sampled-product size up to which the join is counted exactly")
     p.add_argument("--json", action="store_true")

@@ -16,6 +16,7 @@ failure probability down exponentially in the number of runs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
@@ -55,6 +56,14 @@ class EstimatorConfig:
     family: str = hashing.WRAPPING64
 
     def __post_init__(self):
+        # Integers of any type (numpy ones too) become Python ints, so that
+        # k << 64 and the like cannot overflow a fixed-width type.
+        for name in ("runs", "seed") if self.k is None else ("k", "runs", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if (self.epsilon is None) == (self.k is None):
             raise ConfigError("give exactly one of epsilon or k")
         if self.epsilon is not None and not 0 < self.epsilon < 0.25:

@@ -16,6 +16,7 @@ groups' value arrays.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -152,9 +153,13 @@ class Relation:
     @classmethod
     def from_pairs(cls, side: Side, pairs: Iterable[tuple[int, int]]) -> "Relation":
         """Relation of the distinct pairs among ``pairs`` (duplicates collapse)."""
-        arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        if arr.size and (arr.min() < 0 or arr.max() > MAX_ATTRIBUTE):
+        try:
+            flat = [operator.index(v) for x, y in pairs for v in (x, y)]
+        except TypeError:
+            raise ValueError("attribute values must be integers") from None
+        if flat and (min(flat) < 0 or max(flat) > MAX_ATTRIBUTE):
             raise ValueError("attribute values must lie in the unsigned 32-bit range")
+        arr = np.array(flat, dtype=np.int64).reshape(-1, 2)
         return cls(side, sorted_distinct(pack(arr[:, 0], arr[:, 1])))
 
     def __len__(self) -> int:
@@ -369,12 +374,6 @@ def parse_relation(text: str | bytes, fmt: str, side: Side = Side.LEFT) -> Relat
 def load_relation(path: str, fmt: str, side: Side = Side.LEFT) -> Relation:
     with open(path, "rb") as fh:
         return parse_relation(fh.read(), fmt, side)
-
-
-def to_edges_text(relation: Relation) -> str:
-    """Serialize to the edge-list format (sorted; parse round-trips)."""
-    xs, ys = unpack(relation.keys)
-    return "".join(f"{x} {y}\n" for x, y in zip(xs.tolist(), ys.tolist()))
 
 
 # -- grouping --------------------------------------------------------------

@@ -45,20 +45,22 @@ class SampleFormatError(ValueError):
 class DistinctSample:
     """A value-consistent random subset of one relation.
 
-    ``cut`` is the authoritative membership threshold in grid units: a tuple
-    is kept iff selector(attribute) < cut.  The selector is part of the
-    sample's identity and is persisted with it.  ``source_tuples`` and
-    ``source_distinct`` describe the relation the sample was drawn from and
-    feed the beta reliability scale later on.
+    A tuple is kept iff selector(attribute) < ``cut``, the membership
+    threshold that ``prob`` sets.  The selector is part of the sample's
+    identity and is persisted with it; its side is ``relation.side``.
+    ``source_tuples`` and ``source_distinct`` describe the relation the
+    sample was drawn from and feed the beta reliability scale later on.
     """
 
-    side: Side
     prob: float
-    cut: int
     selector: PairwiseHash
     relation: Relation
     source_tuples: int
     source_distinct: int
+
+    @property
+    def cut(self) -> int:
+        return membership_cut(self.prob)
 
 
 def membership_cut(prob: float) -> int:
@@ -75,9 +77,7 @@ def draw_sample(relation: Relation, prob: float, selector: PairwiseHash) -> Dist
     if cut < GRID and kept.size:
         kept = kept[selector.values(attrs) < np.uint64(cut)]
     return DistinctSample(
-        side=relation.side,
         prob=prob,
-        cut=cut,
         selector=selector,
         relation=Relation(relation.side, kept),
         source_tuples=len(relation),
@@ -108,8 +108,6 @@ def estimate_from_samples(
     exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
 ) -> SampleEstimate:
     """Join the two samples and rescale by 1 / (p1 * p2)."""
-    if left.side is not Side.LEFT or right.side is not Side.RIGHT:
-        raise ValueError("estimate_from_samples needs a left sample and a right sample")
     grouped: GroupedInput = group_and_prune(left.relation, right.relation)
     scale = left.prob * right.prob
     if 0 < grouped.total_product <= exact_cutoff:
@@ -130,6 +128,8 @@ def beta_bound(n1: int, n2: int, n_a: int, n_c: int, s: float, epsilon: float) -
     When the true size z exceeds the returned beta, the estimate is within
     1 +/- epsilon of z with probability at least 5/6.
     """
+    if min(n1, n2, n_a, n_c) <= 0:
+        raise ValueError("relation sizes and distinct counts must be positive")
     if s < 1:
         raise ValueError(f"expected sample size must be >= 1, got {s}")
     if epsilon <= 0:
@@ -139,7 +139,9 @@ def beta_bound(n1: int, n2: int, n_a: int, n_c: int, s: float, epsilon: float) -
 
 def theoretical_epsilon(n1: int, n2: int, n_a: int, n_c: int, s: float, z: float) -> float:
     """Relative error at which the reliability scale equals z (beta inverted)."""
-    return math.sqrt(14.0 * (n_c * n1 + n_a * n2) / (s * z))
+    if z <= 0:
+        raise ValueError(f"output size must be positive, got {z}")
+    return math.sqrt(beta_bound(n1, n2, n_a, n_c, s, epsilon=1.0) / z)
 
 
 def sufficient_sample_size(
@@ -199,11 +201,12 @@ def plan_sample_size(
         raise ValueError("give exactly one of z_lower or s")
     if s is None:
         s = sufficient_sample_size(n1, n2, n_a, n_c, z_lower, epsilon, delta)
+    beta = beta_bound(n1, n2, n_a, n_c, s, epsilon)  # validates the counts and s
     return SampleSizePlan(
         s=s,
         p1=min(1.0, s / n1),
         p2=min(1.0, s / n2),
-        beta=beta_bound(n1, n2, n_a, n_c, s, epsilon),
+        beta=beta,
         epsilon=epsilon,
         delta=delta,
     )
@@ -226,7 +229,7 @@ def save_sample(sample: DistinctSample, path: str) -> None:
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
-        _SIDE_CODES[sample.side],
+        _SIDE_CODES[sample.relation.side],
         _FAMILY_CODES[sample.selector.family],
         sample.selector.multiplier,
         sample.selector.addend,
@@ -283,9 +286,7 @@ def load_sample(path: str) -> DistinctSample:
     if cut < GRID and np.any(selector.values(attrs) >= np.uint64(cut)):
         raise SampleFormatError(f"{path}: a record's value fails the sample's membership cut")
     return DistinctSample(
-        side=side,
         prob=prob,
-        cut=cut,
         selector=selector,
         relation=Relation(side, keys),
         source_tuples=source_tuples,

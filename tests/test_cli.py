@@ -449,6 +449,14 @@ def test_sample_estimate_accepts_swapped_order(capsys, tmp_path, tiny_pair):
     assert a["value"] == b["value"]
 
 
+@pytest.mark.parametrize("mode", ["linear", "start-at-one"])
+def test_sample_estimate_has_no_threshold_mode(capsys, tmp_path, tiny_pair, mode):
+    # The sampled join is always estimated from threshold 1.
+    ls, rs = _make_samples(capsys, tmp_path, tiny_pair)
+    assert one_error_line(*run_cli(
+        capsys, ["sample-estimate", str(ls), str(rs), "-k", "16", "--threshold-mode", mode]))
+
+
 def test_sample_estimate_side_mismatch(capsys, tmp_path, tiny_pair):
     ls, _ = _make_samples(capsys, tmp_path, tiny_pair)
     code, _, err = run_cli(capsys, ["sample-estimate", str(ls), str(ls), "-k", "16"])

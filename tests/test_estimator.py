@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from joinsketch import (
@@ -85,6 +86,26 @@ def test_bad_mode_family_seed_rejected():
         EstimatorConfig(k=4, seed=-1)
     with pytest.raises(ConfigError):
         EstimatorConfig(k=4, seed=2**64)
+
+
+@pytest.mark.parametrize("k", [np.int64(64), np.uint64(64), np.int32(64)])
+def test_numpy_integers_give_the_same_estimate_as_python_ints(k):
+    r = Relation.from_pairs(Side.LEFT, [(i, i % 7) for i in range(300)])
+    g = group_and_prune(r, r.mirrored())
+    want = estimate_median(g, EstimatorConfig(k=64, threshold_mode=MODE_START_AT_ONE, seed=1))
+    cfg = EstimatorConfig(k=k, runs=np.int64(1), seed=np.uint64(1),
+                          threshold_mode=MODE_START_AT_ONE)
+    assert type(cfg.k) is type(cfg.runs) is type(cfg.seed) is int
+    got = estimate_median(g, cfg)
+    assert want.kind == POINT and want.value > 0
+    assert (got.kind, got.value, got.v) == (want.kind, want.value, want.v)
+
+
+@pytest.mark.parametrize("kw", [dict(k=2.5), dict(k=4, runs=3.0), dict(k=4, seed=1.5),
+                                dict(k="4"), dict(k=4, runs=None), dict(epsilon=0.1, seed=None)])
+def test_non_integer_k_runs_or_seed_rejected(kw):
+    with pytest.raises(ConfigError):
+        EstimatorConfig(**kw)
 
 
 def one_group(left, right):

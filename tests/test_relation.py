@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +13,6 @@ from joinsketch import (
     group_and_prune,
     parse_relation,
 )
-from joinsketch.relation import to_edges_text
 
 import reference_parsers
 from conftest import brute_force_pairs, group_values, random_instance
@@ -109,10 +109,27 @@ def test_unknown_format():
     )
 )
 def test_edges_round_trip_is_idempotent(tuples):
-    first = parse_relation(to_edges_text(Relation.from_pairs(Side.LEFT, tuples)), "edges")
-    again = parse_relation(to_edges_text(first), "edges")
+    def edges_text(relation):
+        return "".join(f"{x} {y}\n" for x, y in sorted(relation.tuples))
+
+    first = parse_relation(edges_text(Relation.from_pairs(Side.LEFT, tuples)), "edges")
+    again = parse_relation(edges_text(first), "edges")
     assert first == again
     assert first.tuples == tuples
+
+
+@pytest.mark.parametrize(
+    "pair", [(-1, 2), (1, 2**32), (2**63, 1), (1, 2**64), (1.7, 2.2), (1, 2.0), ("1", 2)]
+)
+def test_from_pairs_rejects_non_integers_and_values_outside_32_bits(pair):
+    with pytest.raises(ValueError):
+        Relation.from_pairs(Side.LEFT, [(0, 0), pair])
+
+
+def test_from_pairs_accepts_empty_input_and_numpy_integers():
+    assert len(Relation.from_pairs(Side.LEFT, [])) == 0
+    r = Relation.from_pairs(Side.LEFT, [(np.uint64(5), np.int32(3)), (2**32 - 1, 0)])
+    assert r.tuples == frozenset({(5, 3), (2**32 - 1, 0)})
 
 
 def test_mirrored_swaps_positions_and_side():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 import struct
@@ -41,6 +42,25 @@ def test_probability_one_keeps_everything():
     assert s.relation == r
     assert s.cut == GRID
     assert s.source_tuples == 200
+
+
+@pytest.mark.parametrize("prob", [1e-9, 0.3, 0.5, 1.0])
+def test_cut_follows_the_probability(prob):
+    s = draw_sample(left_relation({(i, 0) for i in range(50)}), prob, draw_single(spawn_rng(4)))
+    assert s.cut == membership_cut(prob)
+
+
+def test_side_and_cut_are_not_stored():
+    s = draw_sample(left_relation({(1, 2)}), 0.5, draw_single(spawn_rng(4)))
+    assert [f.name for f in dataclasses.fields(s)] == [
+        "prob", "selector", "relation", "source_tuples", "source_distinct"]
+    with pytest.raises(TypeError):
+        DistinctSample(side=Side.LEFT, prob=0.5, selector=s.selector, relation=s.relation,
+                       source_tuples=1, source_distinct=1)
+    with pytest.raises(TypeError):
+        dataclasses.replace(s, cut=s.cut // 2)
+    with pytest.raises(AttributeError):
+        s.cut = 0
 
 
 def test_membership_is_per_value():
@@ -137,6 +157,25 @@ def test_theoretical_epsilon_inverts_beta():
     assert beta_bound(1000, 2000, 50, 70, 100, eps) == pytest.approx(12345.0)
 
 
+@pytest.mark.parametrize("s, z", [(0, 100.0), (10, 0.0), (10, -4.0)])
+def test_theoretical_epsilon_rejects_non_positive_sample_or_output_size(s, z):
+    with pytest.raises(ValueError, match="must be"):
+        theoretical_epsilon(1000, 2000, 50, 70, s, z)
+
+
+@pytest.mark.parametrize("counts", [(0, 10, 5, 5), (10, 0, 5, 5), (10, 10, 0, 5), (10, 10, 5, -1)])
+def test_planners_reject_non_positive_counts(counts):
+    with pytest.raises(ValueError):
+        plan_sample_size(*counts, epsilon=0.5, s=5)
+    with pytest.raises(ValueError):
+        theoretical_epsilon(*counts, 5, 100.0)
+
+
+def test_plan_rejects_non_positive_sample_size():
+    with pytest.raises(ValueError):
+        plan_sample_size(10, 10, 5, 5, epsilon=0.5, s=0)
+
+
 def test_plan_from_size_lower_bound():
     plan = plan_sample_size(10**6, 10**6, 10**3, 10**3, epsilon=0.1, z_lower=10**8)
     assert plan.s == 26697
@@ -164,9 +203,7 @@ def test_plan_needs_exactly_one_target():
 def _manual_sample(side, prob, tuples):
     # Sample object with hand-picked contents; selector is irrelevant here.
     return DistinctSample(
-        side=side,
         prob=prob,
-        cut=membership_cut(prob),
         selector=PairwiseHash(1, 0),
         relation=Relation.from_pairs(side, tuples),
         source_tuples=len(tuples) * 2,
