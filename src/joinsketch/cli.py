@@ -174,6 +174,7 @@ def cmd_exact(args) -> int:
             "groups": len(grouped),
             "max_group_product": grouped.max_group_product,
             "total_product": grouped.total_product,
+            "expanded_pairs": result.expanded_pairs,
         },
         args.json,
     )
@@ -332,7 +333,7 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("exact", help="exact size by brute force (desk scale)")
+    p = sub.add_parser("exact", help="exact size, counted over left values")
     _add_input_flags(p)
     p.add_argument("--cap", type=_u64, default=oracle.DEFAULT_CAP)
     p.add_argument("--json", action="store_true")

@@ -16,6 +16,7 @@ failure probability down exponentially in the number of runs.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
@@ -66,8 +67,10 @@ class EstimatorConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if (self.epsilon is None) == (self.k is None):
             raise ConfigError("give exactly one of epsilon or k")
-        if self.epsilon is not None and not 0 < self.epsilon < 0.25:
-            raise ConfigError(f"epsilon must be in (0, 1/4), got {self.epsilon}")
+        if self.epsilon is not None and not (
+            isinstance(self.epsilon, numbers.Real) and 0 < self.epsilon < 0.25
+        ):
+            raise ConfigError(f"epsilon must be a number in (0, 1/4), got {self.epsilon!r}")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigError(f"unknown threshold mode: {self.threshold_mode!r}")
         if self.runs < 1 or self.runs % 2 == 0:

@@ -1,20 +1,30 @@
-"""Brute-force ground truth for tests and experiment baselines.
+"""Exact ground truth for tests and experiment baselines.
 
-Everything here materializes the full result and is desk-scale by design; a
-size cap refuses anything beyond roughly 10^7 candidate pairs.
+The count uses z = sum over left values a of |union over groups g holding a
+of C_g|: pairs with different a never collide.  The left tuples are ordered
+by value once; a value held by one group adds its group's right size and is
+never expanded, because right values are distinct within a group.  The rest
+are expanded and counted in a-ordered chunks of about ``CHUNK_PAIRS`` pairs.
+Time is O(n log n + expanded pairs) and memory O(n + chunk), where a chunk
+holds at most ``CHUNK_PAIRS`` pairs or one left value's expansion.  Time
+still grows with the product, so a cap on ``total_product`` refuses inputs
+beyond roughly 10^7 candidate pairs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hashing import PairHash
 from .kmin import SketchOutcome
-from .relation import GroupedInput, pack, sorted_distinct, unpack
+from .relation import GroupedInput, offsets, pack, run_starts, tie_runs, unpack
 
 DEFAULT_CAP = 10_000_000
+# Pairs per expanded chunk: small enough that a chunk's sort stays in cache.
+CHUNK_PAIRS = 1 << 15
 
 
 class SizeCapError(RuntimeError):
@@ -23,7 +33,12 @@ class SizeCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactResult:
+    """``z`` is the exact join-project size; ``expanded_pairs`` the number of
+    candidate pairs the count materialized (0 when no left value lies in two
+    groups)."""
+
     z: int
+    expanded_pairs: int
 
 
 def _check_cap(grouped: GroupedInput, cap: int) -> None:
@@ -33,37 +48,80 @@ def _check_cap(grouped: GroupedInput, cap: int) -> None:
         )
 
 
-def distinct_pair_keys(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """Sorted encoded keys (a << 32 | c) of all distinct result pairs.
+def _left_tuples(grouped: GroupedInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The left tuples ordered by value: each one's value, fan (its group's
+    right size) and the index of its group's first right value."""
+    counts = np.diff(grouped.left_offsets)
+    order = np.argsort(grouped.left_values)
+    fan = np.repeat(np.diff(grouped.right_offsets), counts)[order]
+    first = np.repeat(grouped.right_offsets[:-1], counts)[order]
+    return grouped.left_values[order], fan, first
 
-    One expansion of every group's product: each left value is repeated once
-    per right value of its group, and the right values are gathered through
-    a run of consecutive indices per left value.  Groups are never empty, so
-    no run is.
+
+def _expand(right_values: np.ndarray, a: np.ndarray, fan: np.ndarray,
+            first: np.ndarray) -> np.ndarray:
+    """Sorted keys (a << 32 | c) of the pairs of the given left tuples.
+
+    Each left value is repeated once per right value of its group, and the
+    right values are gathered through a run of consecutive indices per
+    tuple.  Groups are never empty, so no run is.
     """
-    _check_cap(grouped, cap)
-    left_counts = np.diff(grouped.left_offsets)
-    fan = np.repeat(np.diff(grouped.right_offsets), left_counts)
-    first = np.repeat(grouped.right_offsets[:-1], left_counts)
     # Right index of each pair: +1 within a run; at a run's start, the jump
     # from the previous run's last index to this run's first.
     index = np.ones(int(fan.sum()), dtype=np.int64)
     jumps = first.copy()
     jumps[1:] -= first[:-1] + fan[:-1] - 1
     index[np.cumsum(fan) - fan] = jumps
-    del first, jumps
     np.cumsum(index, out=index)
-    right = grouped.right_values[index]
-    del index
-    keys = np.repeat(pack(grouped.left_values, 0), fan)
-    keys |= right
-    del right
-    return sorted_distinct(keys)
+    keys = np.repeat(pack(a, 0), fan)
+    keys |= right_values[index]
+    keys.sort()
+    return keys
+
+
+def _pair_chunks(right_values: np.ndarray, a: np.ndarray, fan: np.ndarray,
+                 first: np.ndarray) -> Iterator[np.ndarray]:
+    """Sorted pair keys of the left tuples ``a``, ``fan``, ``first`` (ordered
+    by ``a``), one array per chunk of whole a-runs.
+
+    A chunk holds at most ``CHUNK_PAIRS`` pairs unless its single a-run holds
+    more.  Chunks come in a order, so their keys never repeat across chunks.
+    """
+    edges = np.append(np.flatnonzero(run_starts(a)), a.size)
+    before = offsets(fan)[edges]  # pairs before each a-run, then the total
+    lo = 0
+    while lo + 1 < edges.size:
+        hi = int(np.searchsorted(before, before[lo] + CHUNK_PAIRS, side="right")) - 1
+        hi = max(hi, lo + 1)
+        t0, t1 = edges[lo], edges[hi]
+        yield _expand(right_values, a[t0:t1], fan[t0:t1], first[t0:t1])
+        lo = hi
+
+
+def distinct_pair_keys(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """Sorted encoded keys (a << 32 | c) of all distinct result pairs."""
+    _check_cap(grouped, cap)
+    chunks = [keys[run_starts(keys)]
+              for keys in _pair_chunks(grouped.right_values, *_left_tuples(grouped))]
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
 
 
 def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> ExactResult:
-    """Exact join-project size by unioning every group's product."""
-    return ExactResult(int(distinct_pair_keys(grouped, cap).size))
+    """Exact join-project size, summed over left values.
+
+    A left value held by one group contributes that group's right size; the
+    values held by two or more groups are expanded in a-ordered chunks and
+    their distinct pairs counted.  O(n log n + expanded pairs) time and
+    O(n + chunk) memory; refuses a ``total_product`` above ``cap``.
+    """
+    _check_cap(grouped, cap)
+    a, fan, first = _left_tuples(grouped)
+    _, shared = tie_runs(a)  # tuples whose left value lies in two or more groups
+    expanded = int(fan[shared].sum())
+    z = int(fan.sum()) - expanded
+    for keys in _pair_chunks(grouped.right_values, a[shared], fan[shared], first[shared]):
+        z += int(np.count_nonzero(run_starts(keys)))
+    return ExactResult(z, expanded)
 
 
 def exact_size_bitsets(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> int:

@@ -24,6 +24,7 @@ epsilon of z with probability at least 5/6.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, replace
 
@@ -64,8 +65,8 @@ class DistinctSample:
 
 
 def membership_cut(prob: float) -> int:
-    if not 0 < prob <= 1:
-        raise ValueError(f"sampling probability must be in (0, 1], got {prob}")
+    if not (isinstance(prob, numbers.Real) and 0 < prob <= 1):
+        raise ValueError(f"sampling probability must be a number in (0, 1], got {prob!r}")
     return int(prob * GRID)
 
 

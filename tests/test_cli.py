@@ -184,6 +184,22 @@ def test_exact_subcommand(capsys, tiny_pair, mini_fimi_path):
         assert estimate[key] == exact[key]
 
 
+def test_exact_reports_expanded_pairs(capsys, tmp_path, tiny_pair):
+    # Left value 1 lies in groups 1 and 2, so only its 1 + 2 pairs are
+    # expanded; 2 and 3 lie in one group each and add that group's right size.
+    left = tmp_path / "l.edges"
+    left.write_text("1 1\n1 2\n2 1\n3 2\n")
+    right = tmp_path / "r.edges"
+    right.write_text("1 5\n2 5\n2 6\n")
+    report = run_json(capsys, ["exact", "--left", str(left), "--right", str(right)])
+    assert (report["z"], report["expanded_pairs"], report["total_product"]) == (5, 3, 6)
+    left, right = tiny_pair
+    report = run_json(capsys, ["exact", "--left", str(left), "--right", str(right)])
+    assert (report["z"], report["expanded_pairs"]) == (3, 0)
+    code, out, _ = run_cli(capsys, ["exact", "--left", str(left), "--right", str(right)])
+    assert code == 0 and "expanded_pairs: 0\n" in out
+
+
 def one_error_line(code, out, err):
     return code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
 

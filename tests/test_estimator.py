@@ -38,6 +38,12 @@ def test_epsilon_outside_supported_range_rejected(eps):
         EstimatorConfig(epsilon=eps)
 
 
+@pytest.mark.parametrize("eps", ["0.1", b"0.1", 0.1j])
+def test_epsilon_that_is_not_a_real_number_rejected(eps):
+    with pytest.raises(ConfigError, match="epsilon"):
+        EstimatorConfig(epsilon=eps)
+
+
 def test_exactly_one_of_epsilon_or_k():
     with pytest.raises(ConfigError):
         EstimatorConfig()

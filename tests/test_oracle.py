@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from joinsketch import (
@@ -9,11 +11,12 @@ from joinsketch import (
     exact_size,
     group_and_prune,
 )
+from joinsketch import oracle
 from joinsketch.hashing import draw_pair_hash, spawn_rng
 from joinsketch.oracle import distinct_pair_keys, exact_kth_hash, exact_size_bitsets
 from joinsketch.relation import unpack
 
-from conftest import random_instance
+from conftest import brute_force_pairs, disjoint_instance, random_instance
 
 
 def grouped_from(t1, t2):
@@ -100,3 +103,86 @@ def test_kth_rejects_nonpositive_k():
     g = grouped_from({(1, 1)}, {(1, 5)})
     with pytest.raises(ValueError):
         exact_kth_hash(g, draw_pair_hash(spawn_rng(5)), 0)
+
+
+def mixed_instance(rng: random.Random, stride: int):
+    """Left values held by one group mixed with values held by several (up
+    to all eight), over ids ``i * stride``."""
+    t1 = {(a * stride, b) for a in range(rng.randint(0, 30))
+          for b in rng.sample(range(8), rng.choice((1, 1, 2, 3, 8)))}
+    t2 = {(rng.randrange(8), rng.randrange(30) * stride) for _ in range(rng.randint(0, 60))}
+    return Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2)
+
+
+# Chunks of 1 and 2 pairs are smaller than most a-runs; 7 cuts between runs;
+# the default holds each instance in a single chunk.
+@pytest.mark.parametrize("chunk", [1, 2, 7, oracle.CHUNK_PAIRS])
+@pytest.mark.parametrize("stride", [1, 1 << 26])
+def test_chunked_count_matches_the_second_oracle(monkeypatch, chunk, stride):
+    monkeypatch.setattr(oracle, "CHUNK_PAIRS", chunk)
+    rng = random.Random(54 + stride)
+    for _ in range(60):
+        r1, r2 = mixed_instance(rng, stride)
+        g = group_and_prune(r1, r2)
+        keys = distinct_pair_keys(g)
+        assert np.all(keys[1:] > keys[:-1])
+        a, c = unpack(keys)
+        assert set(zip(a.tolist(), c.tolist())) == brute_force_pairs(r1, r2)
+        result = exact_size(g)
+        assert result.z == exact_size_bitsets(g) == keys.size
+        assert 0 <= result.expanded_pairs <= g.total_product
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 50])
+def test_chunks_hold_whole_a_runs(monkeypatch, chunk):
+    monkeypatch.setattr(oracle, "CHUNK_PAIRS", chunk)
+    rng = random.Random(55)
+    for _ in range(40):
+        g = group_and_prune(*mixed_instance(rng, 1))
+        chunks = list(oracle._pair_chunks(g.right_values, *oracle._left_tuples(g)))
+        assert sum(keys.size for keys in chunks) == g.total_product
+        highs = [np.unique(unpack(keys)[0]) for keys in chunks]
+        for keys, a in zip(chunks, highs):
+            assert np.all(keys[1:] >= keys[:-1])
+            assert keys.size <= chunk or a.size == 1
+        # Each chunk's left values all lie above the previous chunk's.
+        for before, after in zip(highs, highs[1:]):
+            assert before[-1] < after[0]
+
+
+def test_left_values_held_by_one_group_are_not_expanded():
+    # The right values repeat across groups; the left values do not.
+    t1 = {(g * 5 + i, g) for g in range(6) for i in range(5)}
+    t2 = {(g, c) for g in range(6) for c in range(g + 3)}
+    g = grouped_from(t1, t2)
+    result = exact_size(g)
+    assert result == oracle.ExactResult(z=g.total_product, expanded_pairs=0)
+    assert exact_size_bitsets(g) == g.total_product
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_bounded_by_the_input_when_no_left_value_repeats():
+    g = group_and_prune(*disjoint_instance(30, 300, 350))
+    assert g.total_product >= 3_000_000
+    # Materializing the product would take about 17 B per pair (~51 MiB).
+    assert traced_peak(exact_size, g) < 8 << 20
+
+
+def test_memory_is_bounded_by_the_input_and_one_chunk():
+    # Every left value lies in all 30 groups, so every pair is expanded; one
+    # left value expands to 30 * 350 pairs, fewer than a chunk holds.
+    t1 = {(a, b) for b in range(30) for a in range(300)}
+    t2 = {(b, b * 350 + j) for b in range(30) for j in range(350)}
+    g = grouped_from(t1, t2)
+    assert g.total_product >= 3_000_000 and 30 * 350 < oracle.CHUNK_PAIRS
+    assert exact_size(g).expanded_pairs == g.total_product
+    # A handful of 8-byte arrays per tuple and per chunk pair.
+    assert traced_peak(exact_size, g) < 64 * (g.tuple_count + oracle.CHUNK_PAIRS)

@@ -107,6 +107,12 @@ def test_invalid_probability_rejected():
     assert membership_cut(1.0) == GRID
 
 
+@pytest.mark.parametrize("prob", ["0.5", None, 0.5j])
+def test_probability_that_is_not_a_real_number_rejected(prob):
+    with pytest.raises(ValueError, match="probability"):
+        draw_sample(left_relation({(1, 1)}), prob, draw_single(spawn_rng(6)))
+
+
 def test_sufficient_sample_size_frozen_example():
     s = sufficient_sample_size(10**6, 10**6, 10**3, 10**3, 10**8, epsilon=0.1, delta=1 / 6)
     assert s == 26697
