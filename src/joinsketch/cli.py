@@ -366,7 +366,7 @@ def build_parser() -> _Parser:
     p.add_argument("left_sample", metavar="LEFT_SAMPLE")
     p.add_argument("right_sample", metavar="RIGHT_SAMPLE")
     _add_estimator_flags(p)
-    # No --threshold-mode: estimate_from_samples always starts at threshold 1.
+    # No --threshold-mode: estimate_from_samples always runs start-at-one.
     p.set_defaults(threshold_mode=MODE_START_AT_ONE)
     p.add_argument("--exact-cutoff", type=_u64, default=sampling.DEFAULT_EXACT_CUTOFF,
                    help="sampled-product size up to which the join is counted exactly")

@@ -17,6 +17,12 @@ a column get their rows as Python lists.  ``scan_group`` then walks one
 group's remaining columns in Python and hands each candidate straight to
 the sketch, whose threshold it may tighten mid-scan.  The candidates and
 their order are those of a column-by-column walk over every group.
+
+A run may pass over the chunks more than once, sorting and scanning every
+group again at a wider threshold.  ``scan_group`` then takes the previous
+pass's threshold as a floor: a column's pairs below it come first from its
+minimum and are walked without being offered, so each pair occurrence
+reaches the sketch at most once per run.
 """
 
 from __future__ import annotations
@@ -157,17 +163,18 @@ class ScanCounters:
 _IDLE = ScanCounters()
 
 
-def scan_group(chunk: SortedChunk, g: int, sketch: KMinState) -> ScanCounters:
-    """Offer every pair of the chunk's group ``g`` whose hash is below the
-    live threshold.
+def scan_group(chunk: SortedChunk, g: int, sketch: KMinState, floor: int = 0) -> ScanCounters:
+    """Offer every pair of the chunk's group ``g`` whose hash lies in
+    [``floor``, live threshold).
 
     The threshold is ``sketch.p``, re-read after every offer so that a merge
     which tightens it mid-scan takes effect immediately; it must be
-    non-increasing, and no higher than when the chunk was sorted.
-    ``sketch.offer(x, y, hv)`` receives each qualifying pair exactly once
-    per group, column by column in (h2, y) order and each column from its
-    minimum.  ``inner_iterations`` counts the probes of the kept columns:
-    each emitted pair and the one probe that stops a column, if any.
+    non-increasing, no higher than when the chunk was sorted and no lower
+    than ``floor``.  ``sketch.offer(x, y, hv)`` receives each qualifying pair
+    exactly once per group, column by column in (h2, y) order and each
+    column from its minimum.  ``inner_iterations`` counts the probes of the
+    kept columns: each pair walked below the floor, each emitted pair and
+    the one probe that stops a column, if any.
     """
     first, last = chunk.kept_offsets[g], chunk.kept_offsets[g + 1]
     if first == last:
@@ -182,19 +189,26 @@ def scan_group(chunk: SortedChunk, g: int, sketch: KMinState) -> ScanCounters:
     for yt, h2t, s in zip(chunk.ys[first:last], chunk.y_hashes[first:last],
                           chunk.starts[first:last]):
         hv = (hx[s] - h2t) & MASK64
+        # e counts the rows walked.  Its cap of m stops the cyclic walk when
+        # every row qualifies (threshold 1.0 would otherwise never exit).
         e = 0
-        # The cap of m stops the cyclic walk when every row qualifies
-        # (threshold 1.0 would otherwise never exit).
-        while hv < p:
-            offer(xs[s], yt, hv)
-            p = sketch.p
+        # The column ascends from its minimum, so the pairs an earlier pass
+        # offered come first.
+        while hv < floor and e < m:
             e += 1
-            if e == m:
-                break
             s += 1
             if s == hi:
                 s = lo
             hv = (hx[s] - h2t) & MASK64
-        emitted += e
+        below = e
+        while hv < p and e < m:
+            offer(xs[s], yt, hv)
+            p = sketch.p
+            e += 1
+            s += 1
+            if s == hi:
+                s = lo
+            hv = (hx[s] - h2t) & MASK64
+        emitted += e - below
         inner += e + (e < m)
     return ScanCounters(inner, emitted)

@@ -5,9 +5,18 @@ the groups chunk by chunk, drives the per-group scans into one
 k-minimum-values sketch and converts the outcome:
 
 * sketch filled: point estimate  z_hat = k / v  from the k-th smallest hash v;
-* sketch not filled, threshold started at 1: the sketch holds every distinct
+* sketch not filled, threshold reached 1: the sketch holds every distinct
   pair, so the count is exact;
 * sketch not filled otherwise: the verdict "z <= k^2" reported as value k^2.
+
+Linear mode makes one pass over the chunks.  Start-at-one mode begins at
+p = 2k / total_product and, while a pass ends with fewer than k distinct
+pairs, widens p and makes another pass into the same sketch, offering only
+the pairs at or above the previous pass's threshold (the floor).  A pass
+that falls short never tightened its threshold and holds every distinct
+pair below it; a pass that fills has seen every pair below the true k-th
+smallest hash.  Either way the outcome is the one a single pass at p = 1
+gives, for fewer offers.
 
 Repeating runs with independent hashes and taking the median drives the
 failure probability down exponentially in the number of runs.
@@ -97,11 +106,14 @@ class EstimatorConfig:
 class WorkCounters:
     """Per-run work tally.
 
-    ``sorted_elements`` counts tuples sorted, ``inner_iterations`` probes of
-    the pair hash: one per emitted pair plus the one that stops a column
-    before a full cycle, made in the chunk sort for a skipped column.
+    ``passes`` counts passes over the chunks, ``sorted_elements`` tuples
+    sorted (every tuple once per pass), ``inner_iterations`` probes of the
+    pair hash: one per pair walked, below the floor or emitted, plus the one
+    that stops a column before a full cycle, made in the chunk sort for a
+    skipped column.
     """
 
+    passes: int = 0
     sorted_elements: int = 0
     inner_iterations: int = 0
     emitted_pairs: int = 0
@@ -129,9 +141,11 @@ class Estimate:
     ``kind`` is one of ``point`` (value = k / v), ``exact_small`` (value is
     the exact distinct-pair count, also in ``count``) or ``upper_bound``
     (value = k^2, meaning the true size is at most that with probability
-    2/3).  ``p0`` is the initial threshold in 2**-64 grid units and ``v`` the
-    finalized k-th smallest hash for point outcomes.  ``work_per_run``
-    holds the counters of every run behind the outcome.
+    2/3).  ``p0`` is the mode's threshold ceiling in 2**-64 grid units (the
+    threshold of linear mode's one pass; GRID for start-at-one, whose passes
+    begin lower and widen up to it) and ``v`` the finalized k-th smallest
+    hash for point outcomes.  ``work_per_run`` holds the counters of every
+    run behind the outcome.
     """
 
     kind: str
@@ -165,7 +179,15 @@ def choose_threshold(grouped: GroupedInput, k: int, mode: str = MODE_LINEAR) -> 
 
 
 def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] = (0,)) -> Estimate:
-    """One full estimation run with hash parameters drawn from (seed, key)."""
+    """One full estimation run with hash parameters drawn from (seed, key).
+
+    Each pass sorts and scans every chunk at a threshold no higher than p0.
+    Linear mode makes one pass at p0.  Start-at-one mode first passes at
+    p = min(p0, max(1, 2k * GRID // total_product)); while a pass ends with
+    count < k distinct pairs, it passes again at min(p0, max(4p, 2k * p //
+    count)) with the previous p as the floor, so that each pair occurrence
+    is offered at most once per run.
+    """
     rng = hashing.run_rng(cfg.seed, key)
     pair_hash = hashing.draw_pair_hash(rng, cfg.family)
     k = cfg.resolved_k
@@ -173,28 +195,39 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
     if grouped.tuple_count == 0:
         return Estimate(EXACT_SMALL, 0.0, k, p0, count=0, work_per_run=(WorkCounters(),))
 
-    state = KMinState(k, p0)
-    inner = emitted = 0
+    p = p0
+    if cfg.threshold_mode == MODE_START_AT_ONE:
+        p = min(p0, max(1, 2 * k * hashing.GRID // grouped.total_product))
+    state = KMinState(k, p)
+    floor = passes = inner = emitted = 0
     bounds = chunk_bounds(grouped)
-    for lo, hi in zip(bounds, bounds[1:]):
-        # A column skipped at the chunk's threshold took one probe.
-        chunk = sort_group(grouped, lo, hi, pair_hash, state.p)
-        inner += chunk.skipped
-        for g in range(hi - lo):
-            counters = scan_group(chunk, g, state)
-            inner += counters.inner_iterations
-            emitted += counters.emitted
-    outcome = state.finalize()
-    work = WorkCounters(sorted_elements=grouped.tuple_count, inner_iterations=inner,
-                        emitted_pairs=emitted, accepted_offers=state.accepted,
-                        combine_calls=state.combines)
+    while True:
+        passes += 1
+        for lo, hi in zip(bounds, bounds[1:]):
+            # A column skipped at the chunk's threshold took one probe.
+            chunk = sort_group(grouped, lo, hi, pair_hash, state.p)
+            inner += chunk.skipped
+            for g in range(hi - lo):
+                counters = scan_group(chunk, g, state, floor)
+                inner += counters.inner_iterations
+                emitted += counters.emitted
+        outcome = state.finalize()
+        if outcome.filled or state.p >= p0:
+            break
+        # Short of k: the threshold never tightened and the sketch holds
+        # every distinct pair below it.  Widen and offer the pairs above.
+        floor = state.p
+        state.p = min(p0, max(4 * floor, 2 * k * floor // max(outcome.count, 1)))
+    work = WorkCounters(passes=passes, sorted_elements=passes * grouped.tuple_count,
+                        inner_iterations=inner, emitted_pairs=emitted,
+                        accepted_offers=state.accepted, combine_calls=state.combines)
 
     done = dict(k=k, p0=p0, work_per_run=(work,))
     if outcome.filled:
         v = outcome.v or 1  # all-zero hash ties; degenerate but divisible
         return Estimate(POINT, (k << hashing.GRID_BITS) / v, v=outcome.v, **done)
     if cfg.threshold_mode == MODE_START_AT_ONE:
-        # Nothing was ever cut off, so the sketch saw every distinct pair.
+        # The last pass ran at 1, so the sketch saw every distinct pair.
         return Estimate(EXACT_SMALL, float(outcome.count), count=outcome.count, **done)
     return Estimate(UPPER_BOUND, float(k * k), **done)
 

@@ -81,7 +81,10 @@ class KMinState:
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
-        self.p = p0  # live threshold in grid units; only ever decreases
+        # Live threshold in grid units.  It only decreases while offers come
+        # in; a caller may raise it between passes while fewer than k
+        # distinct pairs are held.
+        self.p = p0
         # Sorted by (hash, pair) and duplicate-free.
         self.hashes = np.empty(0, dtype=np.uint64)
         self.pairs = np.empty(0, dtype=np.uint64)

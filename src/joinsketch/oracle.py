@@ -6,9 +6,11 @@ by value once; a value held by one group adds its group's right size and is
 never expanded, because right values are distinct within a group.  The rest
 are expanded and counted in a-ordered chunks of about ``CHUNK_PAIRS`` pairs.
 Time is O(n log n + expanded pairs) and memory O(n + chunk), where a chunk
-holds at most ``CHUNK_PAIRS`` pairs or one left value's expansion.  Time
-still grows with the product, so a cap on ``total_product`` refuses inputs
-beyond roughly 10^7 candidate pairs.
+holds at most ``CHUNK_PAIRS`` pairs or one left value's expansion.
+``exact_kth_hash`` walks the same chunks with every left value expanded and
+keeps only the k smallest distinct-pair hashes, in O(n + k + chunk) memory.
+Time still grows with the product, so a cap on ``total_product`` refuses
+inputs beyond roughly 10^7 candidate pairs.
 """
 
 from __future__ import annotations
@@ -98,11 +100,17 @@ def _pair_chunks(right_values: np.ndarray, a: np.ndarray, fan: np.ndarray,
         lo = hi
 
 
+def _distinct_chunks(grouped: GroupedInput, cap: int) -> Iterator[np.ndarray]:
+    """Sorted keys of the distinct result pairs, one array per a-ordered
+    chunk; no key repeats across chunks."""
+    _check_cap(grouped, cap)
+    for keys in _pair_chunks(grouped.right_values, *_left_tuples(grouped)):
+        yield keys[run_starts(keys)]
+
+
 def distinct_pair_keys(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Sorted encoded keys (a << 32 | c) of all distinct result pairs."""
-    _check_cap(grouped, cap)
-    chunks = [keys[run_starts(keys)]
-              for keys in _pair_chunks(grouped.right_values, *_left_tuples(grouped))]
+    chunks = list(_distinct_chunks(grouped, cap))
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
 
 
@@ -142,17 +150,24 @@ def exact_kth_hash(
     """k-th smallest pair hash over all distinct result pairs.
 
     A filled sketch outcome must match this bit for bit.  Ties between
-    pairs do not matter here: v is a hash value, not a pair.
+    pairs do not matter here: v is a hash value, not a pair.  The chunks of
+    distinct pairs are walked keeping only the k smallest hashes seen, in
+    O(n + k + chunk) memory.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    keys = distinct_pair_keys(grouped, cap)
-    if keys.size < k:
-        return SketchOutcome(filled=False, count=int(keys.size))
-    a, c = unpack(keys)
-    del keys
-    hv = pair_hash.h1.values(a)
-    del a
-    hv -= pair_hash.h2.values(c)  # uint64 wraparound
-    hv.partition(k - 1)
-    return SketchOutcome(filled=True, v=int(hv[k - 1]))
+    smallest = np.empty(0, dtype=np.uint64)
+    count = 0
+    for keys in _distinct_chunks(grouped, cap):
+        a, c = unpack(keys)
+        del keys
+        hv = pair_hash.h1.values(a)
+        hv -= pair_hash.h2.values(c)  # uint64 wraparound
+        count += hv.size
+        smallest = np.concatenate((smallest, hv))
+        if smallest.size > k:
+            smallest.partition(k - 1)
+            smallest = smallest[:k].copy()
+    if count < k:
+        return SketchOutcome(filled=False, count=count)
+    return SketchOutcome(filled=True, v=int(smallest.max()))

@@ -10,8 +10,8 @@ still be joined meaningfully.  With sampling probabilities p1 and p2,
 
 is an unbiased estimator of the true join-project size z, where Z' is the
 join-project of the two samples.  |Z'| is computed exactly when the sampled
-product is small, otherwise by the core sketch estimator started at
-threshold 1 (whose unfilled outcome is itself the exact count).
+product is small, otherwise by the core sketch estimator in start-at-one
+mode (whose unfilled outcome is itself the exact count).
 
 The estimate is reliable once z exceeds the scale
 
@@ -159,10 +159,10 @@ def sufficient_sample_size(
     """
     if min(n1, n2, n_a, n_c) <= 0 or z_lower <= 0:
         raise ValueError("counts and the size lower bound must be positive")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not 0 < delta < 0.5:
-        raise ValueError(f"delta must be in (0, 1/2), got {delta}")
+    if not (isinstance(epsilon, numbers.Real) and 0 < epsilon < 1):
+        raise ValueError(f"epsilon must be a number in (0, 1), got {epsilon!r}")
+    if not (isinstance(delta, numbers.Real) and 0 < delta < 0.5):
+        raise ValueError(f"delta must be a number in (0, 1/2), got {delta!r}")
     bound = ((n_c * n1 + n_a * n2) / z_lower) * (
         (1.0 + 1.0 / (2.0 * math.sqrt(delta))) / (epsilon**2 * delta)
     )

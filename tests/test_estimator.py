@@ -21,6 +21,7 @@ from joinsketch import (
 from joinsketch import enumerator
 from joinsketch.estimator import choose_threshold, median_by_value, run_once
 from joinsketch.hashing import GRID, draw_pair_hash, run_rng
+from joinsketch.kmin import KMinState
 from joinsketch.oracle import exact_kth_hash
 
 from conftest import disjoint_instance, random_instance, scattered_instance
@@ -320,7 +321,9 @@ def _golden_instances():
 
 # (instance, mode, family): (kind, v, count, emitted_pairs, accepted_offers,
 # combine_calls) of a median of three runs with k = 4, 16 or 64, recorded
-# from the group-by-group scan that the chunked scan replaced.
+# from the group-by-group scan that the chunked scan replaced.  The work
+# columns of the start-at-one rows were recorded again when that mode began
+# at p = 2k / total_product and widened in passes; kind, v and count held.
 GOLDEN = {
     (0, 'linear', 'wrapping64'): ('upper_bound', None, None, 1, 1, 3),
     (0, 'linear', 'mersenne61'): ('upper_bound', None, None, 1, 1, 3),
@@ -328,48 +331,48 @@ GOLDEN = {
     (0, 'start-at-one', 'mersenne61'): ('exact_small', None, 3, 9, 9, 3),
     (1, 'linear', 'wrapping64'): ('point', 192517619329331022, None, 183, 174, 13),
     (1, 'linear', 'mersenne61'): ('point', 192517619329331016, None, 183, 174, 13),
-    (1, 'start-at-one', 'wrapping64'): ('point', 192517619329331022, None, 402, 392, 27),
-    (1, 'start-at-one', 'mersenne61'): ('point', 192517619329331016, None, 402, 392, 27),
+    (1, 'start-at-one', 'wrapping64'): ('point', 192517619329331022, None, 82, 75, 6),
+    (1, 'start-at-one', 'mersenne61'): ('point', 192517619329331016, None, 82, 75, 6),
     (2, 'linear', 'wrapping64'): ('upper_bound', None, None, 12, 12, 3),
     (2, 'linear', 'mersenne61'): ('upper_bound', None, None, 12, 12, 3),
-    (2, 'start-at-one', 'wrapping64'): ('point', 4404420784801294742, None, 550, 550, 9),
-    (2, 'start-at-one', 'mersenne61'): ('point', 4404420783237190146, None, 550, 550, 9),
+    (2, 'start-at-one', 'wrapping64'): ('point', 4404420784801294742, None, 356, 356, 6),
+    (2, 'start-at-one', 'mersenne61'): ('point', 4404420783237190146, None, 356, 356, 6),
     (3, 'linear', 'wrapping64'): ('point', 10128892843752452, None, 49, 49, 14),
     (3, 'linear', 'mersenne61'): ('point', 10128893800776464, None, 49, 49, 14),
-    (3, 'start-at-one', 'wrapping64'): ('point', 10128892843752452, None, 88, 88, 23),
-    (3, 'start-at-one', 'mersenne61'): ('point', 10128893800776464, None, 88, 88, 23),
+    (3, 'start-at-one', 'wrapping64'): ('point', 10128892843752452, None, 22, 22, 7),
+    (3, 'start-at-one', 'mersenne61'): ('point', 10128893800776464, None, 22, 22, 7),
     (4, 'linear', 'wrapping64'): ('exact_small', None, 0, 0, 0, 0),
     (4, 'linear', 'mersenne61'): ('exact_small', None, 0, 0, 0, 0),
     (4, 'start-at-one', 'wrapping64'): ('exact_small', None, 0, 0, 0, 0),
     (4, 'start-at-one', 'mersenne61'): ('exact_small', None, 0, 0, 0, 0),
     (5, 'linear', 'wrapping64'): ('upper_bound', None, None, 33, 32, 3),
     (5, 'linear', 'mersenne61'): ('upper_bound', None, None, 33, 32, 3),
-    (5, 'start-at-one', 'wrapping64'): ('point', 1250608086697260023, None, 909, 887, 15),
-    (5, 'start-at-one', 'mersenne61'): ('point', 1250608086697259385, None, 909, 887, 15),
+    (5, 'start-at-one', 'wrapping64'): ('point', 1250608086697260023, None, 387, 368, 8),
+    (5, 'start-at-one', 'mersenne61'): ('point', 1250608086697259385, None, 387, 368, 8),
     (6, 'linear', 'wrapping64'): ('point', 273650612673254683, None, 47, 47, 14),
     (6, 'linear', 'mersenne61'): ('point', 273650612673254601, None, 47, 47, 14),
-    (6, 'start-at-one', 'wrapping64'): ('point', 273650612673254683, None, 85, 85, 23),
-    (6, 'start-at-one', 'mersenne61'): ('point', 273650612673254601, None, 85, 85, 23),
+    (6, 'start-at-one', 'wrapping64'): ('point', 273650612673254683, None, 19, 19, 7),
+    (6, 'start-at-one', 'mersenne61'): ('point', 273650612673254601, None, 19, 19, 7),
     (7, 'linear', 'wrapping64'): ('point', 312986188108408929, None, 114, 112, 9),
     (7, 'linear', 'mersenne61'): ('point', 312986188108408856, None, 114, 112, 9),
-    (7, 'start-at-one', 'wrapping64'): ('point', 312986188108408929, None, 244, 242, 17),
-    (7, 'start-at-one', 'mersenne61'): ('point', 312986188108408856, None, 244, 242, 17),
+    (7, 'start-at-one', 'wrapping64'): ('point', 312986188108408929, None, 85, 83, 7),
+    (7, 'start-at-one', 'mersenne61'): ('point', 312986188108408856, None, 85, 83, 7),
     (8, 'linear', 'wrapping64'): ('upper_bound', None, None, 0, 0, 3),
     (8, 'linear', 'mersenne61'): ('upper_bound', None, None, 0, 0, 3),
     (8, 'start-at-one', 'wrapping64'): ('exact_small', None, 1, 3, 3, 3),
     (8, 'start-at-one', 'mersenne61'): ('exact_small', None, 1, 3, 3, 3),
     (9, 'linear', 'wrapping64'): ('point', 8272164375868444, None, 26, 26, 8),
     (9, 'linear', 'mersenne61'): ('point', 8272162248658544, None, 26, 26, 8),
-    (9, 'start-at-one', 'wrapping64'): ('point', 8272164375868444, None, 153, 153, 40),
-    (9, 'start-at-one', 'mersenne61'): ('point', 8272162248658544, None, 153, 153, 40),
+    (9, 'start-at-one', 'wrapping64'): ('point', 8272164375868444, None, 24, 24, 8),
+    (9, 'start-at-one', 'mersenne61'): ('point', 8272162248658544, None, 24, 24, 8),
     (10, 'linear', 'wrapping64'): ('point', 19629127703516613, None, 282, 282, 20),
     (10, 'linear', 'mersenne61'): ('point', 19629128380821704, None, 282, 282, 20),
-    (10, 'start-at-one', 'wrapping64'): ('point', 19629127703516613, None, 504, 504, 33),
-    (10, 'start-at-one', 'mersenne61'): ('point', 19629128380821704, None, 504, 504, 33),
+    (10, 'start-at-one', 'wrapping64'): ('point', 19629127703516613, None, 92, 92, 8),
+    (10, 'start-at-one', 'mersenne61'): ('point', 19629128380821704, None, 92, 92, 8),
     (11, 'linear', 'wrapping64'): ('point', 95841950032781603, None, 461, 461, 9),
     (11, 'linear', 'mersenne61'): ('point', 95841955687657120, None, 461, 461, 9),
-    (11, 'start-at-one', 'wrapping64'): ('point', 95841950032781603, None, 1592, 1592, 27),
-    (11, 'start-at-one', 'mersenne61'): ('point', 95841955687657120, None, 1592, 1592, 27),
+    (11, 'start-at-one', 'wrapping64'): ('point', 95841950032781603, None, 384, 384, 8),
+    (11, 'start-at-one', 'mersenne61'): ('point', 95841955687657120, None, 384, 384, 8),
 }
 
 
@@ -402,3 +405,59 @@ def test_chunk_size_changes_no_outcome_or_counter(monkeypatch, mode, family):
             monkeypatch.setattr(enumerator, "CHUNK_TUPLES", tuples)
             outcomes.append(estimate_median(g, cfg))
         assert outcomes[0] == outcomes[1] == outcomes[2], trial
+
+
+def single_pass_at_one(grouped, cfg, key=(0,)):
+    """The sketch outcome of one pass over every chunk at threshold 1."""
+    pair_hash = draw_pair_hash(run_rng(cfg.seed, key), cfg.family)
+    state = KMinState(cfg.resolved_k, GRID)
+    bounds = enumerator.chunk_bounds(grouped)
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = enumerator.sort_group(grouped, lo, hi, pair_hash, state.p)
+        for g in range(hi - lo):
+            enumerator.scan_group(chunk, g, state)
+    return state.finalize()
+
+
+def _schedule_instances():
+    rng = random.Random(8400)
+    for _ in range(70):
+        # Few left and right values over many groups repeat each pair in
+        # many groups, so z / total_product falls towards 0.01.
+        spread = rng.choice([2, 3, 6, 20, 300, 2**31])
+        yield random_instance(rng, max_each=rng.choice([80, 600]), a_range=spread,
+                              b_range=rng.choice([4, 20, 100]), c_range=spread)
+    yield disjoint_instance(20, 6, 7)
+
+
+@pytest.mark.parametrize("family", ["wrapping64", "mersenne61"])
+def test_start_at_one_passes_give_the_outcome_of_one_pass_at_one(family):
+    ratios, passes = [], []
+    for i, (r1, r2) in enumerate(_schedule_instances()):
+        g = group_and_prune(r1, r2)
+        if not g.tuple_count:
+            continue
+        z = exact_size(g).z
+        ratios.append(z / g.total_product)
+        for k in (1, 5, 32, 200):
+            cfg = EstimatorConfig(k=k, threshold_mode=MODE_START_AT_ONE, seed=8500 + i,
+                                  family=family)
+            est = run_once(g, cfg)
+            want = exact_kth_hash(g, draw_pair_hash(run_rng(cfg.seed, (0,)), family), k)
+            assert single_pass_at_one(g, cfg) == want, (i, k)
+            if want.filled:
+                assert (est.kind, est.v, est.count) == (POINT, want.v, None), (i, k)
+                assert est.value == (k << 64) / want.v
+            else:
+                assert (est.kind, est.v, est.count) == (EXACT_SMALL, None, z), (i, k)
+                assert est.value == z
+            work = est.work
+            passes.append(work.passes)
+            assert work.sorted_elements == work.passes * g.tuple_count
+            assert work.emitted_pairs <= g.total_product
+            assert work.accepted_offers <= z
+            if not want.filled:
+                # Every pair occurrence was offered exactly once.
+                assert work.emitted_pairs == g.total_product
+    assert min(ratios) <= 0.02 and max(ratios) == 1
+    assert passes.count(1) and passes.count(2) and max(passes) >= 3

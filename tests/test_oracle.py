@@ -13,6 +13,7 @@ from joinsketch import (
 )
 from joinsketch import oracle
 from joinsketch.hashing import draw_pair_hash, spawn_rng
+from joinsketch.kmin import SketchOutcome
 from joinsketch.oracle import distinct_pair_keys, exact_kth_hash, exact_size_bitsets
 from joinsketch.relation import unpack
 
@@ -186,3 +187,35 @@ def test_memory_is_bounded_by_the_input_and_one_chunk():
     assert exact_size(g).expanded_pairs == g.total_product
     # A handful of 8-byte arrays per tuple and per chunk pair.
     assert traced_peak(exact_size, g) < 64 * (g.tuple_count + oracle.CHUNK_PAIRS)
+
+
+def kth_from_all_keys(grouped, pair_hash, k):
+    """The k-th smallest hash from every distinct key at once."""
+    a, c = unpack(distinct_pair_keys(grouped))
+    hv = pair_hash.h1.values(a) - pair_hash.h2.values(c)
+    if hv.size < k:
+        return SketchOutcome(filled=False, count=int(hv.size))
+    return SketchOutcome(filled=True, v=int(np.partition(hv, k - 1)[k - 1]))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, oracle.CHUNK_PAIRS])
+def test_chunked_kth_hash_matches_every_key_at_once(monkeypatch, chunk):
+    monkeypatch.setattr(oracle, "CHUNK_PAIRS", chunk)
+    rng = random.Random(56)
+    for trial in range(60):
+        g = group_and_prune(*mixed_instance(rng, rng.choice((1, 1 << 26))))
+        h = draw_pair_hash(spawn_rng(trial))
+        for k in (1, 2, 5, 40, 1000):
+            assert exact_kth_hash(g, h, k) == kth_from_all_keys(g, h, k), (trial, k)
+
+
+def test_kth_hash_memory_is_bounded_by_the_input_k_and_one_chunk():
+    # Every left value lies in all 30 groups, as above: 3.15M distinct pairs,
+    # about 50 MiB of keys and hashes if held at once.
+    t1 = {(a, b) for b in range(30) for a in range(300)}
+    t2 = {(b, b * 350 + j) for b in range(30) for j in range(350)}
+    g = grouped_from(t1, t2)
+    k = 1000
+    h = draw_pair_hash(spawn_rng(6))
+    assert g.total_product >= 3_000_000 and exact_kth_hash(g, h, k).filled
+    assert traced_peak(exact_kth_hash, g, h, k) < 64 * (g.tuple_count + oracle.CHUNK_PAIRS + k)

@@ -135,6 +135,13 @@ def test_sufficient_sample_size_validation():
         sufficient_sample_size(1, 1, 1, 1, 1, 0.1, 0.5)
 
 
+@pytest.mark.parametrize("epsilon, delta", [("0.1", 0.1), (0.1, "0.1"), (None, 0.1),
+                                            (0.1, None), (0.1j, 0.1), (0.1, [0.1])])
+def test_sufficient_sample_size_rejects_a_non_number(epsilon, delta):
+    with pytest.raises(ValueError, match="must be a number"):
+        sufficient_sample_size(1, 1, 1, 1, 1, epsilon, delta)
+
+
 def test_beta_bound_direct_value():
     beta = beta_bound(10**6, 10**6, 10**3, 10**3, 10**4, 0.1)
     assert beta == pytest.approx(2.8e8, rel=1e-12)
