@@ -25,9 +25,9 @@ from .estimator import (
 from .relation import (
     EDGES,
     FORMATS,
+    GroupedInput,
     ParseError,
     RangeError,
-    Relation,
     Side,
     group_and_prune,
     load_relation,
@@ -86,15 +86,15 @@ def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hash-family", choices=hashing.FAMILIES, default=hashing.WRAPPING64)
 
 
-def _load_inputs(args) -> tuple[Relation, Relation]:
+def _grouped_inputs(args) -> GroupedInput:
     if args.self_input:
         if args.left or args.right:
             raise UsageError("--self excludes --left/--right")
         left = load_relation(args.self_input, args.format, Side.LEFT)
-        return left, left.mirrored()
+        return group_and_prune(left, left.mirrored())
     if not args.left or not args.right:
         raise UsageError("need --left FILE and --right FILE, or --self FILE")
-    return (
+    return group_and_prune(
         load_relation(args.left, args.format, Side.LEFT),
         load_relation(args.right, args.format, Side.RIGHT),
     )
@@ -125,7 +125,16 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _estimate_report(est: Estimate, cfg: EstimatorConfig, grouped) -> dict:
+def _shape(grouped: GroupedInput) -> dict:
+    return {
+        "n": grouped.tuple_count,
+        "groups": len(grouped),
+        "max_group_product": grouped.max_group_product,
+        "total_product": grouped.total_product,
+    }
+
+
+def _estimate_report(est: Estimate, cfg: EstimatorConfig, grouped: GroupedInput) -> dict:
     return {
         "command": "estimate",
         "kind": est.kind,
@@ -140,10 +149,7 @@ def _estimate_report(est: Estimate, cfg: EstimatorConfig, grouped) -> dict:
         "runs": cfg.runs,
         "seed": cfg.seed,
         "hash_family": cfg.family,
-        "n": grouped.tuple_count,
-        "groups": len(grouped),
-        "max_group_product": grouped.max_group_product,
-        "total_product": grouped.total_product,
+        **_shape(grouped),
         # max_group_product <= z <= total_product always holds, so a point
         # estimate outside that bracket is known to be off.
         "outside_bracket": est.kind == POINT and not (
@@ -154,8 +160,7 @@ def _estimate_report(est: Estimate, cfg: EstimatorConfig, grouped) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    r1, r2 = _load_inputs(args)
-    grouped = group_and_prune(r1, r2)
+    grouped = _grouped_inputs(args)
     cfg = _config_from_args(args)
     est = estimate_median(grouped, cfg)
     _emit(_estimate_report(est, cfg, grouped), args.json)
@@ -163,17 +168,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    r1, r2 = _load_inputs(args)
-    grouped = group_and_prune(r1, r2)
+    grouped = _grouped_inputs(args)
     result = oracle.exact_size(grouped, cap=args.cap)
     _emit(
         {
             "command": "exact",
             "z": result.z,
-            "n": grouped.tuple_count,
-            "groups": len(grouped),
-            "max_group_product": grouped.max_group_product,
-            "total_product": grouped.total_product,
+            **_shape(grouped),
             "expanded_pairs": result.expanded_pairs,
         },
         args.json,
@@ -189,11 +190,10 @@ def observed_epsilon(ratios: list[float], fraction: float = 2.0 / 3.0) -> float:
 
 
 def cmd_experiment(args) -> int:
-    r1, r2 = _load_inputs(args)
+    grouped = _grouped_inputs(args)
     name = args.name or Path(args.self_input or args.left).stem
     if name in (".", "..") or Path(name).name != name:
         raise UsageError(f"--name must be a file name without a directory, got {name!r}")
-    grouped = group_and_prune(r1, r2)
     cfg = _config_from_args(args)
     if args.trials < 1:
         raise UsageError("--trials must be positive")
@@ -330,13 +330,11 @@ def build_parser() -> _Parser:
     _add_input_flags(p)
     _add_estimator_flags(p)
     p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=MODE_START_AT_ONE)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("exact", help="exact size, counted over left values")
     _add_input_flags(p)
     p.add_argument("--cap", type=_u64, default=oracle.DEFAULT_CAP)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("experiment", help="repeated-trial accuracy harness with CDF output")
@@ -348,7 +346,6 @@ def build_parser() -> _Parser:
     p.add_argument("--cap", type=_u64, default=oracle.DEFAULT_CAP)
     p.add_argument("--name", help="instance name for output files (default: input stem)")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("sample", help="draw and persist a distinct sample of one relation")
@@ -359,7 +356,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_u64, default=0)
     p.add_argument("--hash-family", choices=hashing.FAMILIES, default=hashing.WRAPPING64)
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("sample-estimate", help="estimate from two persisted samples")
@@ -370,9 +366,10 @@ def build_parser() -> _Parser:
     p.set_defaults(threshold_mode=MODE_START_AT_ONE)
     p.add_argument("--exact-cutoff", type=_u64, default=sampling.DEFAULT_EXACT_CUTOFF,
                    help="sampled-product size up to which the join is counted exactly")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sample_estimate)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

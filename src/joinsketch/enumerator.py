@@ -33,7 +33,7 @@ import numpy as np
 
 from .hashing import GRID, MASK64, PairHash
 from .kmin import KMinState
-from .relation import GroupedInput, offsets, sorted_distinct, tie_runs
+from .relation import GroupedInput, chunk_starts, offsets, tie_runs
 
 # Tuples per chunk.  A chunk pays a fixed numpy per-call cost, so larger
 # chunks spread it over more tuples; the price is the chunk's Python lists,
@@ -45,16 +45,9 @@ CHUNK_TUPLES = 1 << 13
 
 
 def chunk_bounds(grouped: GroupedInput) -> list[int]:
-    """Group indices at which chunks start, followed by the group count.
-
-    A chunk starts at the first group that begins at or after each multiple
-    of ``CHUNK_TUPLES``, and a group of at least that many tuples is a chunk
-    of its own.
-    """
-    starts = grouped.left_offsets + grouped.right_offsets  # tuples before each group
-    large = np.flatnonzero(np.diff(starts) >= CHUNK_TUPLES)
-    cuts = np.searchsorted(starts, np.arange(0, starts[-1], CHUNK_TUPLES))
-    return sorted_distinct(np.concatenate((cuts, large, large + 1, [len(grouped)]))).tolist()
+    """Group indices at which chunks start, followed by the group count: a
+    chunk holds at most ``CHUNK_TUPLES`` tuples unless it is a single group."""
+    return chunk_starts(grouped.left_offsets + grouped.right_offsets, CHUNK_TUPLES)
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,8 @@ class PairwiseHash:
     addend: int
     family: str = WRAPPING64
 
-    def value(self, x: int) -> int:
-        if self.family == WRAPPING64:
-            return (self.multiplier * x + self.addend) & MASK64
-        v = (self.multiplier * x + self.addend) % MERSENNE61
-        return (v << GRID_BITS) // MERSENNE61
-
     def values(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value` over a uint64 array of 32-bit values."""
+        """The hashes of a uint64 array of 32-bit values."""
         if self.family == WRAPPING64:
             out = np.uint64(self.multiplier) * xs
             out += np.uint64(self.addend)  # in place: one temporary fewer
@@ -101,9 +95,6 @@ class PairHash:
 
     h1: PairwiseHash
     h2: PairwiseHash
-
-    def value(self, x: int, y: int) -> int:
-        return (self.h1.value(x) - self.h2.value(y)) & MASK64
 
 
 def draw_single(rng: np.random.Generator, family: str = WRAPPING64) -> PairwiseHash:

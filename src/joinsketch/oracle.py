@@ -9,8 +9,9 @@ Time is O(n log n + expanded pairs) and memory O(n + chunk), where a chunk
 holds at most ``CHUNK_PAIRS`` pairs or one left value's expansion.
 ``exact_kth_hash`` walks the same chunks with every left value expanded and
 keeps only the k smallest distinct-pair hashes, in O(n + k + chunk) memory.
-Time still grows with the product, so a cap on ``total_product`` refuses
-inputs beyond roughly 10^7 candidate pairs.
+Time still grows with the pairs expanded, so a cap refuses inputs that
+would expand more than roughly 10^7 candidate pairs: the expanded pairs for
+``exact_size``, ``total_product`` for the paths that expand every pair.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .hashing import PairHash
 from .kmin import SketchOutcome
-from .relation import GroupedInput, offsets, pack, run_starts, tie_runs, unpack
+from .relation import GroupedInput, chunk_starts, offsets, pack, run_starts, tie_runs, unpack
 
 DEFAULT_CAP = 10_000_000
 # Pairs per expanded chunk: small enough that a chunk's sort stays in cache.
@@ -43,11 +44,9 @@ class ExactResult:
     expanded_pairs: int
 
 
-def _check_cap(grouped: GroupedInput, cap: int) -> None:
-    if grouped.total_product > cap:
-        raise SizeCapError(
-            f"materializing {grouped.total_product} candidate pairs exceeds the cap of {cap}"
-        )
+def _check_cap(pairs: int, cap: int) -> None:
+    if pairs > cap:
+        raise SizeCapError(f"materializing {pairs} candidate pairs exceeds the cap of {cap}")
 
 
 def _left_tuples(grouped: GroupedInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,28 +89,18 @@ def _pair_chunks(right_values: np.ndarray, a: np.ndarray, fan: np.ndarray,
     more.  Chunks come in a order, so their keys never repeat across chunks.
     """
     edges = np.append(np.flatnonzero(run_starts(a)), a.size)
-    before = offsets(fan)[edges]  # pairs before each a-run, then the total
-    lo = 0
-    while lo + 1 < edges.size:
-        hi = int(np.searchsorted(before, before[lo] + CHUNK_PAIRS, side="right")) - 1
-        hi = max(hi, lo + 1)
+    bounds = chunk_starts(offsets(fan)[edges], CHUNK_PAIRS)  # pairs before each a-run
+    for lo, hi in zip(bounds, bounds[1:]):
         t0, t1 = edges[lo], edges[hi]
         yield _expand(right_values, a[t0:t1], fan[t0:t1], first[t0:t1])
-        lo = hi
 
 
 def _distinct_chunks(grouped: GroupedInput, cap: int) -> Iterator[np.ndarray]:
     """Sorted keys of the distinct result pairs, one array per a-ordered
     chunk; no key repeats across chunks."""
-    _check_cap(grouped, cap)
+    _check_cap(grouped.total_product, cap)
     for keys in _pair_chunks(grouped.right_values, *_left_tuples(grouped)):
         yield keys[run_starts(keys)]
-
-
-def distinct_pair_keys(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """Sorted encoded keys (a << 32 | c) of all distinct result pairs."""
-    chunks = list(_distinct_chunks(grouped, cap))
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
 
 
 def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> ExactResult:
@@ -120,12 +109,12 @@ def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> ExactResult:
     A left value held by one group contributes that group's right size; the
     values held by two or more groups are expanded in a-ordered chunks and
     their distinct pairs counted.  O(n log n + expanded pairs) time and
-    O(n + chunk) memory; refuses a ``total_product`` above ``cap``.
+    O(n + chunk) memory; refuses to expand more than ``cap`` pairs.
     """
-    _check_cap(grouped, cap)
     a, fan, first = _left_tuples(grouped)
     _, shared = tie_runs(a)  # tuples whose left value lies in two or more groups
     expanded = int(fan[shared].sum())
+    _check_cap(expanded, cap)
     z = int(fan.sum()) - expanded
     for keys in _pair_chunks(grouped.right_values, a[shared], fan[shared], first[shared]):
         z += int(np.count_nonzero(run_starts(keys)))
@@ -134,7 +123,7 @@ def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> ExactResult:
 
 def exact_size_bitsets(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> int:
     """Independent second path: per-left-value sets of reachable right values."""
-    _check_cap(grouped, cap)
+    _check_cap(grouped.total_product, cap)
     lo, ro = grouped.left_offsets.tolist(), grouped.right_offsets.tolist()
     left, right = grouped.left_values.tolist(), grouped.right_values.tolist()
     reach: dict[int, set[int]] = {}

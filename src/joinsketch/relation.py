@@ -104,6 +104,21 @@ def offsets(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def chunk_starts(before: np.ndarray, budget: int) -> list[int]:
+    """Run indices at which chunks start, followed by the run count.
+
+    ``before`` holds the units before each run, then the total (the CSR
+    offsets of the runs).  Chunks take consecutive runs greedily: a chunk
+    holds at most ``budget`` units unless it is a single run.
+    """
+    bounds = [0]
+    while bounds[-1] + 1 < before.size:
+        lo = bounds[-1]
+        hi = int(np.searchsorted(before, before[lo] + budget, side="right")) - 1
+        bounds.append(max(hi, lo + 1))
+    return bounds
+
+
 def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     """Sort ``keys`` in place and return its distinct values.
 

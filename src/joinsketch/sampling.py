@@ -131,10 +131,10 @@ def beta_bound(n1: int, n2: int, n_a: int, n_c: int, s: float, epsilon: float) -
     """
     if min(n1, n2, n_a, n_c) <= 0:
         raise ValueError("relation sizes and distinct counts must be positive")
-    if s < 1:
-        raise ValueError(f"expected sample size must be >= 1, got {s}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (isinstance(s, numbers.Real) and s >= 1):
+        raise ValueError(f"expected sample size must be a number >= 1, got {s!r}")
+    if not (isinstance(epsilon, numbers.Real) and epsilon > 0):
+        raise ValueError(f"epsilon must be a positive number, got {epsilon!r}")
     return (14.0 / epsilon**2) * ((n_c * n1 + n_a * n2) / s)
 
 

@@ -1,9 +1,12 @@
 import random
 import struct
 
+import numpy as np
 import pytest
 
-from joinsketch import Relation, Side, group_and_prune, load_sample
+from joinsketch import Relation, Side, group_and_prune, load_sample, oracle
+
+from reference_hashing import hash_value
 
 
 def random_instance(rng: random.Random, max_each=200, a_range=40, b_range=12, c_range=40):
@@ -49,6 +52,29 @@ def group_values(grouped, g):
     return grouped.left_values[lo[g]:lo[g + 1]], grouped.right_values[ro[g]:ro[g + 1]]
 
 
+def greedy_chunks(sizes: list[int], budget: int) -> list[int]:
+    """Chunks of consecutive runs of the given sizes, in plain Python: a
+    chunk takes the next run while it then holds at most ``budget`` units,
+    and a run larger than the budget is a chunk of its own.  Returns the run
+    index at which each chunk starts, then the run count."""
+    bounds, held = [0], 0
+    for i, size in enumerate(sizes):
+        if i > bounds[-1] and held + size > budget:
+            bounds.append(i)
+            held = 0
+        held += size
+    if sizes:
+        bounds.append(len(sizes))
+    return bounds
+
+
+def a_run_pairs(grouped) -> list[int]:
+    """Pairs per left value, in ascending value order: the runs the oracle
+    cuts into chunks."""
+    a, fan, _ = oracle._left_tuples(grouped)
+    return [int(fan[a == v].sum()) for v in np.unique(a)]
+
+
 def brute_force_pairs(r1: Relation, r2: Relation) -> set:
     """Quadratic-time join-project, independent of the grouping code."""
     out = set()
@@ -65,7 +91,7 @@ def break_the_cut(path) -> None:
     strictly ascending, so only the membership check can catch it."""
     sample = load_sample(str(path))
     last = max(a for a, _ in sample.relation.tuples)
-    bad = next(a for a in range(last + 1, 2**32) if sample.selector.value(a) >= sample.cut)
+    bad = next(a for a in range(last + 1, 2**32) if hash_value(sample.selector, a) >= sample.cut)
     blob = bytearray(path.read_bytes())
     blob[-8:-4] = struct.pack("<I", bad)
     path.write_bytes(bytes(blob))

@@ -250,14 +250,28 @@ def test_non_numeric_flag_value_says_what_is_expected(capsys, tiny_pair, command
 
 
 def test_exact_cap_exit_code(capsys, tmp_path):
+    # Every left value lies in both groups, so all 2 * 10 * 10 pairs expand.
+    left = tmp_path / "l.edges"
+    left.write_text("".join(f"{i} {b}\n" for i in range(10) for b in (0, 1)))
+    right = tmp_path / "r.edges"
+    right.write_text("".join(f"{b} {100 * b + j}\n" for b in (0, 1) for j in range(10)))
+    code, _, err = run_cli(
+        capsys, ["exact", "--left", str(left), "--right", str(right), "--cap", "100"]
+    )
+    assert code == 3 and "cap" in err and "200 candidate pairs" in err
+
+
+def test_exact_cap_ignores_pairs_it_does_not_expand(capsys, tmp_path):
+    # One group of 40 x 40: no left value lies in two groups, so nothing
+    # expands and a cap below total_product does not refuse it.
     left = tmp_path / "l.edges"
     left.write_text("".join(f"{i} 0\n" for i in range(40)))
     right = tmp_path / "r.edges"
     right.write_text("".join(f"0 {i}\n" for i in range(40)))
-    code, _, err = run_cli(
+    report = run_json(
         capsys, ["exact", "--left", str(left), "--right", str(right), "--cap", "100"]
     )
-    assert code == 3 and "cap" in err
+    assert (report["z"], report["total_product"], report["expanded_pairs"]) == (1600, 1600, 0)
 
 
 def test_observed_epsilon_quantile():

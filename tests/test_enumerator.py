@@ -5,8 +5,10 @@ import numpy as np
 from joinsketch import PairwiseHash, enumerator, group_and_prune
 from joinsketch.enumerator import SortedChunk, chunk_bounds, scan_group, sort_group
 from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, spawn_rng
+from joinsketch.relation import chunk_starts, offsets
 
-from conftest import FixedThreshold, group_values, random_instance, single_group
+from conftest import (FixedThreshold, a_run_pairs, greedy_chunks, group_values, random_instance,
+                      single_group)
 
 
 def sort_one(A, C, pair_hash, p=GRID):
@@ -178,9 +180,16 @@ def test_chunk_bounds_cover_every_group_once(monkeypatch):
         if not len(grouped):
             continue
         starts = (grouped.left_offsets + grouped.right_offsets).tolist()
+        sizes = [hi - lo for lo, hi in zip(starts, starts[1:])]
+        # The oracle's runs: pairs per left value.
+        pairs = a_run_pairs(grouped)
         for tuples in (1, 16, 64):
             monkeypatch.setattr(enumerator, "CHUNK_TUPLES", tuples)
             bounds = chunk_bounds(grouped)
+            # One splitter serves the estimator's groups and the oracle's
+            # a-runs, with the greedy rule.
+            assert bounds == chunk_starts(np.array(starts), tuples) == greedy_chunks(sizes, tuples)
+            assert chunk_starts(offsets(np.array(pairs)), tuples) == greedy_chunks(pairs, tuples)
             assert bounds[0] == 0 and bounds[-1] == len(grouped)
             assert all(a < b for a, b in zip(bounds, bounds[1:]))
             for lo, hi in zip(bounds, bounds[1:]):

@@ -6,17 +6,19 @@ from joinsketch import MERSENNE, WRAPPING64, PairwiseHash
 from joinsketch.hashing import (GRID, MASK64, MERSENNE61, PairHash, draw_pair_hash, draw_single,
                                run_rng, spawn_rng)
 
+from reference_hashing import hash_value, pair_value
+
 
 def raw(fraction: float) -> int:
     return int(fraction * GRID)
 
 
 def test_identity_parameters():
-    assert PairwiseHash(1, 0).value(0) == 0
+    assert hash_value(PairwiseHash(1, 0), 0) == 0
 
 
 def test_direct_formula():
-    assert PairwiseHash(1, 5).value(3) == 8
+    assert hash_value(PairwiseHash(1, 5), 3) == 8
 
 
 def test_seed_42_regression_vector():
@@ -25,29 +27,34 @@ def test_seed_42_regression_vector():
     ph = draw_pair_hash(run_rng(42, (0,)))
     assert (ph.h1.multiplier, ph.h1.addend) == (15615703015488024985, 9075810658182898862)
     assert (ph.h2.multiplier, ph.h2.addend) == (14093605719212935991, 1109484220543997365)
-    values = [ph.h1.value(x) for x in (1, 2, 3)]
+    values = [hash_value(ph.h1, x) for x in (1, 2, 3)]
     assert values == [6244769599961372231, 3413728541739845600, 582687483518318969]
+    assert ph.h1.values(np.array([1, 2, 3], dtype=np.uint64)).tolist() == values
     assert len(set(values)) == 3
 
 
 def test_pair_is_fraction_difference_mod_one():
     # Constant hashes (multiplier 0) pin the two sides to chosen fractions.
     h = PairHash(PairwiseHash(0, raw(0.3)), PairwiseHash(0, raw(0.7)))
-    assert abs(h.value(1, 2) / GRID - 0.6) < 1e-12
+    assert abs(pair_value(h, 1, 2) / GRID - 0.6) < 1e-12
 
 
 def test_pair_cancellation():
     h = PairHash(PairwiseHash(0, raw(0.7)), PairwiseHash(0, raw(0.7)))
-    assert h.value(123, 456) == 0
+    assert pair_value(h, 123, 456) == 0
 
 
 def test_pair_matches_wrapping_subtraction():
     rng = spawn_rng(7)
     h = draw_pair_hash(rng)
-    xs = rng.integers(0, 2**32, size=50, dtype=np.uint64).tolist()
-    ys = rng.integers(0, 2**32, size=50, dtype=np.uint64).tolist()
+    x_arr = rng.integers(0, 2**32, size=50, dtype=np.uint64)
+    y_arr = rng.integers(0, 2**32, size=50, dtype=np.uint64)
+    xs, ys = x_arr.tolist(), y_arr.tolist()
     for x, y in zip(xs, ys):
-        assert h.value(x, y) == (h.h1.value(x) - h.h2.value(y)) & MASK64
+        assert pair_value(h, x, y) == (hash_value(h.h1, x) - hash_value(h.h2, y)) & MASK64
+    # The vectorized form every caller uses: uint64 subtraction wraps.
+    vectorized = h.h1.values(x_arr) - h.h2.values(y_arr)
+    assert vectorized.tolist() == [pair_value(h, x, y) for x, y in zip(xs, ys)]
 
 
 def test_odd_multiplier_drawn():
@@ -95,8 +102,8 @@ def test_columns_are_cyclically_sorted(seed, xs, y, family):
     # For fixed y, x taken in h1 order makes the pair hash ascend with at
     # most one wraparound; this is what the per-column scan relies on.
     h = draw_pair_hash(spawn_rng(seed), family)
-    xs = sorted(xs, key=lambda x: (h.h1.value(x), x))
-    col = [h.value(x, y) for x in xs]
+    xs = sorted(xs, key=lambda x: (hash_value(h.h1, x), x))
+    col = [pair_value(h, x, y) for x in xs]
     assert _cyclic_descents(col) <= 1
     if len(set(col)) > 1:
         assert _cyclic_descents(col) == 1
@@ -110,8 +117,8 @@ def test_columns_are_cyclically_sorted(seed, xs, y, family):
 )
 def test_rows_are_cyclically_sorted_in_reverse(seed, ys, x):
     h = draw_pair_hash(spawn_rng(seed))
-    ys = sorted(ys, key=lambda y: (h.h2.value(y), y))
-    row = [h.value(x, y) for y in ys]
+    ys = sorted(ys, key=lambda y: (hash_value(h.h2, y), y))
+    row = [pair_value(h, x, y) for y in ys]
     assert _cyclic_ascents(row) <= 1
     if len(set(row)) > 1:
         assert _cyclic_ascents(row) == 1
@@ -144,7 +151,7 @@ def test_mersenne_rescaling_stays_on_grid():
     h = draw_single(spawn_rng(5), MERSENNE)
     values = h.values(np.arange(1000, dtype=np.uint64))
     assert int(values.max()) < GRID
-    assert [h.value(i) for i in range(10)] == values[:10].tolist()
+    assert [hash_value(h, i) for i in range(10)] == values[:10].tolist()
 
 
 def test_mersenne_values_match_the_scalar_formula():
@@ -161,7 +168,19 @@ def test_mersenne_values_match_the_scalar_formula():
     # A sum that folds to p + 1 before the last reduction, at x = 2**32 - 1.
     hashes.append(PairwiseHash(2**40 + 12345, 2305791087354062905, MERSENNE))
     for h in hashes:
-        assert h.values(xs).tolist() == [h.value(x) for x in xs.tolist()], h
+        assert h.values(xs).tolist() == [hash_value(h, x) for x in xs.tolist()], h
+
+
+def test_wrapping_values_match_the_scalar_formula():
+    rng = np.random.default_rng(151)
+    xs = np.concatenate(([0, 1, 2**32 - 2, 2**32 - 1],
+                         rng.integers(0, 2**32, 400))).astype(np.uint64)
+    hashes = [draw_single(spawn_rng(151, i), WRAPPING64) for i in range(100)]
+    for m in (1, 3, 2**32 - 1, 2**32 + 1, GRID - 1):
+        for a in (0, 1, 2**32, GRID - 1):
+            hashes.append(PairwiseHash(m, a, WRAPPING64))
+    for h in hashes:
+        assert h.values(xs).tolist() == [hash_value(h, x) for x in xs.tolist()], h
 
 
 def test_spawned_streams_are_independent_and_stable():

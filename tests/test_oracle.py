@@ -14,10 +14,12 @@ from joinsketch import (
 from joinsketch import oracle
 from joinsketch.hashing import draw_pair_hash, spawn_rng
 from joinsketch.kmin import SketchOutcome
-from joinsketch.oracle import distinct_pair_keys, exact_kth_hash, exact_size_bitsets
+from joinsketch.oracle import exact_kth_hash, exact_size_bitsets
 from joinsketch.relation import unpack
 
-from conftest import brute_force_pairs, disjoint_instance, random_instance
+from conftest import (a_run_pairs, brute_force_pairs, disjoint_instance, greedy_chunks,
+                      random_instance)
+from reference_hashing import distinct_pair_keys, pair_value
 
 
 def grouped_from(t1, t2):
@@ -63,12 +65,27 @@ def test_two_oracle_paths_agree():
 
 
 def test_cap_refuses_large_materialization():
-    g = grouped_from({(i, 0) for i in range(100)}, {(0, j) for j in range(100)})
+    # Every left value lies in both groups, so all 10,000 pairs expand.
+    g = grouped_from({(i, b) for i in range(100) for b in (0, 1)},
+                     {(b, 100 * b + j) for b in (0, 1) for j in range(50)})
     with pytest.raises(SizeCapError):
         exact_size(g, cap=9_999)
     with pytest.raises(SizeCapError):
         exact_kth_hash(g, draw_pair_hash(spawn_rng(1)), 5, cap=9_999)
-    assert exact_size(g, cap=10_000).z == 10_000
+    assert exact_size(g, cap=10_000) == oracle.ExactResult(z=10_000, expanded_pairs=10_000)
+
+
+def test_cap_bounds_only_the_expanded_pairs():
+    # One group of 4000 x 4000: its 16M pairs are counted, never expanded.
+    g = grouped_from({(i, 0) for i in range(4000)}, {(0, j) for j in range(4000)})
+    assert g.total_product > oracle.DEFAULT_CAP
+    assert exact_size(g) == oracle.ExactResult(z=16_000_000, expanded_pairs=0)
+    assert exact_size(g, cap=0).z == 16_000_000
+    with pytest.raises(SizeCapError):
+        exact_size_bitsets(g)
+    # The paths that expand every pair still bound the whole product.
+    with pytest.raises(SizeCapError, match="16000000 candidate pairs"):
+        exact_kth_hash(g, draw_pair_hash(spawn_rng(1)), 5)
 
 
 def test_kth_undersupplied_carries_count():
@@ -87,7 +104,7 @@ def test_k_equals_one_is_global_minimum():
         pytest.skip("degenerate draw")
     out = exact_kth_hash(g, h, 1)
     assert out.filled
-    assert out.v == min(h.value(a, c) for a, c in pairs)
+    assert out.v == min(pair_value(h, a, c) for a, c in pairs)
 
 
 def test_kth_is_monotone_in_k():
@@ -134,12 +151,15 @@ def test_chunked_count_matches_the_second_oracle(monkeypatch, chunk, stride):
         assert 0 <= result.expanded_pairs <= g.total_product
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7, 50])
+@pytest.mark.parametrize("chunk", [1, 2, 7, 50, oracle.CHUNK_PAIRS])
 def test_chunks_hold_whole_a_runs(monkeypatch, chunk):
     monkeypatch.setattr(oracle, "CHUNK_PAIRS", chunk)
     rng = random.Random(55)
-    for _ in range(40):
-        g = group_and_prune(*mixed_instance(rng, 1))
+    for trial in range(80):
+        if trial % 2:
+            g = group_and_prune(*mixed_instance(rng, 1))
+        else:
+            g = group_and_prune(*random_instance(rng, max_each=150, b_range=rng.choice([2, 12])))
         chunks = list(oracle._pair_chunks(g.right_values, *oracle._left_tuples(g)))
         assert sum(keys.size for keys in chunks) == g.total_product
         highs = [np.unique(unpack(keys)[0]) for keys in chunks]
@@ -149,6 +169,11 @@ def test_chunks_hold_whole_a_runs(monkeypatch, chunk):
         # Each chunk's left values all lie above the previous chunk's.
         for before, after in zip(highs, highs[1:]):
             assert before[-1] < after[0]
+        # The chunks start where the greedy rule over a-runs starts them.
+        values = np.unique(oracle._left_tuples(g)[0]).tolist()
+        pairs = a_run_pairs(g)
+        got = [values.index(a[0]) for a in highs] + [len(values)]
+        assert got == greedy_chunks(pairs, chunk), trial
 
 
 def test_left_values_held_by_one_group_are_not_expanded():

@@ -142,6 +142,14 @@ def test_sufficient_sample_size_rejects_a_non_number(epsilon, delta):
         sufficient_sample_size(1, 1, 1, 1, 1, epsilon, delta)
 
 
+@pytest.mark.parametrize("s, epsilon", [(1, "0.1"), (1, None), (1, 0.1j), (1, [0.1]),
+                                        (1, float("nan")), ("1", 0.1), (None, 0.1),
+                                        (float("nan"), 0.1)])
+def test_beta_bound_rejects_a_non_number(s, epsilon):
+    with pytest.raises(ValueError, match="must be a"):
+        beta_bound(1, 1, 1, 1, s, epsilon)
+
+
 def test_beta_bound_direct_value():
     beta = beta_bound(10**6, 10**6, 10**3, 10**3, 10**4, 0.1)
     assert beta == pytest.approx(2.8e8, rel=1e-12)
