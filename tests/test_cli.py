@@ -6,7 +6,21 @@ import sys
 
 import pytest
 
+from joinsketch import (
+    THRESHOLD_MODES,
+    EstimatorConfig,
+    Side,
+    draw_sample,
+    estimate_from_samples,
+    estimate_median,
+    exact_size,
+    group_and_prune,
+    load_relation,
+    load_sample,
+    save_sample,
+)
 from joinsketch.cli import main, observed_epsilon
+from joinsketch.hashing import draw_single, spawn_rng
 
 from conftest import break_the_cut
 
@@ -589,3 +603,25 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "--cap" in proc.stdout
+
+
+def test_library_calls_write_nothing_to_stdout(capsys, tmp_path, mini_fimi_path):
+    # Only the CLI prints.  A program driving the library owns its stdout,
+    # such as one whose last line is a JSON result.
+    edges = tmp_path / "in.edges"
+    edges.write_text("# pairs\n" + "".join(f"{i % 37} {i % 11}\n" for i in range(400)))
+    for path, fmt in ((edges, "edges"), (mini_fimi_path, "fimi")):
+        left = load_relation(str(path), fmt, Side.LEFT)
+        right = left.mirrored()
+        grouped = group_and_prune(left, right)
+        for mode in THRESHOLD_MODES:
+            estimate_median(grouped, EstimatorConfig(k=16, threshold_mode=mode, runs=3, seed=2))
+        exact_size(grouped)
+        samples = []
+        for side_index, rel in enumerate((left, right)):
+            sample = draw_sample(rel, 0.5, draw_single(spawn_rng(side_index)))
+            save_sample(sample, str(tmp_path / f"{side_index}.sample"))
+            samples.append(load_sample(str(tmp_path / f"{side_index}.sample")))
+        estimate_from_samples(*samples, EstimatorConfig(k=16, seed=2))
+        estimate_from_samples(*samples, EstimatorConfig(k=16, seed=2), exact_cutoff=0)
+    assert capsys.readouterr().out == ""

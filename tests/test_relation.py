@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from joinsketch import (
     group_and_prune,
     parse_relation,
 )
+from joinsketch import relation
 
 import reference_parsers
 from conftest import brute_force_pairs, group_values, random_instance
@@ -380,11 +382,51 @@ def _outcome(parse, text):
         return (type(exc).__name__, exc.line, str(exc))
 
 
+# Blocks of 1 and 7 bytes put nearly every line in a block of its own,
+# longer than the block; 64 bytes gives blocks of several lines, with
+# comment lines and bad fields opening or closing them.
+@pytest.mark.parametrize("block", [1, 7, 64, pytest.param(relation._BLOCK, id="default")])
 @settings(max_examples=300)
-@given(_grammar_text(), _mtx_text())
-def test_tokenizer_agrees_with_the_line_parsers(text, mtx_text):
-    for fmt, reference, sample in (("edges", reference_parsers.parse_edges, text),
-                                   ("fimi", reference_parsers.parse_fimi, text),
-                                   ("mtx-pattern", reference_parsers.parse_mtx, mtx_text)):
-        got = _outcome(lambda t: parse_relation(t.encode("ascii"), fmt).tuples, sample)
-        assert got == _outcome(reference, sample), fmt
+@given(text=_grammar_text(), mtx_text=_mtx_text())
+def test_tokenizer_agrees_with_the_line_parsers(block, text, mtx_text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation, "_BLOCK", block)
+        for fmt, reference, sample in (("edges", reference_parsers.parse_edges, text),
+                                       ("fimi", reference_parsers.parse_fimi, text),
+                                       ("mtx-pattern", reference_parsers.parse_mtx, mtx_text)):
+            got = _outcome(lambda t: parse_relation(t.encode("ascii"), fmt).tuples, sample)
+            assert got == _outcome(reference, sample), fmt
+
+
+def _scattered_edges(rng: np.random.Generator, lines: int) -> tuple[np.ndarray, bytes]:
+    """Pairs of scattered 32-bit values and their edges text."""
+    pairs = rng.integers(0, 2**32, size=(lines, 2), dtype=np.uint64)
+    text = "".join(f"{a} {b}\n" for a, b in pairs.tolist())
+    return pairs, text.encode("ascii")
+
+
+def test_blocks_join_into_the_relation_of_the_whole_text():
+    rng = np.random.default_rng(12)
+    pairs, data = _scattered_edges(rng, 60_000)
+    # Comment lines, blank lines and tabs shift where the blocks end.
+    data = data.replace(b"7 ", b"7\t").replace(b"00\n", b"00\n# note 1 2 3\n\n")
+    assert len(data) > 4 * relation._BLOCK
+    want = Relation.from_pairs(Side.LEFT, pairs.tolist())
+    assert parse_relation(data, "edges") == want
+
+    lines = data.count(b"\n")
+    with pytest.raises(ParseError) as exc:
+        parse_relation(data + b"1 2x\n", "edges")
+    assert str(exc.value) == f"line {lines + 1}: expected an integer, got '2x'"
+
+
+def test_parse_peak_memory_is_a_small_multiple_of_the_input():
+    _, data = _scattered_edges(np.random.default_rng(13), 100_000)
+    assert len(data) >= 2 * 2**20
+    tracemalloc.start()
+    try:
+        parse_relation(data, "edges")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(data)
