@@ -3,19 +3,34 @@
 The count uses z = sum over left values a of |union over groups g holding a
 of C_g|: pairs with different a never collide.  The left tuples are ordered
 by value once; a value held by one group adds its group's right size and is
-never expanded, because right values are distinct within a group.  The rest
-are expanded and counted in a-ordered chunks of about ``CHUNK_PAIRS`` pairs.
-Time is O(n log n + expanded pairs) and memory O(n + chunk), where a chunk
-holds at most ``CHUNK_PAIRS`` pairs or one left value's expansion.
-``exact_kth_hash`` walks the same chunks with every left value expanded and
-keeps only the k smallest distinct-pair hashes, in O(n + k + chunk) memory.
-Time still grows with the pairs expanded, so a cap refuses inputs that
-would expand more than roughly 10^7 candidate pairs: the expanded pairs for
-``exact_size``, ``total_product`` for the paths that expand every pair.
+never expanded, because right values are distinct within a group.  The
+values held by two or more groups (the shared tuples) are counted a-major in
+chunks by one of two kernels, chosen from the input with no setting:
+
+* the dense kernel, when the right domain is narrow: each group's right
+  values become a bitset of W = ceil(D / 64) words over the D distinct right
+  values, and each shared left value ORs its groups' bitsets and counts the
+  bits.  It runs iff ``shared x W <= expanded`` (no more words to OR than
+  pairs to expand) and ``groups x W <= right values`` (the bitset table is
+  no larger than the input);
+* the sparse kernel otherwise: the shared tuples' candidate pairs are
+  expanded as packed keys, sorted per chunk and their distinct keys counted.
+
+Time is O(n log n + shared x W) on the dense kernel and O(n log n +
+expanded) on the sparse one, so never more than the latter, and memory is
+O(n + chunk), where a chunk holds at most ``CHUNK_PAIRS`` pairs or bitset
+words, or one left value's.  ``exact_kth_hash`` walks the sparse kernel's
+chunks with every left value expanded and keeps only the k smallest
+distinct-pair hashes, in O(n + k + chunk) memory.  Time still grows with
+the pairs expanded, so a cap refuses inputs that would expand more than
+roughly 10^7 candidate pairs: the expanded pairs of ``exact_size``
+(whichever kernel counts them, since shared x W <= expanded on the dense
+one), ``total_product`` for the paths that expand every pair.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -26,8 +41,11 @@ from .kmin import SketchOutcome
 from .relation import GroupedInput, chunk_starts, offsets, pack, run_starts, tie_runs, unpack
 
 DEFAULT_CAP = 10_000_000
-# Pairs per expanded chunk: small enough that a chunk's sort stays in cache.
+# Pairs, or bitset words, per chunk: small enough that a chunk stays in cache.
 CHUNK_PAIRS = 1 << 15
+# Set bits of each byte value: np.bitwise_count needs numpy 2, and numpy 1.24
+# is supported.
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 class SizeCapError(RuntimeError):
@@ -37,26 +55,29 @@ class SizeCapError(RuntimeError):
 @dataclass(frozen=True)
 class ExactResult:
     """``z`` is the exact join-project size; ``expanded_pairs`` the number of
-    candidate pairs the count materialized (0 when no left value lies in two
-    groups)."""
+    candidate pairs of the left values that lie in two or more groups (0
+    when there are none), whichever kernel counts them."""
 
     z: int
     expanded_pairs: int
 
 
 def _check_cap(pairs: int, cap: int) -> None:
+    try:
+        cap = operator.index(cap)
+    except TypeError:
+        raise ValueError(f"cap must be a non-negative integer, got {cap!r}") from None
+    if cap < 0:
+        raise ValueError(f"cap must be a non-negative integer, got {cap!r}")
     if pairs > cap:
         raise SizeCapError(f"materializing {pairs} candidate pairs exceeds the cap of {cap}")
 
 
-def _left_tuples(grouped: GroupedInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The left tuples ordered by value: each one's value, fan (its group's
-    right size) and the index of its group's first right value."""
-    counts = np.diff(grouped.left_offsets)
+def _left_tuples(grouped: GroupedInput) -> tuple[np.ndarray, np.ndarray]:
+    """The left tuples ordered by value: each one's value and group."""
     order = np.argsort(grouped.left_values)
-    fan = np.repeat(np.diff(grouped.right_offsets), counts)[order]
-    first = np.repeat(grouped.right_offsets[:-1], counts)[order]
-    return grouped.left_values[order], fan, first
+    group = np.repeat(np.arange(len(grouped)), np.diff(grouped.left_offsets))[order]
+    return grouped.left_values[order], group
 
 
 def _expand(right_values: np.ndarray, a: np.ndarray, fan: np.ndarray,
@@ -80,49 +101,115 @@ def _expand(right_values: np.ndarray, a: np.ndarray, fan: np.ndarray,
     return keys
 
 
-def _pair_chunks(right_values: np.ndarray, a: np.ndarray, fan: np.ndarray,
-                 first: np.ndarray) -> Iterator[np.ndarray]:
-    """Sorted pair keys of the left tuples ``a``, ``fan``, ``first`` (ordered
-    by ``a``), one array per chunk of whole a-runs.
+def _pair_chunks(grouped: GroupedInput, a: np.ndarray, group: np.ndarray) -> Iterator[np.ndarray]:
+    """Sorted pair keys of the left tuples ``a``, ``group`` (ordered by
+    ``a``), one array per chunk of whole a-runs.
 
     A chunk holds at most ``CHUNK_PAIRS`` pairs unless its single a-run holds
     more.  Chunks come in a order, so their keys never repeat across chunks.
     """
+    fan = np.diff(grouped.right_offsets)[group]
     edges = np.append(np.flatnonzero(run_starts(a)), a.size)
     bounds = chunk_starts(offsets(fan)[edges], CHUNK_PAIRS)  # pairs before each a-run
     for lo, hi in zip(bounds, bounds[1:]):
         t0, t1 = edges[lo], edges[hi]
-        yield _expand(right_values, a[t0:t1], fan[t0:t1], first[t0:t1])
+        first = grouped.right_offsets[group[t0:t1]]
+        yield _expand(grouped.right_values, a[t0:t1], fan[t0:t1], first)
 
 
 def _distinct_chunks(grouped: GroupedInput, cap: int) -> Iterator[np.ndarray]:
     """Sorted keys of the distinct result pairs, one array per a-ordered
     chunk; no key repeats across chunks."""
     _check_cap(grouped.total_product, cap)
-    for keys in _pair_chunks(grouped.right_values, *_left_tuples(grouped)):
+    for keys in _pair_chunks(grouped, *_left_tuples(grouped)):
         yield keys[run_starts(keys)]
+
+
+def _dense_ranks(grouped: GroupedInput, shared: int, expanded: int) -> np.ndarray | None:
+    """Each right value's index among the D distinct right values when the
+    dense kernel's rule holds for ``shared`` tuples expanding to
+    ``expanded`` pairs, else None.
+
+    With W = ceil(D / 64) the rule is ``shared * W <= expanded`` and
+    ``groups * W <= right values``, that is D <= 64 * the smaller quotient.
+    The values' offsets from their minimum, modulo a power of two no
+    smaller than their count, are marked in a map of that many slots.  It
+    marks exactly D slots when the span fits in the map and at most D
+    otherwise, so a wide span with many distinct values is refused in O(n)
+    without a sort.
+    """
+    values = grouped.right_values
+    most = 64 * min(expanded // shared, values.size // len(grouped))
+    offset = values - values.min()
+    size = 1 << (values.size - 1).bit_length()
+    seen = np.zeros(size, dtype=bool)
+    seen[offset & np.uint64(size - 1)] = True
+    if np.count_nonzero(seen) > most:
+        return None
+    if offset.max() < size:
+        return (np.cumsum(seen) - 1)[offset]
+    order = np.argsort(values)  # a wide span with few distinct values
+    starts = run_starts(values[order])
+    if np.count_nonzero(starts) > most:
+        return None
+    ranks = np.empty(values.size, dtype=np.int64)
+    ranks[order] = np.cumsum(starts) - 1
+    return ranks
+
+
+def _dense_count(grouped: GroupedInput, ranks: np.ndarray, a: np.ndarray,
+                 group: np.ndarray) -> int:
+    """Distinct pairs of the left tuples ``a``, ``group`` (ordered by ``a``):
+    per a-run, the set bits of the OR of its groups' bitsets over the right
+    domain, in chunks of whole a-runs of at most ``CHUNK_PAIRS`` gathered
+    words unless a single a-run gathers more."""
+    words = int(ranks.max()) // 64 + 1
+    table = np.zeros((len(grouped), words), dtype=np.uint64)
+    rows = np.repeat(np.arange(len(grouped)), np.diff(grouped.right_offsets))
+    np.bitwise_or.at(table, (rows, ranks >> 6), np.uint64(1) << (ranks & 63).astype(np.uint64))
+    edges = np.append(np.flatnonzero(run_starts(a)), a.size)
+    bounds = chunk_starts(edges * words, CHUNK_PAIRS)  # words gathered before each a-run
+    count = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        t0 = edges[lo]
+        union = np.bitwise_or.reduceat(table[group[t0:edges[hi]]], edges[lo:hi] - t0, axis=0)
+        count += int(_POPCOUNT[union.view(np.uint8)].sum())
+    return count
 
 
 def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> ExactResult:
     """Exact join-project size, summed over left values.
 
-    A left value held by one group contributes that group's right size; the
-    values held by two or more groups are expanded in a-ordered chunks and
-    their distinct pairs counted.  O(n log n + expanded pairs) time and
-    O(n + chunk) memory; refuses to expand more than ``cap`` pairs.
+    A left value held by one group contributes that group's right size.  The
+    values held by two or more groups (the ``shared`` tuples) are counted
+    a-major in chunks.  With W = ceil(D / 64) words for the D distinct
+    right values, the dense kernel ORs their groups' bitsets and counts the
+    bits iff ``shared x W <= expanded`` and ``groups x W <= right values``;
+    otherwise the sparse kernel expands their candidate pairs and counts
+    the distinct ones.  O(n log n + shared x W) time on the dense kernel,
+    O(n log n + expanded) on the sparse one, and O(n + chunk) memory.
+    Refuses inputs with more than ``cap`` expanded pairs, the candidate
+    pairs of the shared tuples, whichever kernel counts them.
     """
-    a, fan, first = _left_tuples(grouped)
+    a, group = _left_tuples(grouped)
     _, shared = tie_runs(a)  # tuples whose left value lies in two or more groups
-    expanded = int(fan[shared].sum())
+    a, group = a[shared], group[shared]
+    expanded = int(np.diff(grouped.right_offsets)[group].sum())
     _check_cap(expanded, cap)
-    z = int(fan.sum()) - expanded
-    for keys in _pair_chunks(grouped.right_values, a[shared], fan[shared], first[shared]):
+    z = grouped.total_product - expanded
+    if not expanded:
+        return ExactResult(z, 0)
+    ranks = _dense_ranks(grouped, a.size, expanded)
+    if ranks is not None:
+        return ExactResult(z + _dense_count(grouped, ranks, a, group), expanded)
+    for keys in _pair_chunks(grouped, a, group):
         z += int(np.count_nonzero(run_starts(keys)))
     return ExactResult(z, expanded)
 
 
 def exact_size_bitsets(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> int:
-    """Independent second path: per-left-value sets of reachable right values."""
+    """The Python-set reference for ``exact_size``: per-left-value sets of
+    reachable right values, built from plain Python lists."""
     _check_cap(grouped.total_product, cap)
     lo, ro = grouped.left_offsets.tolist(), grouped.right_offsets.tolist()
     left, right = grouped.left_values.tolist(), grouped.right_values.tolist()

@@ -71,7 +71,8 @@ def greedy_chunks(sizes: list[int], budget: int) -> list[int]:
 def a_run_pairs(grouped) -> list[int]:
     """Pairs per left value, in ascending value order: the runs the oracle
     cuts into chunks."""
-    a, fan, _ = oracle._left_tuples(grouped)
+    a, group = oracle._left_tuples(grouped)
+    fan = np.diff(grouped.right_offsets)[group]
     return [int(fan[a == v].sum()) for v in np.unique(a)]
 
 
