@@ -4,26 +4,29 @@ With rows sorted by h1-value and columns by h2-value, every column of the
 pair hash (h1(x) - h2(y)) mod 1 is cyclically sorted: one ascending run with
 a single wraparound, whose minimum is the first row with h1 >= h2(y) (the
 first row of the group if there is none).  The pairs of a column below a
-threshold p are the rows from that minimum onward, cyclically, while the
-hash stays below p, so a group costs O(|A| + |C|) plus one step per emitted
-candidate, never |A| * |C|.
+threshold t are the rows from that minimum onward, cyclically, whose h1
+lies in the window [h2(y), h2(y) + t): a count found by binary search, so a
+group costs O((|A| + |C|) log |A|) plus one step per candidate, never
+|A| * |C|.
 
 Groups are processed in chunks of consecutive groups (``chunk_bounds``).
 ``sort_group`` gives a chunk one numpy pass: it hashes both sides, orders
 them by (group, hash, side, value) with one sort of a uint64 key carrying
 its position, finds every column's minimum and drops each column whose
-minimum is not below the live threshold, since the threshold never rises.
-Only the groups that keep a column get their rows as Python lists.
-``scan_group`` then walks one group's remaining columns in Python and hands
-each candidate straight to the sketch, whose threshold it may tighten
-mid-scan.  The candidates and their order are those of a column-by-column
-walk over every group.
+minimum is not below the threshold, since the threshold never rises.  For
+every other column it counts the rows of its window at the threshold and
+at the floor and gathers the rows between the two into arrays of
+candidates.  ``scan_group`` then hands one group's candidates to the
+sketch, skipping those at or above its live threshold, which a merge may
+tighten mid-scan.  A column's candidates ascend from its minimum and the
+threshold only falls, so the pairs offered and their order are those of
+walking every column of every group and stopping each at its first miss.
 
-A run may pass over the chunks more than once, sorting and scanning every
-group again at a wider threshold.  ``scan_group`` then takes the previous
-pass's threshold as a floor: a column's pairs below it come first from its
-minimum and are walked without being offered, so each pair occurrence
-reaches the sketch at most once per run.
+A run may pass over the chunks more than once, sorting every group again
+at a wider threshold.  The previous pass's threshold is then the floor: a
+column's pairs below it come first from its minimum and are left out of
+its candidates, so each pair occurrence reaches the sketch at most once per
+run.
 """
 
 from __future__ import annotations
@@ -32,16 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import GRID, MASK64, PairHash
+from .hashing import GRID, PairHash
 from .kmin import KMinState
 from .relation import GroupedInput, chunk_starts, offsets, tie_runs
 
 # Tuples per chunk.  A chunk pays a fixed numpy per-call cost, so larger
-# chunks spread it over more tuples; the price is the chunk's Python lists,
-# all of its rows when every column is kept.  Against 2**11, 2**13 took the
-# benchmark's host-scaled skewed-repeat estimate from 0.23 s to 0.18 s and
-# peak RSS on fimi-sketch, which keeps every column, from 47.5 to 48.1 MiB
-# (medians of 3-4 runs, 2-core Xeon VM, numpy 2.4).
+# chunks spread it over more tuples; the price is the chunk's candidate
+# arrays, 24 bytes a candidate.  Against 2**11, 2**13 took the benchmark's
+# host-scaled skewed-repeat estimate from 0.23 s to 0.18 s (medians of 3-4
+# runs, 2-core Xeon VM, numpy 2.4).
 CHUNK_TUPLES = 1 << 13
 
 
@@ -53,32 +55,28 @@ def chunk_bounds(grouped: GroupedInput) -> list[int]:
 
 @dataclass(frozen=True)
 class SortedChunk:
-    """Consecutive groups, sorted for the scan, and their columns to walk.
+    """Consecutive groups' candidate pairs, in the order the scan offers them.
 
-    The columns whose minimum lies below the threshold the chunk was sorted
-    at are ``ys`` (right values in (group, h2, value) order), ``y_hashes``
-    and ``starts`` (the row of each column's minimum); group g's are
-    ``kept_offsets[g]`` to ``kept_offsets[g + 1]``.  ``skipped`` counts the
-    other columns.  ``xs`` holds the left values, in (group, h1, value)
-    order, of the groups that keep at least one column, with ``x_hashes``
-    aligned; group g's rows are ``left_offsets[g]`` to ``left_offsets[g +
-    1]``, an empty range for a group that keeps no column.  All offsets are
-    chunk-relative.
+    ``xs``, ``ys`` and ``hashes`` hold each candidate's left value, right
+    value and pair hash as uint64 memoryviews, in (group, h2, y, step)
+    order: column by column in (h2, y) order, each column from its first
+    row at or above the floor onward, cyclically.  Group g's candidates are
+    ``offsets[g]`` to ``offsets[g + 1]`` (chunk-relative).  ``probes``
+    counts the probes the scan makes whatever it offers: one per column of
+    the chunk and one per pair below the floor.
     """
 
-    xs: list[int]
-    x_hashes: list[int]
-    left_offsets: list[int]
-    ys: list[int]
-    y_hashes: list[int]
-    starts: list[int]
-    kept_offsets: list[int]
-    skipped: int
+    xs: memoryview
+    ys: memoryview
+    hashes: memoryview
+    offsets: list[int]
+    probes: int
 
 
 def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
-               p: int) -> SortedChunk:
-    """Sort groups ``lo`` to ``hi - 1`` for the scan at threshold ``p``."""
+               p: int, floor: int = 0) -> SortedChunk:
+    """Sort groups ``lo`` to ``hi - 1`` and list their pairs whose hash lies
+    in [``floor``, ``p``)."""
     lb, le = grouped.left_offsets[[lo, hi]].tolist()
     rb, re = grouped.right_offsets[[lo, hi]].tolist()
     left_offsets = grouped.left_offsets[lo:hi + 1] - lb
@@ -119,95 +117,87 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     is_col = order < nr
     rows = order[~is_col]
     cols = order[is_col]
-    # A column's minimum is the first row after it in the order, unless its
-    # group has none: then it wraps to the group's first row.
-    starts = np.flatnonzero(is_col)
-    starts -= np.arange(nr)
+    row_hashes = hashes[rows]
+    # A column's first row at or above its hash is the first row after it
+    # in the order; its group's end if there is none.  That row is the
+    # column's minimum, or the group's first row at the end.
+    first = np.flatnonzero(is_col)
+    first -= np.arange(nr)
     group_of = np.repeat(np.arange(groups), right_sizes)
-    wrapped = starts == left_offsets[1:][group_of]
-    starts[wrapped] = left_offsets[group_of[wrapped]]
-
+    begin = left_offsets[group_of]
+    end = left_offsets[1:][group_of]
     y_hashes = hashes[cols]
-    if p >= GRID:
-        kept = np.ones(nr, dtype=bool)
-    else:
-        kept = hashes[rows[starts]] - y_hashes < np.uint64(p)
-    kept_group = group_of[kept]
-    kept_counts = np.bincount(kept_group, minlength=groups)
-    kept_offsets = offsets(kept_counts)
-    # Only groups that keep a column get rows; the others an empty range.
-    walked = kept_counts > 0
-    row_offsets = offsets(np.where(walked, left_sizes, 0))
-    rows = rows[np.repeat(walked, left_sizes)]
-    starts = starts[kept]
-    starts += (row_offsets - left_offsets)[kept_group]
+    if p < GRID:
+        kept = row_hashes[np.where(first == end, begin, first)] - y_hashes < np.uint64(p)
+        group_of, begin, end, first = group_of[kept], begin[kept], end[kept], first[kept]
+        cols, y_hashes = cols[kept], y_hashes[kept]
+    size = end - begin
+
+    # The rows keyed like the sort, with the hash's top 64 - b bits, so a
+    # binary search finds a hash within its group up to the cut bits.
+    row_keys = np.repeat(group_base, left_sizes)
+    row_keys |= row_hashes >> np.uint64(b)
+    group_keys = group_base[group_of]
+
+    def window(t: int) -> np.ndarray:
+        """Rows of each column's group whose h1 lies in [h2, h2 + t),
+        cyclically."""
+        if t <= 0:
+            return np.zeros(cols.size, dtype=np.int64)
+        if t >= GRID:
+            return size
+        top = y_hashes + np.uint64(t)
+        at = np.searchsorted(row_keys, group_keys | top >> np.uint64(b))
+        # Rows whose key ties the target's may still hash below it.
+        i = np.flatnonzero(at < end)
+        while i.size:
+            i = i[row_hashes[at[i]] < top[i]]
+            at[i] += 1
+            i = i[at[i] < end[i]]
+        # A window past 2**64 wraps to the group's first rows.
+        return at - first + np.where(top < y_hashes, size, 0)
+
+    below = window(floor)
+    counts = window(p) - below
+    column_offsets = offsets(counts)
+    n = int(column_offsets[-1])
+    # Each column's candidates, from its first row at or above the floor;
+    # those past its group's end wrap to the group's first rows.
+    at = np.repeat(first + below - column_offsets[:-1], counts)
+    at += np.arange(n)
+    wrapped = np.flatnonzero(at >= np.repeat(end, counts))
+    at[wrapped] -= np.repeat(size, counts)[wrapped]
+    cand_xs = xs[rows[at] - nr]
+    cand_hashes = row_hashes[at]
+    del at
+    cand_hashes -= np.repeat(y_hashes, counts)
+    cand_ys = np.repeat(ys[cols], counts)
+    group_offsets = column_offsets[offsets(np.bincount(group_of, minlength=groups))]
     return SortedChunk(
-        xs=xs[rows - nr].tolist(),
-        x_hashes=hashes[rows].tolist(),
-        left_offsets=row_offsets.tolist(),
-        ys=ys[cols[kept]].tolist(),
-        y_hashes=y_hashes[kept].tolist(),
-        starts=starts.tolist(),
-        kept_offsets=kept_offsets.tolist(),
-        skipped=nr - kept_group.size,
+        xs=memoryview(cand_xs),
+        ys=memoryview(cand_ys),
+        hashes=memoryview(cand_hashes),
+        offsets=group_offsets.tolist(),
+        probes=nr + int(below.sum()),
     )
 
 
-@dataclass(frozen=True)
-class ScanCounters:
-    inner_iterations: int = 0
-    emitted: int = 0
-
-
-_IDLE = ScanCounters()
-
-
-def scan_group(chunk: SortedChunk, g: int, sketch: KMinState, floor: int = 0) -> ScanCounters:
-    """Offer every pair of the chunk's group ``g`` whose hash lies in
-    [``floor``, live threshold).
+def scan_group(chunk: SortedChunk, g: int, sketch: KMinState) -> None:
+    """Offer the chunk's group ``g`` candidates that lie below the live
+    threshold.
 
     The threshold is ``sketch.p``, re-read after every offer so that a merge
     which tightens it mid-scan takes effect immediately; it must be
-    non-increasing, no higher than when the chunk was sorted and no lower
-    than ``floor``.  ``sketch.offer(x, y, hv)`` receives each qualifying pair
-    exactly once per group, column by column in (h2, y) order and each
-    column from its minimum.  ``inner_iterations`` counts the probes of the
-    kept columns: each pair walked below the floor, each emitted pair and
-    the one probe that stops a column, if any.
+    non-increasing and no higher than when the chunk was sorted.
+    ``sketch.offer(x, y, hv)`` receives each such pair in the chunk's
+    order.
     """
-    first, last = chunk.kept_offsets[g], chunk.kept_offsets[g + 1]
+    first, last = chunk.offsets[g], chunk.offsets[g + 1]
     if first == last:
-        return _IDLE
-    lo, hi = chunk.left_offsets[g], chunk.left_offsets[g + 1]
-    m = hi - lo
-    xs, hx = chunk.xs, chunk.x_hashes
+        return
     offer = sketch.offer
     p = sketch.p
-    inner = 0
-    emitted = 0
-    for yt, h2t, s in zip(chunk.ys[first:last], chunk.y_hashes[first:last],
-                          chunk.starts[first:last]):
-        hv = (hx[s] - h2t) & MASK64
-        # e counts the rows walked.  Its cap of m stops the cyclic walk when
-        # every row qualifies (threshold 1.0 would otherwise never exit).
-        e = 0
-        # The column ascends from its minimum, so the pairs an earlier pass
-        # offered come first.
-        while hv < floor and e < m:
-            e += 1
-            s += 1
-            if s == hi:
-                s = lo
-            hv = (hx[s] - h2t) & MASK64
-        below = e
-        while hv < p and e < m:
-            offer(xs[s], yt, hv)
+    for x, y, hv in zip(chunk.xs[first:last], chunk.ys[first:last], chunk.hashes[first:last]):
+        if hv < p:
+            offer(x, y, hv)
             p = sketch.p
-            e += 1
-            s += 1
-            if s == hi:
-                s = lo
-            hv = (hx[s] - h2t) & MASK64
-        emitted += e - below
-        inner += e + (e < m)
-    return ScanCounters(inner, emitted)

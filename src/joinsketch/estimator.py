@@ -1,8 +1,8 @@
 """End-to-end size estimation runs.
 
 A run draws fresh pair-hash parameters, picks the initial threshold, sorts
-the groups chunk by chunk, drives the per-group scans into one
-k-minimum-values sketch and converts the outcome:
+the groups chunk by chunk into arrays of candidate pairs, offers them group
+by group to one k-minimum-values sketch and converts the outcome:
 
 * sketch filled: point estimate  z_hat = k / v  from the k-th smallest hash v;
 * sketch not filled, threshold reached 1: the sketch holds every distinct
@@ -108,9 +108,10 @@ class WorkCounters:
 
     ``passes`` counts passes over the chunks, ``sorted_elements`` tuples
     sorted (every tuple once per pass), ``inner_iterations`` probes of the
-    pair hash: one per pair walked, below the floor or emitted, plus the one
-    that stops a column before a full cycle, made in the chunk sort for a
-    skipped column.
+    pair hash: one per pair below the floor or emitted, plus one per column
+    per pass, the probe that skips or stops it.  A column whose pairs all
+    lie below the threshold pays that probe too, though nothing is left to
+    stop it.
     """
 
     passes: int = 0
@@ -199,18 +200,17 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
     if cfg.threshold_mode == MODE_START_AT_ONE:
         p = min(p0, max(1, 2 * k * hashing.GRID // grouped.total_product))
     state = KMinState(k, p)
-    floor = passes = inner = emitted = 0
+    floor = passes = probes = 0
     bounds = chunk_bounds(grouped)
     while True:
         passes += 1
         for lo, hi in zip(bounds, bounds[1:]):
-            # A column skipped at the chunk's threshold took one probe.
-            chunk = sort_group(grouped, lo, hi, pair_hash, state.p)
-            inner += chunk.skipped
+            chunk = sort_group(grouped, lo, hi, pair_hash, state.p, floor)
+            probes += chunk.probes
             for g in range(hi - lo):
-                counters = scan_group(chunk, g, state, floor)
-                inner += counters.inner_iterations
-                emitted += counters.emitted
+                scan_group(chunk, g, state)
+            # Free the candidates before the next chunk gathers its own.
+            del chunk
         outcome = state.finalize()
         if outcome.filled or state.p >= p0:
             break
@@ -219,7 +219,7 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
         floor = state.p
         state.p = min(p0, max(4 * floor, 2 * k * floor // max(outcome.count, 1)))
     work = WorkCounters(passes=passes, sorted_elements=passes * grouped.tuple_count,
-                        inner_iterations=inner, emitted_pairs=emitted,
+                        inner_iterations=probes + state.offers, emitted_pairs=state.offers,
                         accepted_offers=state.accepted, combine_calls=state.combines)
 
     done = dict(k=k, p0=p0, work_per_run=(work,))

@@ -56,10 +56,11 @@ def combine(hashes: np.ndarray, pairs: np.ndarray, new_hashes: np.ndarray,
     q = np.concatenate((pairs, new_pairs))[order]
     del order
     same, run = tie_runs(h)  # same: entry equals its predecessor
-    if run.size:
-        # Only runs of equal hashes still need ordering by pair: a pair
-        # offered twice, or distinct pairs whose hashes collide.  A lexsort
-        # of both whole columns would cost about ten argsorts of the hash.
+    # Only runs of equal hashes that hold two different pairs (distinct
+    # pairs whose hashes collide) still need ordering by pair; a run that
+    # repeats one pair offered twice is in order already.  A lexsort of
+    # both whole columns would cost about ten argsorts of the hash.
+    if run.size and (same[1:] & (q[1:] != q[:-1])).any():
         q[run] = q[run][np.lexsort((q[run], h[run]))]
         same[1:] &= q[1:] == q[:-1]
     kept = np.flatnonzero(~same)
@@ -75,7 +76,7 @@ class KMinState:
     """Mutable sketch state for one estimator run (single owner, no sharing)."""
 
     __slots__ = ("k", "p", "hashes", "pairs", "new_hashes", "new_pairs",
-                 "accepted", "combines")
+                 "offers", "accepted", "combines")
 
     def __init__(self, k: int, p0: int):
         if k < 1:
@@ -90,6 +91,7 @@ class KMinState:
         self.pairs = np.empty(0, dtype=np.uint64)
         self.new_hashes = array("Q")
         self.new_pairs = array("Q")
+        self.offers = 0  # offers merged so far
         self.accepted = 0  # distinct pairs that entered the sketch
         self.combines = 0
 
@@ -111,6 +113,7 @@ class KMinState:
         self.p, self.hashes, self.pairs, distinct = combine(
             self.hashes, self.pairs, np.frombuffer(self.new_hashes, dtype=np.uint64),
             np.frombuffer(self.new_pairs, dtype=np.uint64), self.k, self.p)
+        self.offers += len(self.new_hashes)
         self.new_hashes = array("Q")
         self.new_pairs = array("Q")
         self.accepted += distinct - held

@@ -1,9 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 
-from joinsketch import PairwiseHash, enumerator, group_and_prune
-from joinsketch.enumerator import SortedChunk, chunk_bounds, scan_group, sort_group
+from joinsketch import (MODE_START_AT_ONE, EstimatorConfig, PairwiseHash, Relation, Side,
+                        enumerator, group_and_prune)
+from joinsketch.enumerator import chunk_bounds, scan_group, sort_group
+from joinsketch.estimator import run_once
 from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, spawn_rng
 from joinsketch.relation import chunk_starts, offsets
 
@@ -11,18 +14,23 @@ from conftest import (FixedThreshold, a_run_pairs, greedy_chunks, group_values, 
                       single_group)
 
 
-def sort_one(A, C, pair_hash, p=GRID):
-    return sort_group(single_group(A, C), 0, 1, pair_hash, p)
+def sort_one(A, C, pair_hash, p=GRID, floor=0):
+    return sort_group(single_group(A, C), 0, 1, pair_hash, p, floor)
+
+
+def listing(chunk):
+    """A chunk's candidates as (x, y, hash) triples, its group offsets and
+    its probes."""
+    return list(zip(chunk.xs, chunk.ys, chunk.hashes)), chunk.offsets, chunk.probes
 
 
 def collect(A, C, pair_hash, p):
-    """Pairs offered for one group at fixed threshold p, its probes (the
-    skipped columns' and the walk's) and the emitted count."""
+    """Pairs offered for one group at fixed threshold p, its probes (one per
+    column and one per emitted pair) and the chunk."""
     chunk = sort_one(A, C, pair_hash, p)
     sketch = FixedThreshold(p)
-    counters = scan_group(chunk, 0, sketch)
-    assert counters.emitted == len(sketch.pairs)
-    return sketch.pairs, chunk.skipped + counters.inner_iterations, chunk
+    scan_group(chunk, 0, sketch)
+    return sketch.pairs, chunk.probes + len(sketch.pairs), chunk
 
 
 def brute(pair_hash, A, C, p):
@@ -37,54 +45,64 @@ def random_group(rng, max_side=100, value_range=5000):
     return rng.sample(range(value_range), na), rng.sample(range(value_range), nc)
 
 
-def assert_columns_start_at_minima(chunk):
-    for g in range(len(chunk.left_offsets) - 1):
-        lo, hi = chunk.left_offsets[g], chunk.left_offsets[g + 1]
-        for j in range(chunk.kept_offsets[g], chunk.kept_offsets[g + 1]):
-            column = [(h - chunk.y_hashes[j]) & MASK64 for h in chunk.x_hashes[lo:hi]]
-            assert lo <= chunk.starts[j] < hi
-            assert column[chunk.starts[j] - lo] == min(column)
+def assert_columns_start_at_minima(chunk, grouped, lo, pair_hash):
+    """Each column's candidates at floor 0 start at its smallest pair hash
+    and ascend."""
+    triples, group_offsets, _ = listing(chunk)
+    for g in range(len(group_offsets) - 1):
+        A, _ = group_values(grouped, lo + g)
+        hx = pair_hash.h1.values(A)
+        candidates = triples[group_offsets[g]:group_offsets[g + 1]]
+        for y in dict.fromkeys(y for _, y, _ in candidates):
+            column = [hv for _, cy, hv in candidates if cy == y]
+            assert column == sorted(column)
+            hy = pair_hash.h2.values(np.array([y], dtype=np.uint64))
+            assert column[0] == int((hx - hy).min())
 
 
 def test_sort_group_singleton():
-    g = sort_one([7], [3], draw_pair_hash(spawn_rng(1)))
-    assert g.xs == [7] and g.ys == [3]
-    assert g.left_offsets == [0, 1] and g.kept_offsets == [0, 1] and g.starts == [0]
+    h = draw_pair_hash(spawn_rng(1))
+    g = sort_one([7], [3], h)
+    hv = h.h1.values(np.array([7], dtype=np.uint64)) - h.h2.values(np.array([3], dtype=np.uint64))
+    assert listing(g) == ([(7, 3, int(hv[0]))], [0, 1], 1)
 
 
 def test_sort_group_orders_by_hash():
     # Identity parameters make the hash equal to the value.
     h = PairHash(PairwiseHash(1, 0), PairwiseHash(1, 0))
     g = sort_one([9, 1, 5], [20, 10], h)
-    assert g.xs == [1, 5, 9]
-    assert g.x_hashes == [1, 5, 9]
-    assert g.ys == [10, 20]
-    # Every row is below both columns, so both minima wrap to the first row.
-    assert g.starts == [0, 0]
+    # Columns in hash order; every row is below both columns, so both
+    # windows wrap to the first row and walk the rows in hash order.
+    assert listing(g)[0] == [(x, y, (x - y) & MASK64) for y in (10, 20) for x in (1, 5, 9)]
 
 
 def test_sort_group_ties_break_by_value():
     # Constant hash collides everything; the value ordering must take over.
     h = PairHash(PairwiseHash(0, 42), PairwiseHash(0, 42))
     g = sort_one([9, 1, 5], [8, 2], h)
-    assert g.xs == [1, 5, 9]
-    assert g.ys == [2, 8]
+    assert listing(g)[0] == [(x, y, 0) for y in (2, 8) for x in (1, 5, 9)]
     # Enough ties, out of order across groups, that an unstable sort would
     # reorder them.
     grouped = group_and_prune(*random_instance(random.Random(12), max_each=2000, b_range=4,
                                                a_range=10**6, c_range=10**6))
     g = sort_group(grouped, 0, len(grouped), h, GRID)
-    assert g.xs == grouped.left_values.tolist() and g.ys == grouped.right_values.tolist()
+    sides = [group_values(grouped, i) for i in range(len(grouped))]
+    xs = np.concatenate([np.tile(A, C.size) for A, C in sides])
+    ys = np.concatenate([np.repeat(C, A.size) for A, C in sides])
+    assert np.array_equal(np.asarray(g.xs), xs) and np.array_equal(np.asarray(g.ys), ys)
+    assert not np.asarray(g.hashes).any()
 
 
 def test_single_row_group_degenerate_wrap():
     h = PairHash(PairwiseHash(0, int(0.4 * GRID)), PairwiseHash(0, 0))
     got, probes, chunk = collect([5], [1, 2], h, int(0.5 * GRID))
     assert got == [(5, 1), (5, 2)]
-    assert probes == 2 and chunk.skipped == 0
+    # One probe per column, also for a column walked all the way round, and
+    # one per emitted pair.
+    assert probes == 4 and chunk.offsets == [0, 2]
     got, probes, chunk = collect([5], [1, 2], h, int(0.3 * GRID))
     assert got == []
-    assert probes == 2 and chunk.skipped == 2
+    assert probes == 2 and chunk.offsets == [0, 0]
 
 
 def test_threshold_one_emits_every_pair_from_each_column_minimum():
@@ -92,13 +110,16 @@ def test_threshold_one_emits_every_pair_from_each_column_minimum():
     for trial in range(40):
         A, C = random_group(rng, max_side=30, value_range=500)
         h = draw_pair_hash(spawn_rng(1000 + trial))
-        got, _, g = collect(A, C, h, GRID)
-        m = len(g.xs)
+        got, _, _ = collect(A, C, h, GRID)
+        hx = dict(zip(A, h.h1.values(np.array(A, dtype=np.uint64)).tolist()))
+        hy = dict(zip(C, h.h2.values(np.array(C, dtype=np.uint64)).tolist()))
+        rows = sorted(A, key=lambda x: (hx[x], x))
+        m = len(rows)
         expected = []
-        for t in range(len(g.ys)):
-            column = [(g.x_hashes[s] - g.y_hashes[t]) & MASK64 for s in range(m)]
+        for y in sorted(C, key=lambda y: (hy[y], y)):
+            column = [(hx[x] - hy[y]) & MASK64 for x in rows]
             start = column.index(min(column))
-            expected.extend((g.xs[(start + i) % m], g.ys[t]) for i in range(m))
+            expected.extend((rows[(start + i) % m], y) for i in range(m))
         assert got == expected
 
 
@@ -108,8 +129,8 @@ def test_threshold_zero_emits_nothing():
         A, C = random_group(rng, max_side=40)
         got, probes, chunk = collect(A, C, draw_pair_hash(spawn_rng(2000 + trial)), 0)
         assert got == []
-        assert probes == chunk.skipped == len(C)
-        assert chunk.ys == chunk.xs == []
+        assert probes == len(C)
+        assert chunk.offsets == [0, 0] and len(chunk.xs) == len(chunk.hashes) == 0
 
 
 def test_fixed_threshold_matches_brute_force():
@@ -122,9 +143,9 @@ def test_fixed_threshold_matches_brute_force():
         got, probes, chunk = collect(A, C, h, p)
         assert len(got) == len(set(got))
         assert set(got) == brute(h, A, C, p)
-        assert_columns_start_at_minima(chunk)
-        # One probe per emitted pair, plus at most one that stops a column.
-        assert len(got) <= probes <= len(got) + len(C)
+        assert_columns_start_at_minima(chunk, single_group(A, C), 0, h)
+        # One probe per column, plus one per emitted pair.
+        assert probes == len(got) + len(C)
 
 
 class TighteningThreshold(FixedThreshold):
@@ -203,12 +224,13 @@ def test_chunk_bounds_cover_every_group_once(monkeypatch):
         assert chunk_bounds(grouped) == list(range(len(grouped) + 1))
 
 
-def reference_chunk(grouped, lo, hi, pair_hash, p):
-    """``sort_group`` in plain Python: each group's sides in sorted (hash,
-    side, value) order, side 0 for columns, and rows only for the groups
-    that keep a column."""
-    xs, x_hashes, left_offsets, ys, y_hashes, starts, kept_offsets = [], [], [0], [], [], [], [0]
-    skipped = 0
+def reference_chunk(grouped, lo, hi, pair_hash, p, floor=0):
+    """``listing(sort_group(...))`` in plain Python.  Each group's sides go
+    in sorted (hash, side, value) order, side 0 for columns.  Every column
+    is walked once round its group's rows, from the first row sorted after
+    it; its pairs in [floor, p) are its candidates in walk order.  A column
+    costs one probe, and so does each of its pairs below the floor."""
+    triples, group_offsets, probes = [], [0], 0
     for g in range(lo, hi):
         A, C = group_values(grouped, g)
         merged = sorted([(h, 1, x) for h, x in zip(pair_hash.h1.values(A).tolist(), A.tolist())]
@@ -219,19 +241,16 @@ def reference_chunk(grouped, lo, hi, pair_hash, p):
             if side:
                 before += 1
                 continue
-            start = before % len(rows)
-            if p >= GRID or (rows[start][0] - h) & MASK64 < p:
-                ys.append(y)
-                y_hashes.append(h)
-                starts.append(len(xs) + start)
-            else:
-                skipped += 1
-        if len(ys) > kept_offsets[-1]:
-            x_hashes.extend(h for h, _ in rows)
-            xs.extend(x for _, x in rows)
-        left_offsets.append(len(xs))
-        kept_offsets.append(len(ys))
-    return SortedChunk(xs, x_hashes, left_offsets, ys, y_hashes, starts, kept_offsets, skipped)
+            probes += 1
+            for i in range(len(rows)):
+                hx, x = rows[(before + i) % len(rows)]
+                hv = (hx - h) & MASK64
+                if hv < floor:
+                    probes += 1
+                elif hv < p:
+                    triples.append((x, y, hv))
+        group_offsets.append(len(triples))
+    return triples, group_offsets, probes
 
 
 def tie_prone_hashes(rng, trial):
@@ -248,6 +267,23 @@ def tie_prone_hashes(rng, trial):
             PairHash(top(), top())]
 
 
+
+
+def assert_chunks_match_the_reference(grouped, h, p, floor):
+    """The whole instance as one chunk lists what ``reference_chunk`` lists,
+    and each group sorted alone offers what it offers inside the chunk."""
+    whole = sort_group(grouped, 0, len(grouped), h, p, floor)
+    assert listing(whole) == reference_chunk(grouped, 0, len(grouped), h, p, floor)
+    if not floor:
+        assert_columns_start_at_minima(whole, grouped, 0, h)
+    for g in range(len(grouped)):
+        alone, together = FixedThreshold(p), FixedThreshold(p)
+        scan_group(sort_group(grouped, g, g + 1, h, p, floor), 0, alone)
+        scan_group(whole, g, together)
+        assert alone.pairs == together.pairs
+    return whole
+
+
 def test_a_chunk_offers_what_its_groups_offer_one_by_one():
     rng = random.Random(19)
     for trial in range(40):
@@ -256,14 +292,43 @@ def test_a_chunk_offers_what_its_groups_offer_one_by_one():
             continue
         for h in tie_prone_hashes(rng, trial):
             p = rng.choice([0, 1 << 60, 1 << 62, 1 << 63, GRID])
-            whole = sort_group(grouped, 0, len(grouped), h, p)
-            assert whole == reference_chunk(grouped, 0, len(grouped), h, p)
-            assert_columns_start_at_minima(whole)
-            for g in range(len(grouped)):
-                alone, together = FixedThreshold(p), FixedThreshold(p)
-                one = sort_group(grouped, g, g + 1, h, p)
-                assert scan_group(one, 0, alone) == scan_group(whole, g, together)
-                assert alone.pairs == together.pairs
+            assert_chunks_match_the_reference(grouped, h, p, rng.choice([0, p // 4]))
+
+
+def test_candidates_match_the_reference_at_every_threshold_and_floor():
+    rng = random.Random(21)
+    for trial in range(12):
+        # Half the instances give every join value one left value, so every
+        # group has a single row.
+        a_range = rng.choice([30, 2**31])
+        r1, r2 = random_instance(rng, max_each=120, a_range=a_range, b_range=rng.choice([4, 30]))
+        if trial % 2:
+            r1 = Relation.from_pairs(Side.LEFT, {(b * 7 + 1, b) for _, b in r1.tuples})
+        grouped = group_and_prune(r1, r2)
+        if not len(grouped):
+            continue
+        if trial % 2:
+            assert (np.diff(grouped.left_offsets) == 1).all()
+        for h in tie_prone_hashes(rng, 100 + trial):
+            for p in (0, 1, 1 << 60, 1 << 63, GRID - 1, GRID):
+                for floor in (0, p // 4):
+                    assert_chunks_match_the_reference(grouped, h, p, floor)
+
+
+def test_windows_wrap_past_two_to_the_64():
+    # h1(x) = x - 100 and h2 = -50 (mod 2**64), so every pair hashes to
+    # x - 50 and a window [h2, h2 + p) with p > 50 wraps past 2**64: rows
+    # with x < 100 lie above h2 and rows with x >= 100 below it.
+    h = PairHash(PairwiseHash(1, GRID - 100), PairwiseHash(0, GRID - 50))
+    A = [10, 49, 50, 60, 99, 120, 149, 150, 200]
+    for p, floor, want in ((1, 0, [50]), (100, 0, [50, 60, 99, 120, 149]),
+                           (100, 20, [99, 120, 149]),
+                           # x = 49 hashes to GRID - 1 itself.
+                           (GRID - 1, 60, [120, 149, 150, 200, 10])):
+        triples, _, probes = listing(sort_one(A, [7], h, p, floor))
+        assert triples == [(x, 7, (x - 50) & MASK64) for x in want], (p, floor)
+        assert probes == 1 + sum((x - 50) & MASK64 < floor for x in A)
+        assert triples == reference_chunk(single_group(A, [7]), 0, 1, h, p, floor)[0]
 
 
 def test_groups_that_keep_no_column_get_no_rows():
@@ -282,16 +347,35 @@ def test_groups_that_keep_no_column_get_no_rows():
         if lowest[0] == lowest[-1]:
             continue
         p = rng.choice([x for x in lowest if x > lowest[0]])
-        chunk = sort_group(grouped, 0, len(grouped), h, p)
-        assert chunk == reference_chunk(grouped, 0, len(grouped), h, p)
-        assert_columns_start_at_minima(chunk)
-        idle = [g for g in range(len(grouped)) if chunk.kept_offsets[g] == chunk.kept_offsets[g + 1]]
+        chunk = assert_chunks_match_the_reference(grouped, h, p, 0)
+        idle = [g for g in range(len(grouped)) if chunk.offsets[g] == chunk.offsets[g + 1]]
         assert 0 < len(idle) < len(grouped)
-        for g, (A, _) in enumerate(sides):
-            rows = chunk.left_offsets[g + 1] - chunk.left_offsets[g]
-            assert rows == (0 if g in idle else A.size)
-            alone, together = FixedThreshold(p), FixedThreshold(p)
-            one = sort_group(grouped, g, g + 1, h, p)
-            assert scan_group(one, 0, alone) == scan_group(chunk, g, together)
-            assert alone.pairs == together.pairs
-            assert (alone.pairs == []) == (g in idle)
+        for g, (A, C) in enumerate(sides):
+            lowest_here = int((h.h1.values(A)[:, None] - h.h2.values(C)[None, :]).min())
+            assert (g in idle) == (lowest_here >= p)
+
+
+def test_a_run_holds_one_chunk_of_candidates_at_a_time():
+    # 100 groups join the same 40 left values to the same 40 right values:
+    # 160k pair occurrences of 1,600 distinct pairs.  With k above that, a
+    # start-at-one run widens to threshold 1 and offers every occurrence.
+    rng = random.Random(22)
+    A, C = rng.sample(range(2**31, 2**32), 40), rng.sample(range(2**31, 2**32), 40)
+    grouped = group_and_prune(
+        Relation.from_pairs(Side.LEFT, [(a, b) for b in range(100) for a in A]),
+        Relation.from_pairs(Side.RIGHT, [(b, c) for b in range(100) for c in C]))
+    cfg = EstimatorConfig(k=2048, threshold_mode=MODE_START_AT_ONE, seed=1)
+    bounds = chunk_bounds(grouped)
+    # A chunk lists at most its groups' products in one pass.
+    chunk_products = np.add.reduceat(grouped.products, bounds[:-1])
+    tracemalloc.start()
+    try:
+        est = run_once(grouped, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.count == 1600 and est.work.emitted_pairs == grouped.total_product >= 100_000
+    # A candidate takes 24 B in numpy, twice over while the chunk gathers
+    # its arrays; as three Python ints in lists it took about 150 B.
+    bound = 256 * grouped.tuple_count + 64 * cfg.k + 2 * 24 * int(chunk_products.max())
+    assert peak <= bound, (peak, bound)
