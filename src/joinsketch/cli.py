@@ -134,6 +134,19 @@ def _shape(grouped: GroupedInput) -> dict:
     }
 
 
+def _schedule(est: Estimate) -> dict:
+    """The first pass's threshold and the start-at-one pilot behind it,
+    which the runs of one call share; null where nothing was sampled."""
+    pilot = est.pilot
+    return {
+        "first_p": est.first_p / hashing.GRID,
+        "first_p_raw": est.first_p,
+        "pilot_occurrences": None if pilot is None else pilot.occurrences,
+        "distinct_share": None if pilot is None else pilot.distinct_share,
+        "distinct_share_se": None if pilot is None else pilot.standard_error,
+    }
+
+
 def _estimate_report(est: Estimate, cfg: EstimatorConfig, grouped: GroupedInput) -> dict:
     return {
         "command": "estimate",
@@ -144,6 +157,7 @@ def _estimate_report(est: Estimate, cfg: EstimatorConfig, grouped: GroupedInput)
         "epsilon": cfg.epsilon,
         "p0": est.p0 / hashing.GRID,
         "p0_raw": est.p0,
+        **_schedule(est),
         "v_raw": est.v,
         "threshold_mode": cfg.threshold_mode,
         "runs": cfg.runs,
@@ -286,6 +300,7 @@ def cmd_sample_estimate(args) -> int:
     left, right = (first, second) if side is Side.LEFT else (second, first)
     cfg = _config_from_args(args)
     result = sampling.estimate_from_samples(left, right, cfg, exact_cutoff=args.exact_cutoff)
+    est = result.estimate
 
     epsilon = args.epsilon if args.epsilon is not None else math.sqrt(9.0 / cfg.resolved_k)
     s = min(left.prob * left.source_tuples, right.prob * right.source_tuples)
@@ -314,6 +329,10 @@ def cmd_sample_estimate(args) -> int:
             "beta": beta,
             "upper_bound_regime": upper_bound_regime,
             "seed": cfg.seed,
+            # The inner sketch's outcome; null when the sampled join was
+            # counted exactly.
+            "estimate": None if est is None else {
+                "kind": est.kind, "count": est.count, "v_raw": est.v, **_schedule(est)},
         },
         args.json,
     )

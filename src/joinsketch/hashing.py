@@ -114,10 +114,11 @@ def draw_pair_hash(rng: np.random.Generator, family: str = WRAPPING64) -> PairHa
     return PairHash(draw_single(rng, family), draw_single(rng, family))
 
 
-# Disjoint spawn-key namespaces keep estimator-run streams and sample-selector
-# streams independent even when their indices collide.
+# Disjoint spawn-key namespaces keep estimator-run streams, sample-selector
+# streams and the pilot's stream independent even when their indices collide.
 _RUN_SPACE = 0
 _SELECTOR_SPACE = 1
+_PILOT_SPACE = 2
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
@@ -134,3 +135,8 @@ def run_rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
 def selector_rng(seed: int, side_index: int) -> np.random.Generator:
     """Generator stream for a sampling selector on the given side (0=left, 1=right)."""
     return spawn_rng(seed, _SELECTOR_SPACE, side_index)
+
+
+def pilot_rng(seed: int) -> np.random.Generator:
+    """Generator stream for the estimator's pilot sample."""
+    return spawn_rng(seed, _PILOT_SPACE)

@@ -11,8 +11,10 @@ and both hash families.  Run it against each checkout and diff the output:
     diff old.jsonl new.jsonl
 
 ``--drop inner_iterations`` leaves a counter out, for a change that
-redefines it.  The script uses only the public estimator API, so it runs
-against older checkouts too.
+redefines it.  ``--outcomes-only`` prints only ``kind``, ``v``, ``count`` and
+``value`` after the configuration, for a change to the threshold schedule,
+which moves every work counter but no outcome.  The script uses only the
+public estimator API, so it runs against older checkouts too.
 """
 
 from __future__ import annotations
@@ -36,10 +38,15 @@ FAMILIES = ("wrapping64", "mersenne61")
 
 
 def signature(grouped, cfg: EstimatorConfig, key_prefix=(), drop=()) -> dict:
+    """The outcome and the work of every run; ``drop`` names the counters to
+    leave out, or is None to leave out the work altogether."""
     est = estimate_median(grouped, cfg, key_prefix=key_prefix)
+    outcome = {"kind": est.kind, "v": est.v, "count": est.count, "value": est.value}
+    if drop is None:
+        return outcome
     work = [{name: value for name, value in vars(w).items() if name not in drop}
             for w in est.work_per_run]
-    return {"kind": est.kind, "v": est.v, "count": est.count, "value": est.value, "work": work}
+    return {**outcome, "work": work}
 
 
 def workload_signatures(seeds, keys=1, scale=1.0, drop=()):
@@ -99,8 +106,10 @@ def main(argv=None) -> int:
                         help="random instances, four configurations each (default 250)")
     parser.add_argument("--drop", action="append", default=[], metavar="COUNTER",
                         help="leave this work counter out (repeatable)")
+    parser.add_argument("--outcomes-only", action="store_true",
+                        help="print the outcomes without any work counter")
     args = parser.parse_args(argv)
-    drop = tuple(args.drop)
+    drop = None if args.outcomes_only else tuple(args.drop)
     for line in workload_signatures(args.seeds, args.keys, args.scale, drop):
         print(json.dumps(line, sort_keys=True))
     for line in random_signatures(args.random, drop):

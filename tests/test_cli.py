@@ -486,6 +486,50 @@ def test_sample_estimate_sketch_path_matches_estimate(capsys, tmp_path, tiny_pai
     assert sampled["value"] == direct["value"]
 
 
+SCHEDULE = ("first_p", "first_p_raw", "pilot_occurrences", "distinct_share",
+            "distinct_share_se")
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_estimate_json_reports_the_pilot_and_first_threshold(capsys, tiny_pair):
+    left, right = tiny_pair
+    argv = ["estimate", "--left", str(left), "--right", str(right), "-k", "16", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    report = strict_json(out)
+    # Three pair occurrences, all sampled and distinct: the first pass, at
+    # c k / 3 with c = 1 + 3 / 4, is capped at 1.
+    assert [report[key] for key in SCHEDULE] == [1.0, 1 << 64, 3, 1.0, 0.0]
+    code, out, err = run_cli(capsys, argv + ["--threshold-mode", "linear"])
+    assert code == 0, err
+    linear = strict_json(out)
+    assert [linear[key] for key in SCHEDULE] == [linear["p0"], linear["p0_raw"], None, None, None]
+
+
+def test_sample_estimate_json_nests_the_inner_estimate(capsys, tmp_path, tiny_pair):
+    ls, rs = _make_samples(capsys, tmp_path, tiny_pair)
+    left, right = tiny_pair
+    argv = ["sample-estimate", str(ls), str(rs), "-k", "2", "--seed", "4", "--json"]
+    code, out, err = run_cli(capsys, argv + ["--exact-cutoff", "0"])
+    assert code == 0, err
+    nested = strict_json(out)["estimate"]
+    direct = run_json(
+        capsys,
+        ["estimate", "--left", str(left), "--right", str(right), "-k", "2", "--seed", "4"],
+    )
+    assert nested == {key: direct[key] for key in ("kind", "count", "v_raw", *SCHEDULE)}
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    exact = strict_json(out)
+    assert exact["method"] == "exact" and exact["estimate"] is None
+
+
 def test_sample_estimate_accepts_swapped_order(capsys, tmp_path, tiny_pair):
     ls, rs = _make_samples(capsys, tmp_path, tiny_pair)
     a = run_json(capsys, ["sample-estimate", str(ls), str(rs), "-k", "16", "--seed", "1"])

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from joinsketch import (
     EXACT_SMALL,
+    FIMI,
     MODE_LINEAR,
     MODE_START_AT_ONE,
     POINT,
@@ -17,9 +19,11 @@ from joinsketch import (
     estimate_median,
     exact_size,
     group_and_prune,
+    parse_relation,
 )
 from joinsketch import enumerator
-from joinsketch.estimator import choose_threshold, median_by_value, run_once
+from joinsketch.estimator import (PILOT_OCCURRENCES, Pilot, choose_threshold, draw_pilot,
+                                  first_threshold, median_by_value, pilot_below_top, run_once)
 from joinsketch.hashing import GRID, draw_pair_hash, run_rng
 from joinsketch.kmin import KMinState
 from joinsketch.oracle import exact_kth_hash
@@ -323,7 +327,8 @@ def _golden_instances():
 # combine_calls) of a median of three runs with k = 4, 16 or 64, recorded
 # from the group-by-group scan that the chunked scan replaced.  The work
 # columns of the start-at-one rows were recorded again when that mode began
-# at p = 2k / total_product and widened in passes; kind, v and count held.
+# at p = 2k / total_product and widened in passes, and again when a pilot's
+# distinct share aimed the first pass at c k / z; kind, v and count held.
 GOLDEN = {
     (0, 'linear', 'wrapping64'): ('upper_bound', None, None, 1, 1, 3),
     (0, 'linear', 'mersenne61'): ('upper_bound', None, None, 1, 1, 3),
@@ -331,12 +336,12 @@ GOLDEN = {
     (0, 'start-at-one', 'mersenne61'): ('exact_small', None, 3, 9, 9, 3),
     (1, 'linear', 'wrapping64'): ('point', 192517619329331022, None, 183, 174, 13),
     (1, 'linear', 'mersenne61'): ('point', 192517619329331016, None, 183, 174, 13),
-    (1, 'start-at-one', 'wrapping64'): ('point', 192517619329331022, None, 82, 75, 6),
-    (1, 'start-at-one', 'mersenne61'): ('point', 192517619329331016, None, 82, 75, 6),
+    (1, 'start-at-one', 'wrapping64'): ('point', 192517619329331022, None, 79, 72, 6),
+    (1, 'start-at-one', 'mersenne61'): ('point', 192517619329331016, None, 79, 72, 6),
     (2, 'linear', 'wrapping64'): ('upper_bound', None, None, 12, 12, 3),
     (2, 'linear', 'mersenne61'): ('upper_bound', None, None, 12, 12, 3),
-    (2, 'start-at-one', 'wrapping64'): ('point', 4404420784801294742, None, 356, 356, 6),
-    (2, 'start-at-one', 'mersenne61'): ('point', 4404420783237190146, None, 356, 356, 6),
+    (2, 'start-at-one', 'wrapping64'): ('point', 4404420784801294742, None, 253, 253, 6),
+    (2, 'start-at-one', 'mersenne61'): ('point', 4404420783237190146, None, 253, 253, 6),
     (3, 'linear', 'wrapping64'): ('point', 10128892843752452, None, 49, 49, 14),
     (3, 'linear', 'mersenne61'): ('point', 10128893800776464, None, 49, 49, 14),
     (3, 'start-at-one', 'wrapping64'): ('point', 10128892843752452, None, 22, 22, 7),
@@ -347,32 +352,32 @@ GOLDEN = {
     (4, 'start-at-one', 'mersenne61'): ('exact_small', None, 0, 0, 0, 0),
     (5, 'linear', 'wrapping64'): ('upper_bound', None, None, 33, 32, 3),
     (5, 'linear', 'mersenne61'): ('upper_bound', None, None, 33, 32, 3),
-    (5, 'start-at-one', 'wrapping64'): ('point', 1250608086697260023, None, 387, 368, 8),
-    (5, 'start-at-one', 'mersenne61'): ('point', 1250608086697259385, None, 387, 368, 8),
+    (5, 'start-at-one', 'wrapping64'): ('point', 1250608086697260023, None, 294, 277, 6),
+    (5, 'start-at-one', 'mersenne61'): ('point', 1250608086697259385, None, 294, 277, 6),
     (6, 'linear', 'wrapping64'): ('point', 273650612673254683, None, 47, 47, 14),
     (6, 'linear', 'mersenne61'): ('point', 273650612673254601, None, 47, 47, 14),
-    (6, 'start-at-one', 'wrapping64'): ('point', 273650612673254683, None, 19, 19, 7),
-    (6, 'start-at-one', 'mersenne61'): ('point', 273650612673254601, None, 19, 19, 7),
+    (6, 'start-at-one', 'wrapping64'): ('point', 273650612673254683, None, 20, 20, 7),
+    (6, 'start-at-one', 'mersenne61'): ('point', 273650612673254601, None, 20, 20, 7),
     (7, 'linear', 'wrapping64'): ('point', 312986188108408929, None, 114, 112, 9),
     (7, 'linear', 'mersenne61'): ('point', 312986188108408856, None, 114, 112, 9),
-    (7, 'start-at-one', 'wrapping64'): ('point', 312986188108408929, None, 85, 83, 7),
-    (7, 'start-at-one', 'mersenne61'): ('point', 312986188108408856, None, 85, 83, 7),
+    (7, 'start-at-one', 'wrapping64'): ('point', 312986188108408929, None, 82, 80, 6),
+    (7, 'start-at-one', 'mersenne61'): ('point', 312986188108408856, None, 82, 80, 6),
     (8, 'linear', 'wrapping64'): ('upper_bound', None, None, 0, 0, 3),
     (8, 'linear', 'mersenne61'): ('upper_bound', None, None, 0, 0, 3),
     (8, 'start-at-one', 'wrapping64'): ('exact_small', None, 1, 3, 3, 3),
     (8, 'start-at-one', 'mersenne61'): ('exact_small', None, 1, 3, 3, 3),
     (9, 'linear', 'wrapping64'): ('point', 8272164375868444, None, 26, 26, 8),
     (9, 'linear', 'mersenne61'): ('point', 8272162248658544, None, 26, 26, 8),
-    (9, 'start-at-one', 'wrapping64'): ('point', 8272164375868444, None, 24, 24, 8),
-    (9, 'start-at-one', 'mersenne61'): ('point', 8272162248658544, None, 24, 24, 8),
+    (9, 'start-at-one', 'wrapping64'): ('point', 8272164375868444, None, 26, 26, 8),
+    (9, 'start-at-one', 'mersenne61'): ('point', 8272162248658544, None, 26, 26, 8),
     (10, 'linear', 'wrapping64'): ('point', 19629127703516613, None, 282, 282, 20),
     (10, 'linear', 'mersenne61'): ('point', 19629128380821704, None, 282, 282, 20),
-    (10, 'start-at-one', 'wrapping64'): ('point', 19629127703516613, None, 92, 92, 8),
-    (10, 'start-at-one', 'mersenne61'): ('point', 19629128380821704, None, 92, 92, 8),
+    (10, 'start-at-one', 'wrapping64'): ('point', 19629127703516613, None, 82, 82, 6),
+    (10, 'start-at-one', 'mersenne61'): ('point', 19629128380821704, None, 82, 82, 6),
     (11, 'linear', 'wrapping64'): ('point', 95841950032781603, None, 461, 461, 9),
     (11, 'linear', 'mersenne61'): ('point', 95841955687657120, None, 461, 461, 9),
-    (11, 'start-at-one', 'wrapping64'): ('point', 95841950032781603, None, 384, 384, 8),
-    (11, 'start-at-one', 'mersenne61'): ('point', 95841955687657120, None, 384, 384, 8),
+    (11, 'start-at-one', 'wrapping64'): ('point', 95841950032781603, None, 272, 272, 6),
+    (11, 'start-at-one', 'mersenne61'): ('point', 95841955687657120, None, 272, 272, 6),
 }
 
 
@@ -430,6 +435,11 @@ def _schedule_instances():
     yield disjoint_instance(20, 6, 7)
 
 
+# A share no input exceeds: the first pass lists about c k occurrences,
+# which hold fewer than k distinct pairs wherever pairs repeat.
+OVERESTIMATE = Pilot(1, 1.0, 0.0)
+
+
 @pytest.mark.parametrize("family", ["wrapping64", "mersenne61"])
 def test_start_at_one_passes_give_the_outcome_of_one_pass_at_one(family):
     ratios, passes = [], []
@@ -442,22 +452,116 @@ def test_start_at_one_passes_give_the_outcome_of_one_pass_at_one(family):
         for k in (1, 5, 32, 200):
             cfg = EstimatorConfig(k=k, threshold_mode=MODE_START_AT_ONE, seed=8500 + i,
                                   family=family)
-            est = run_once(g, cfg)
             want = exact_kth_hash(g, draw_pair_hash(run_rng(cfg.seed, (0,)), family), k)
             assert single_pass_at_one(g, cfg) == want, (i, k)
-            if want.filled:
-                assert (est.kind, est.v, est.count) == (POINT, want.v, None), (i, k)
-                assert est.value == (k << 64) / want.v
-            else:
-                assert (est.kind, est.v, est.count) == (EXACT_SMALL, None, z), (i, k)
-                assert est.value == z
-            work = est.work
+            # The pilot's share, then one too high, which makes the run
+            # widen in passes.
+            for pilot in (None, OVERESTIMATE):
+                est = run_once(g, cfg, pilot=pilot)
+                if want.filled:
+                    assert (est.kind, est.v, est.count) == (POINT, want.v, None), (i, k)
+                    assert est.value == (k << 64) / want.v
+                else:
+                    assert (est.kind, est.v, est.count) == (EXACT_SMALL, None, z), (i, k)
+                    assert est.value == z
+                work = est.work
+                assert work.sorted_elements == work.passes * g.tuple_count
+                assert work.emitted_pairs <= g.total_product
+                assert work.accepted_offers <= z
+                if not want.filled:
+                    # Every pair occurrence was offered exactly once.
+                    assert work.emitted_pairs == g.total_product
             passes.append(work.passes)
-            assert work.sorted_elements == work.passes * g.tuple_count
-            assert work.emitted_pairs <= g.total_product
-            assert work.accepted_offers <= z
-            if not want.filled:
-                # Every pair occurrence was offered exactly once.
-                assert work.emitted_pairs == g.total_product
     assert min(ratios) <= 0.02 and max(ratios) == 1
     assert passes.count(1) and passes.count(2) and max(passes) >= 3
+
+
+def test_estimate_records_the_pilot_and_first_threshold_its_runs_share():
+    r1, r2 = scattered_instance(30, 20, 25, seed=8610)  # 15,000 occurrences
+    g = group_and_prune(r1, r2)
+    cfg = EstimatorConfig(k=64, runs=3, seed=8611, threshold_mode=MODE_START_AT_ONE)
+    est = estimate_median(g, cfg)
+    pilot = draw_pilot(g, cfg.seed)
+    assert est.pilot == pilot and pilot.occurrences == g.total_product  # all of them
+    assert pilot.distinct_share == 1.0 and pilot.standard_error == 0.0
+    assert est.first_p == first_threshold(g, 64, pilot) < GRID
+    # c = 1 + 3 / 8 with an exact share of 1: c k / total_product.
+    assert est.first_p == -(-11 * 64 * GRID // (8 * g.total_product))
+    for i in range(3):
+        run = run_once(g, cfg, key=(i,))
+        assert (run.pilot, run.first_p) == (pilot, est.first_p)
+    linear = estimate_median(g, replace(cfg, threshold_mode=MODE_LINEAR))
+    assert linear.pilot is None and linear.first_p == linear.p0
+    empty = estimate_median(grouped_from({(1, 1)}, {(2, 5)}), cfg)
+    assert (empty.pilot, empty.first_p) == (Pilot(0), 0)
+
+
+def _pilot_input(kind):
+    """Pairs that repeat across groups, over 3,000 left values of the given
+    kind, with more than PILOT_OCCURRENCES pair occurrences."""
+    rng = random.Random(8620)
+    m = 3000
+    if kind == "fimi":
+        # A self-join's left values are the line indices 0 to m - 1.
+        lines = (" ".join(map(str, rng.sample(range(300), rng.randint(3, 12))))
+                 for _ in range(m))
+        left = parse_relation("\n".join(lines) + "\n", FIMI, Side.LEFT)
+        return group_and_prune(left, left.mirrored())
+    values = {"contiguous": lambda: range(m), "strides": lambda: [i << 20 for i in range(m)],
+              "scattered": lambda: rng.sample(range(2**32), m)}[kind]()
+    t1 = {(rng.choice(values), b) for b in range(400) for _ in range(20)}
+    t2 = {(b, c) for b in range(400) for c in rng.sample(range(80), rng.randint(5, 25))}
+    return grouped_from(t1, t2)
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "strides", "scattered", "fimi"])
+def test_pilot_share_is_within_four_standard_errors(kind):
+    g = _pilot_input(kind)
+    r = exact_size(g).z / g.total_product
+    assert g.total_product > 4 * PILOT_OCCURRENCES and r < 0.9
+    for seed in range(6):
+        pilot = draw_pilot(g, seed)
+        assert 0 < pilot.occurrences <= PILOT_OCCURRENCES, seed
+        assert 0 < pilot.standard_error < 0.1
+        assert abs(pilot.distinct_share - r) <= 4 * pilot.standard_error, seed
+
+
+def test_pilot_samples_at_most_its_budget():
+    # Ten left values with 20,000 pair occurrences each, above the budget,
+    # and 2,000 with 40 each.
+    t1 = {(a, a % 100) for a in range(10, 2010)} | {(a, 100 + b) for a in range(10)
+                                                     for b in range(20)}
+    t2 = {(b, c) for b in range(100) for c in range(40)} | {(b, c) for b in range(100, 120)
+                                                           for c in range(1000)}
+    g = grouped_from(t1, t2)
+    assert g.total_product == 280_000
+    sampled = [draw_pilot(g, seed).occurrences for seed in range(40)]
+    assert max(sampled) <= PILOT_OCCURRENCES and min(sampled) > 0
+
+
+def test_a_pilot_that_sees_no_repeats_still_gives_the_outcome_of_one_pass_at_one():
+    seed = 8630
+    values = np.arange(1000, dtype=np.uint64)
+    # Outside the top half of the pilot hash's range a value is never
+    # sampled once the input holds more than PILOT_OCCURRENCES occurrences.
+    in_top_half = pilot_below_top(seed, values) < np.uint64(GRID >> 1)
+    repeating, once = values[~in_top_half][:40].tolist(), values[in_top_half][:40].tolist()
+    # The repeating values meet the same 40 right values in each of 100
+    # groups; each other value meets 40 right values of its own.
+    t1 = {(a, b) for b in range(100) for a in repeating} | {
+        (a, 100 + i) for i, a in enumerate(once)}
+    t2 = {(b, c) for b in range(100) for c in range(40)} | {
+        (100 + i, 1000 + 40 * i + j) for i in range(40) for j in range(40)}
+    g = grouped_from(t1, t2)
+    assert (exact_size(g).z, g.total_product) == (3200, 161_600)
+    assert draw_pilot(g, seed).distinct_share in (None, 1.0)
+    for k in (1000, 3200, 5000):
+        cfg = EstimatorConfig(k=k, threshold_mode=MODE_START_AT_ONE, seed=seed)
+        est = run_once(g, cfg)
+        want = single_pass_at_one(g, cfg)
+        assert est.work.passes >= 2
+        if want.filled:
+            assert (est.kind, est.v) == (POINT, want.v)
+        else:
+            assert (est.kind, est.count) == (EXACT_SMALL, 3200)
+            assert est.work.emitted_pairs == g.total_product

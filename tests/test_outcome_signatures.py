@@ -28,3 +28,14 @@ def test_signatures_are_strict_json_and_repeat(capsys):
     assert {(line["mode"], line["family"]) for line in lines[3:]} == {
         (mode, family) for mode in ("linear", "start-at-one")
         for family in ("wrapping64", "mersenne61")}
+
+
+def test_outcomes_only_leaves_out_every_counter(capsys):
+    args = ["--seeds", "1", "--scale", "0.02", "--random", "2"]
+    assert outcome_signatures.main(args) == 0
+    full = [strict_json(line) for line in capsys.readouterr().out.splitlines()]
+    assert outcome_signatures.main(args + ["--outcomes-only"]) == 0
+    outcomes = [strict_json(line) for line in capsys.readouterr().out.splitlines()]
+    assert outcomes == [{key: value for key, value in line.items() if key != "work"}
+                        for line in full]
+    assert all({"kind", "v", "count", "value"} <= line.keys() for line in outcomes)
