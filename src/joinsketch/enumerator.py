@@ -22,6 +22,20 @@ tighten mid-scan.  A column's candidates ascend from its minimum and the
 threshold only falls, so the pairs offered and their order are those of
 walking every column of every group and stopping each at its first miss.
 
+Before the sort, an occupancy pass drops the tuples no window can reach
+when the threshold is small against the input's groups (``prunes``).  It
+splits each group's hash range into 2**c cells, each at least p wide, so a
+column's window lies in its own cell and the next one, wrapping past 2**64
+to the group's first cell.  It marks the cells that
+hold a row, keeps the columns with a row in one of their two cells, and
+keeps the rows in a kept column's cells.  Every row in a kept column's
+window survives, and so does the column's cyclic minimum whenever the
+window holds a row.  A column whose window is empty may survive, but the
+first surviving row from its hash on lies no nearer than its minimum, so
+the column is still dropped.  The sorted order restricted to the survivors
+is the order of the whole chunk restricted to them, so the candidates,
+their order and the group offsets are those of sorting every tuple.
+
 A run may pass over the chunks more than once, sorting every group again
 at a wider threshold.  The previous pass's threshold is then the floor: a
 column's pairs below it come first from its minimum and are left out of
@@ -41,52 +55,142 @@ from .relation import GroupedInput, chunk_starts, offsets, tie_runs
 
 # Tuples per chunk.  A chunk pays a fixed numpy per-call cost, so larger
 # chunks spread it over more tuples; the price is the chunk's candidate
-# arrays, 24 bytes a candidate.  Against 2**11, 2**13 took the benchmark's
+# arrays, 16 bytes a candidate.  Against 2**11, 2**13 took the benchmark's
 # host-scaled skewed-repeat estimate from 0.23 s to 0.18 s (medians of 3-4
-# runs, 2-core Xeon VM, numpy 2.4).
+# runs, 2-core Xeon VM, numpy 2.4).  Where the occupancy pass prunes, the
+# work after it scales with the survivors, and chunks take 2**15 tuples:
+# against 2**13, that took the in-process estimate to 0.68x on
+# skewed-repeat (9 runs) and 0.74x on uniform-ingest (minimum of 7 calls,
+# 2-vCPU VM, numpy 2.4.6).  A pass that does not prune keeps 2**13, which
+# bounds what a chunk lists when a widening pass nears threshold 1.
 CHUNK_TUPLES = 1 << 13
+PRUNING_CHUNK_TUPLES = 1 << 15
 
 
-def chunk_bounds(grouped: GroupedInput) -> list[int]:
-    """Group indices at which chunks start, followed by the group count: a
-    chunk holds at most ``CHUNK_TUPLES`` tuples unless it is a single group."""
-    return chunk_starts(grouped.left_offsets + grouped.right_offsets, CHUNK_TUPLES)
+def _cell_cap(p: int) -> int:
+    """The most cell bits c for which a cell, 2**(64 - c) of the hash
+    range, is at least ``p`` wide."""
+    return 64 - (p - 1).bit_length()
+
+
+def prunes(grouped: GroupedInput, p: int) -> bool:
+    """Whether ``sort_group`` runs the occupancy pass at threshold ``p``.
+
+    It does when the input's groups, split into cells at least p wide and
+    at most 16 per tuple on average, would hold at least 4 cells per tuple,
+    so that most cells hold no tuple.  The rule reads the whole input, so
+    every chunk of a pass takes the same decision.
+    """
+    groups, tuples = len(grouped), grouped.tuple_count
+    if not groups:
+        return False
+    c = min(_cell_cap(p), (16 * tuples // groups).bit_length() - 1)
+    return groups << c >= 4 * tuples
+
+
+def chunk_bounds(grouped: GroupedInput, p: int = GRID) -> list[int]:
+    """Group indices at which the chunks of a pass at threshold ``p``
+    start, followed by the group count: a chunk holds at most
+    ``PRUNING_CHUNK_TUPLES`` tuples if the pass prunes and ``CHUNK_TUPLES``
+    otherwise, unless it is a single group."""
+    budget = PRUNING_CHUNK_TUPLES if prunes(grouped, p) else CHUNK_TUPLES
+    return chunk_starts(grouped.left_offsets + grouped.right_offsets, budget)
 
 
 @dataclass(frozen=True)
 class SortedChunk:
     """Consecutive groups' candidate pairs, in the order the scan offers them.
 
-    ``xs``, ``ys`` and ``hashes`` hold each candidate's left value, right
-    value and pair hash as uint64 memoryviews, in (group, h2, y, step)
-    order: column by column in (h2, y) order, each column from its first
-    row at or above the floor onward, cyclically.  Group g's candidates are
+    ``pairs`` and ``hashes`` hold each candidate's pair ``x << 32 | y`` and
+    its pair hash as uint64 memoryviews, in (group, h2, y, step) order:
+    column by column in (h2, y) order, each column from its first row at or
+    above the floor onward, cyclically.  Group g's candidates are
     ``offsets[g]`` to ``offsets[g + 1]`` (chunk-relative).  ``probes``
     counts the probes the scan makes whatever it offers: one per column of
-    the chunk and one per pair below the floor.
+    the chunk and one per pair below the floor.  ``sorted_tuples`` counts
+    the tuples that reached the sort, those the occupancy pass kept.
     """
 
-    xs: memoryview
-    ys: memoryview
+    pairs: memoryview
     hashes: memoryview
     offsets: list[int]
     probes: int
+    sorted_tuples: int
+
+
+def _reachable(x_hashes: np.ndarray, left_sizes: np.ndarray, y_hashes: np.ndarray,
+               right_sizes: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """The occupancy pass at threshold ``p``: masks of the rows and the
+    columns it keeps, and the kept rows and columns per group.
+
+    Group g's hash range is split into 2**c cells, c the least of
+    ``_cell_cap(p)`` and floor(log2(16 t)) for its t tuples, so the cells
+    depend on the group alone and the table holds at most 16 per tuple.
+    """
+    groups = left_sizes.size
+    # floor(log2(16 t)), exact for t below 2**49.
+    bits = np.minimum(np.frexp(16 * (left_sizes + right_sizes))[1] - 1, _cell_cap(p))
+    shift = (64 - bits).astype(np.uint64)
+    base = offsets(1 << bits)
+    row_shift = np.repeat(shift, left_sizes)
+    row_cells = (x_hashes >> row_shift).view(np.int64)
+    row_cells += np.repeat(base[:-1], left_sizes)
+    del row_shift
+    col_shift = np.repeat(shift, right_sizes)
+    col_base = np.repeat(base[:-1], right_sizes)
+    col_cells = (y_hashes >> col_shift).view(np.int64)
+    col_cells += col_base
+    # The cell after a column's, wrapping past 2**64 to its group's first.
+    next_cells = y_hashes + (np.uint64(1) << col_shift)
+    next_cells >>= col_shift
+    next_cells = next_cells.view(np.int64)
+    next_cells += col_base
+    del col_shift, col_base
+    marked = np.zeros(int(base[-1]), dtype=bool)
+    marked[row_cells] = True
+    kept_cols = marked[col_cells]
+    kept_cols |= marked[next_cells]
+    marked[:] = False
+    col_cells = col_cells[kept_cols]
+    marked[col_cells] = True
+    marked[next_cells[kept_cols]] = True
+    kept_rows = marked[row_cells]
+
+    def per_group(cells):
+        return np.bincount(np.searchsorted(base, cells, side="right") - 1, minlength=groups)
+
+    return kept_rows, kept_cols, per_group(row_cells[kept_rows]), per_group(col_cells)
 
 
 def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
-               p: int, floor: int = 0) -> SortedChunk:
+               p: int, floor: int = 0, ceiling: int | None = None) -> SortedChunk:
     """Sort groups ``lo`` to ``hi - 1`` and list their pairs whose hash lies
-    in [``floor``, ``p``)."""
+    in [``floor``, ``p``).
+
+    The occupancy pass prunes at ``ceiling`` (default ``p``), the threshold
+    the run's pass began at, which ``p`` may have fallen below since.  What
+    reaches the sort then depends on the input and the pass alone, not on
+    the chunks' sizes or on when the sketch tightened.
+    """
+    ceiling = p if ceiling is None else ceiling
     lb, le = grouped.left_offsets[[lo, hi]].tolist()
     rb, re = grouped.right_offsets[[lo, hi]].tolist()
-    left_offsets = grouped.left_offsets[lo:hi + 1] - lb
-    right_offsets = grouped.right_offsets[lo:hi + 1] - rb
-    left_sizes = left_offsets[1:] - left_offsets[:-1]
-    right_sizes = right_offsets[1:] - right_offsets[:-1]
+    left_sizes = np.diff(grouped.left_offsets[lo:hi + 1])
+    right_sizes = np.diff(grouped.right_offsets[lo:hi + 1])
     xs = grouped.left_values[lb:le]
     ys = grouped.right_values[rb:re]
-    nr = ys.size
+    x_hashes = pair_hash.h1.values(xs)
+    y_hashes = pair_hash.h2.values(ys)
+    probes = ys.size
     groups = hi - lo
+    if prunes(grouped, ceiling):
+        kept_rows, kept_cols, left_sizes, right_sizes = _reachable(
+            x_hashes, left_sizes, y_hashes, right_sizes, ceiling)
+        xs, x_hashes = xs[kept_rows], x_hashes[kept_rows]
+        ys, y_hashes = ys[kept_cols], y_hashes[kept_cols]
+        del kept_rows, kept_cols
+    left_offsets = offsets(left_sizes)
+    nr = ys.size
 
     # One uint64 key orders both sides by (group, hash) and carries its
     # position: the group in the top b bits, the hash's top 64 - b - ib
@@ -97,7 +201,9 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     # and each side in CSR order, ascending by value, so the result is
     # (group, hash, side, value) order: a column sorts just before the rows
     # of its group whose hash is >= its own.
-    hashes = np.concatenate((pair_hash.h2.values(ys), pair_hash.h1.values(xs)))
+    hashes = np.concatenate((y_hashes, x_hashes))
+    del x_hashes, y_hashes
+    sorted_tuples = hashes.size
     b = max(1, (groups - 1).bit_length())
     ib = (hashes.size - 1).bit_length()
     key = hashes >> np.uint64(b + ib) << np.uint64(ib)
@@ -118,6 +224,7 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     rows = order[~is_col]
     cols = order[is_col]
     row_hashes = hashes[rows]
+    rows -= nr
     # A column's first row at or above its hash is the first row after it
     # in the order; its group's end if there is none.  That row is the
     # column's minimum, or the group's first row at the end.
@@ -167,18 +274,21 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     at += np.arange(n)
     wrapped = np.flatnonzero(at >= np.repeat(end, counts))
     at[wrapped] -= np.repeat(size, counts)[wrapped]
-    cand_xs = xs[rows[at] - nr]
+    del wrapped
     cand_hashes = row_hashes[at]
-    del at
     cand_hashes -= np.repeat(y_hashes, counts)
-    cand_ys = np.repeat(ys[cols], counts)
+    np.take(rows, at, out=at)
+    pairs = xs[at]
+    del at
+    pairs <<= np.uint64(32)
+    pairs |= np.repeat(ys[cols], counts)
     group_offsets = column_offsets[offsets(np.bincount(group_of, minlength=groups))]
     return SortedChunk(
-        xs=memoryview(cand_xs),
-        ys=memoryview(cand_ys),
+        pairs=memoryview(pairs),
         hashes=memoryview(cand_hashes),
         offsets=group_offsets.tolist(),
-        probes=nr + int(below.sum()),
+        probes=probes + int(below.sum()),
+        sorted_tuples=sorted_tuples,
     )
 
 
@@ -189,15 +299,15 @@ def scan_group(chunk: SortedChunk, g: int, sketch: KMinState) -> None:
     The threshold is ``sketch.p``, re-read after every offer so that a merge
     which tightens it mid-scan takes effect immediately; it must be
     non-increasing and no higher than when the chunk was sorted.
-    ``sketch.offer(x, y, hv)`` receives each such pair in the chunk's
-    order.
+    ``sketch.offer(pair, hv)`` receives each such pair, packed as
+    ``x << 32 | y``, in the chunk's order.
     """
     first, last = chunk.offsets[g], chunk.offsets[g + 1]
     if first == last:
         return
     offer = sketch.offer
     p = sketch.p
-    for x, y, hv in zip(chunk.xs[first:last], chunk.ys[first:last], chunk.hashes[first:last]):
+    for pair, hv in zip(chunk.pairs[first:last], chunk.hashes[first:last]):
         if hv < p:
-            offer(x, y, hv)
+            offer(pair, hv)
             p = sketch.p

@@ -122,7 +122,8 @@ class WorkCounters:
     """Per-run work tally.
 
     ``passes`` counts passes over the chunks, ``sorted_elements`` tuples
-    sorted (every tuple once per pass), ``inner_iterations`` probes of the
+    sorted (at most every tuple once per pass: the tuples the occupancy pass
+    of ``sort_group`` keeps), ``inner_iterations`` probes of the
     pair hash: one per pair below the floor or emitted, plus one per column
     per pass, the probe that skips or stops it.  A column whose pairs all
     lie below the threshold pays that probe too, though nothing is left to
@@ -313,13 +314,15 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
         return Estimate(EXACT_SMALL, 0.0, count=0, work_per_run=(WorkCounters(),), **done)
 
     state = KMinState(k, p)
-    floor = passes = probes = 0
-    bounds = chunk_bounds(grouped)
+    floor = passes = probes = sorted_tuples = 0
     while True:
         passes += 1
+        ceiling = state.p
+        bounds = chunk_bounds(grouped, ceiling)
         for lo, hi in zip(bounds, bounds[1:]):
-            chunk = sort_group(grouped, lo, hi, pair_hash, state.p, floor)
+            chunk = sort_group(grouped, lo, hi, pair_hash, state.p, floor, ceiling)
             probes += chunk.probes
+            sorted_tuples += chunk.sorted_tuples
             for g in range(hi - lo):
                 scan_group(chunk, g, state)
             # Free the candidates before the next chunk gathers its own.
@@ -331,7 +334,7 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
         # every distinct pair below it.  Widen and offer the pairs above.
         floor = state.p
         state.p = min(p0, max(4 * floor, 2 * k * floor // max(outcome.count, 1)))
-    work = WorkCounters(passes=passes, sorted_elements=passes * grouped.tuple_count,
+    work = WorkCounters(passes=passes, sorted_elements=sorted_tuples,
                         inner_iterations=probes + state.offers, emitted_pairs=state.offers,
                         accepted_offers=state.accepted, combine_calls=state.combines)
 

@@ -95,8 +95,9 @@ class KMinState:
         self.accepted = 0  # distinct pairs that entered the sketch
         self.combines = 0
 
-    def offer(self, a: int, c: int, hv: int) -> None:
-        """Buffer pair (a, c) with hash ``hv``; the k-th buffered offer merges.
+    def offer(self, pair: int, hv: int) -> None:
+        """Buffer ``pair``, packed as ``a << 32 | c``, with hash ``hv``; the
+        k-th buffered offer merges.
 
         A pair already held is dropped at the next merge.  Callers normally
         guarantee hv < p; an offer above the live threshold (a caller working
@@ -104,7 +105,7 @@ class KMinState:
         next merge, so the final rank is unaffected.
         """
         self.new_hashes.append(hv)
-        self.new_pairs.append(a << 32 | c)
+        self.new_pairs.append(pair)
         if len(self.new_hashes) == self.k:
             self._merge()
 

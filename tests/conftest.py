@@ -52,6 +52,17 @@ def group_values(grouped, g):
     return grouped.left_values[lo[g]:lo[g + 1]], grouped.right_values[ro[g]:ro[g + 1]]
 
 
+def reachable_tuples(grouped, pair_hash, p) -> int:
+    """Tuples, both sides, that lie in some pair of their group whose hash
+    is below ``p``: brute force over every group's product."""
+    count = 0
+    for g in range(len(grouped)):
+        A, C = group_values(grouped, g)
+        below = (pair_hash.h1.values(A)[:, None] - pair_hash.h2.values(C)[None, :]) < np.uint64(p)
+        count += int(below.any(axis=1).sum() + below.any(axis=0).sum())
+    return count
+
+
 def greedy_chunks(sizes: list[int], budget: int) -> list[int]:
     """Chunks of consecutive runs of the given sizes, in plain Python: a
     chunk takes the next run while it then holds at most ``budget`` units,
@@ -100,14 +111,14 @@ def break_the_cut(path) -> None:
 
 class FixedThreshold:
     """Stand-in sketch for ``scan_group``: a constant threshold ``p`` and an
-    ``offer`` that collects the offered pairs in order."""
+    ``offer`` that collects the offered pairs in order, unpacked to (x, y)."""
 
     def __init__(self, p: int):
         self.p = p
         self.pairs = []
 
-    def offer(self, x, y, hv):
-        self.pairs.append((x, y))
+    def offer(self, pair, hv):
+        self.pairs.append((pair >> 32, pair & 0xFFFFFFFF))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, spawn_rng
 from joinsketch.relation import chunk_starts, offsets
 
 from conftest import (FixedThreshold, a_run_pairs, greedy_chunks, group_values, random_instance,
-                      single_group)
+                      reachable_tuples, single_group)
 
 
 def sort_one(A, C, pair_hash, p=GRID, floor=0):
@@ -21,7 +21,8 @@ def sort_one(A, C, pair_hash, p=GRID, floor=0):
 def listing(chunk):
     """A chunk's candidates as (x, y, hash) triples, its group offsets and
     its probes."""
-    return list(zip(chunk.xs, chunk.ys, chunk.hashes)), chunk.offsets, chunk.probes
+    triples = [(pair >> 32, pair & 0xFFFFFFFF, hv) for pair, hv in zip(chunk.pairs, chunk.hashes)]
+    return triples, chunk.offsets, chunk.probes
 
 
 def collect(A, C, pair_hash, p):
@@ -89,7 +90,7 @@ def test_sort_group_ties_break_by_value():
     sides = [group_values(grouped, i) for i in range(len(grouped))]
     xs = np.concatenate([np.tile(A, C.size) for A, C in sides])
     ys = np.concatenate([np.repeat(C, A.size) for A, C in sides])
-    assert np.array_equal(np.asarray(g.xs), xs) and np.array_equal(np.asarray(g.ys), ys)
+    assert np.array_equal(np.asarray(g.pairs), xs << np.uint64(32) | ys)
     assert not np.asarray(g.hashes).any()
 
 
@@ -130,7 +131,7 @@ def test_threshold_zero_emits_nothing():
         got, probes, chunk = collect(A, C, draw_pair_hash(spawn_rng(2000 + trial)), 0)
         assert got == []
         assert probes == len(C)
-        assert chunk.offsets == [0, 0] and len(chunk.xs) == len(chunk.hashes) == 0
+        assert chunk.offsets == [0, 0] and len(chunk.pairs) == len(chunk.hashes) == 0
 
 
 def test_fixed_threshold_matches_brute_force():
@@ -156,8 +157,8 @@ class TighteningThreshold(FixedThreshold):
         self.left = schedule[1:]
         self.every = every
 
-    def offer(self, x, y, hv):
-        super().offer(x, y, hv)
+    def offer(self, pair, hv):
+        super().offer(pair, hv)
         if self.left and len(self.pairs) % self.every == 0:
             self.p = self.left.pop(0)
 
@@ -267,8 +268,6 @@ def tie_prone_hashes(rng, trial):
             PairHash(top(), top())]
 
 
-
-
 def assert_chunks_match_the_reference(grouped, h, p, floor):
     """The whole instance as one chunk lists what ``reference_chunk`` lists,
     and each group sorted alone offers what it offers inside the chunk."""
@@ -353,6 +352,109 @@ def test_groups_that_keep_no_column_get_no_rows():
         for g, (A, C) in enumerate(sides):
             lowest_here = int((h.h1.values(A)[:, None] - h.h2.values(C)[None, :]).min())
             assert (g in idle) == (lowest_here >= p)
+
+
+def tiny_groups_instance(rng, groups, big=None):
+    """``groups`` groups of 1 to 3 left and 1 to 3 right values, scattered;
+    with ``big``, one more group of ``big`` left values and 3 right ones."""
+    sizes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(groups)]
+    if big:
+        sizes.append((big, 3))
+    t1 = {(rng.randrange(2**32), b) for b, (na, _) in enumerate(sizes) for _ in range(na)}
+    t2 = {(b, rng.randrange(2**32)) for b, (_, nc) in enumerate(sizes) for _ in range(nc)}
+    return group_and_prune(Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2))
+
+
+def assert_the_pass_keeps_every_candidate(grouped, h, p, floor):
+    """``sort_group`` over the whole instance, pruning at ``p`` and at a
+    ceiling above it, lists what ``reference_chunk`` lists, and at least
+    the tuples of a pair below ``p`` reach the sort.  Returns the tuples
+    that reached it."""
+    want = reference_chunk(grouped, 0, len(grouped), h, p, floor)
+    kept = []
+    for ceiling in (p, min(GRID, 2 * p + 1)):
+        chunk = sort_group(grouped, 0, len(grouped), h, p, floor, ceiling)
+        assert listing(chunk) == want, (p, floor, ceiling)
+        kept.append(chunk.sorted_tuples)
+    assert reachable_tuples(grouped, h, p) <= kept[0] <= kept[1] <= grouped.tuple_count
+    return kept[0]
+
+
+def test_the_occupancy_pass_keeps_every_candidate_at_every_threshold():
+    # Thresholds from one grid unit to the whole range, so cells run from
+    # exactly p wide to one per group.  Many tiny groups make the table's
+    # cap, not p, set the cells; the large group gets cells p wide.
+    rng = random.Random(23)
+    instances = [tiny_groups_instance(rng, 60), tiny_groups_instance(rng, 30, big=50),
+                 tiny_groups_instance(rng, 0, big=80)]
+    for trial, grouped in enumerate(instances):
+        pruned = 0
+        for h in tie_prone_hashes(rng, 200 + trial):
+            for s in range(64):
+                for p in (1 << s, (1 << s) + 1):
+                    for floor in (0, p // 4):
+                        kept = assert_the_pass_keeps_every_candidate(grouped, h, p, floor)
+                        pruned += kept < grouped.tuple_count
+                        assert (kept < grouped.tuple_count) <= enumerator.prunes(grouped, p)
+        assert pruned > 0, trial
+
+
+def test_the_occupancy_pass_follows_windows_past_two_to_the_64():
+    # Every pair hashes to x - 50 (see the test above), so each column's
+    # window wraps past 2**64 into its group's first cell.
+    h = PairHash(PairwiseHash(1, GRID - 100), PairwiseHash(0, GRID - 50))
+    rng = random.Random(24)
+    t1 = {(rng.randrange(200), b) for b in range(40) for _ in range(3)}
+    grouped = group_and_prune(Relation.from_pairs(Side.LEFT, t1),
+                              Relation.from_pairs(Side.RIGHT, [(b, 7) for b in range(40)]))
+    for p in (1, 50, 51, 100, 1 << 20, 1 << 40):
+        assert enumerator.prunes(grouped, p)
+        for floor in (0, p // 4):
+            assert_the_pass_keeps_every_candidate(grouped, h, p, floor)
+
+
+def zipf_instance(rng, groups=300, cap=200):
+    """Groups whose left sides have Zipf-distributed sizes (exponent 1.5,
+    at most ``cap``) and whose right sides hold 1 to 4 values."""
+    t1, t2 = set(), set()
+    for b in range(groups):
+        size = min(cap, int(rng.paretovariate(0.5)))
+        t1 |= {(rng.randrange(2**32), b) for _ in range(size)}
+        t2 |= {(b, rng.randrange(2**32)) for _ in range(rng.randint(1, 4))}
+    return group_and_prune(Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2))
+
+
+def test_the_occupancy_pass_prunes_most_of_a_zipf_instance():
+    grouped = zipf_instance(random.Random(25))
+    p = GRID >> 10
+    assert enumerator.prunes(grouped, p)
+    for trial in range(3):
+        h = draw_pair_hash(spawn_rng(6500 + trial))
+        kept = assert_the_pass_keeps_every_candidate(grouped, h, p, 0)
+        assert kept < 0.2 * grouped.tuple_count, (kept, grouped.tuple_count)
+
+
+def test_one_sort_group_call_holds_its_tuples_and_candidates():
+    # A candidate takes 16 B (pair and hash), twice over while the chunk
+    # gathers them; the tuples take their hashes, cells and sort keys.
+    rng = random.Random(26)
+    A, C = rng.sample(range(2**32), 40), rng.sample(range(2**32), 40)
+    dense = group_and_prune(Relation.from_pairs(Side.LEFT, [(a, b) for b in range(100) for a in A]),
+                            Relation.from_pairs(Side.RIGHT, [(b, c) for b in range(100) for c in C]))
+    sparse = zipf_instance(rng, groups=2000, cap=60)
+    h = draw_pair_hash(spawn_rng(6600))
+    for grouped, p, pruned in ((dense, GRID, False), (dense, GRID // 3, False),
+                               (sparse, GRID >> 10, True), (sparse, GRID >> 8, True)):
+        assert enumerator.prunes(grouped, p) == pruned
+        tracemalloc.start()
+        try:
+            chunk = sort_group(grouped, 0, len(grouped), h, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (chunk.sorted_tuples < grouped.tuple_count) == pruned
+        bound = 96 * grouped.tuple_count + 2 * 16 * len(chunk.hashes)
+        assert peak <= bound, (p, peak, bound)
 
 
 def test_a_run_holds_one_chunk_of_candidates_at_a_time():

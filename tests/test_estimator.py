@@ -28,7 +28,7 @@ from joinsketch.hashing import GRID, draw_pair_hash, run_rng
 from joinsketch.kmin import KMinState
 from joinsketch.oracle import exact_kth_hash
 
-from conftest import disjoint_instance, random_instance, scattered_instance
+from conftest import disjoint_instance, random_instance, reachable_tuples, scattered_instance
 
 
 def grouped_from(t1, t2):
@@ -297,10 +297,47 @@ def test_work_counters_accumulate():
     g = group_and_prune(r1, r2)
     est = run_once(g, EstimatorConfig(k=16, threshold_mode=MODE_START_AT_ONE, seed=3))
     work = est.work
-    assert work.sorted_elements == g.tuple_count
+    assert work.sorted_elements <= work.passes * g.tuple_count
     assert work.emitted_pairs >= work.accepted_offers >= 16
     assert work.total == work.sorted_elements + work.inner_iterations
     assert work.as_dict()["total"] == work.total
+
+
+def test_passes_that_cannot_prune_sort_every_tuple_once():
+    # At a threshold of 2**63 or more a cell is at least half the range, so
+    # the occupancy pass never runs; start-at-one passes only widen.
+    rng = random.Random(8600)
+    checked = 0
+    for trial in range(60):
+        g = group_and_prune(*random_instance(rng, max_each=300, b_range=rng.choice([2, 10, 50])))
+        if not len(g):
+            continue
+        for mode, k in ((MODE_LINEAR, 1), (MODE_START_AT_ONE, rng.choice([64, 1024]))):
+            est = run_once(g, EstimatorConfig(k=k, threshold_mode=mode, seed=trial))
+            if est.first_p >= 1 << 63:
+                assert not enumerator.prunes(g, est.first_p)
+                assert est.work.sorted_elements == est.work.passes * g.tuple_count
+                checked += 1
+    assert checked >= 25
+
+
+def test_linear_runs_sort_at_least_the_tuples_of_a_pair_below_p():
+    # The one pass sorts every tuple that lies in a pair hashing below p0,
+    # and no more than every tuple.
+    rng = random.Random(8700)
+    pruned = 0
+    for trial in range(30):
+        g = group_and_prune(*random_instance(rng, max_each=400, a_range=2**31,
+                                             b_range=rng.choice([10, 50, 150]), c_range=2**31))
+        if not len(g):
+            continue
+        for family in ("wrapping64", "mersenne61"):
+            cfg = EstimatorConfig(k=rng.choice([1, 4, 16, 64]), seed=trial, family=family)
+            est = run_once(g, cfg)
+            reachable = reachable_tuples(g, draw_pair_hash(run_rng(cfg.seed, (0,)), family), est.p0)
+            assert reachable <= est.work.sorted_elements <= g.tuple_count, trial
+            pruned += est.work.sorted_elements < g.tuple_count
+    assert pruned >= 10
 
 
 def test_mersenne_family_end_to_end():
@@ -465,7 +502,7 @@ def test_start_at_one_passes_give_the_outcome_of_one_pass_at_one(family):
                     assert (est.kind, est.v, est.count) == (EXACT_SMALL, None, z), (i, k)
                     assert est.value == z
                 work = est.work
-                assert work.sorted_elements == work.passes * g.tuple_count
+                assert work.sorted_elements <= work.passes * g.tuple_count
                 assert work.emitted_pairs <= g.total_product
                 assert work.accepted_offers <= z
                 if not want.filled:

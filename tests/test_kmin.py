@@ -41,8 +41,8 @@ def fresh(k, p0=GRID):
 
 def test_duplicate_offer_is_a_no_op():
     state = fresh(4)
-    state.offer(1, 2, raw(0.5))
-    state.offer(1, 2, raw(0.5))
+    state.offer(1 << 32 | 2, raw(0.5))
+    state.offer(1 << 32 | 2, raw(0.5))
     outcome = state.finalize()
     assert held(state) == [entry(raw(0.5), 1, 2)]
     assert state.accepted == 1
@@ -51,9 +51,9 @@ def test_duplicate_offer_is_a_no_op():
 
 def test_buffer_fill_triggers_merge_and_threshold_drop():
     state = fresh(2)
-    state.offer(1, 1, raw(0.1))
+    state.offer(1 << 32 | 1, raw(0.1))
     assert state.p == GRID
-    state.offer(2, 2, raw(0.2))
+    state.offer(2 << 32 | 2, raw(0.2))
     assert state.combines == 1
     assert state.p == raw(0.2)
     assert state.hashes.tolist() == [raw(0.1), raw(0.2)]
@@ -61,10 +61,10 @@ def test_buffer_fill_triggers_merge_and_threshold_drop():
 
 def test_rank_two_selection_hand_trace():
     state = fresh(2)
-    state.offer(1, 1, raw(0.1))
-    state.offer(2, 2, raw(0.2))  # merge: p = 0.2
-    state.offer(3, 3, raw(0.15))
-    state.offer(4, 4, raw(0.05))  # merge over {0.1, 0.2, 0.15, 0.05}
+    state.offer(1 << 32 | 1, raw(0.1))
+    state.offer(2 << 32 | 2, raw(0.2))  # merge: p = 0.2
+    state.offer(3 << 32 | 3, raw(0.15))
+    state.offer(4 << 32 | 4, raw(0.05))  # merge over {0.1, 0.2, 0.15, 0.05}
     assert state.p == raw(0.1)
     assert state.hashes.tolist() == [raw(0.05), raw(0.1)]
 
@@ -101,8 +101,8 @@ def test_combine_breaks_hash_ties_by_pair():
 
 def test_finalize_undersupplied():
     state = fresh(4)
-    state.offer(1, 1, raw(0.3))
-    state.offer(2, 2, raw(0.6))
+    state.offer(1 << 32 | 1, raw(0.3))
+    state.offer(2 << 32 | 2, raw(0.6))
     outcome = state.finalize()
     assert not outcome.filled
     assert outcome.count == 2
@@ -111,7 +111,7 @@ def test_finalize_undersupplied():
 def test_finalize_filled_rank():
     state = fresh(2)
     for i, f in enumerate([0.5, 0.3, 0.9]):
-        state.offer(i, i, raw(f))
+        state.offer(i << 32 | i, raw(f))
     outcome = state.finalize()
     assert outcome.filled
     assert outcome.v == raw(0.5)
@@ -134,7 +134,7 @@ def test_live_threshold_matches_full_sort_oracle():
         state = KMinState(k, GRID)
         for i, hv in enumerate(hashes):
             if hv < state.p:
-                state.offer(i, i, hv)
+                state.offer(i << 32 | i, hv)
         outcome = state.finalize()
         if len(set(hashes)) >= k:
             assert outcome.filled
@@ -160,7 +160,7 @@ def test_lagging_threshold_schedule_matches_full_sort_oracle():
         for i, hv in enumerate(hashes):
             caller_p = schedule[min(i * len(schedule) // max(n, 1), len(schedule) - 1)]
             if hv < caller_p:
-                state.offer(i, i, hv)
+                state.offer(i << 32 | i, hv)
                 offered.append(hv)
         outcome = state.finalize()
         below_start = sorted(h for h in offered)
@@ -180,7 +180,7 @@ def test_merge_count_is_amortized():
         for i in range(200):
             if state.p == 0:
                 break
-            state.offer(i, i, rng.randrange(state.p))
+            state.offer(i << 32 | i, rng.randrange(state.p))
             offers += 1
         state.finalize()
         assert state.combines <= math.ceil(offers / k) + 1
@@ -193,20 +193,20 @@ def test_membership_stays_bounded():
     for i in range(500):
         hv = rng.randrange(GRID)
         if hv < state.p:
-            state.offer(i % 40, i % 40, hv)
+            state.offer(i % 40 << 32 | i % 40, hv)
         assert state.hashes.size + len(state.new_hashes) <= 2 * k - 1
         assert len(set(held(state))) == state.hashes.size
 
 
 def test_reoffered_evicted_pair_leaves_threshold_unchanged():
     state = fresh(2)
-    state.offer(1, 1, raw(0.8))
-    state.offer(2, 2, raw(0.9))  # merge: p = 0.9
-    state.offer(3, 3, raw(0.1))
-    state.offer(4, 4, raw(0.2))  # merge: p = 0.2; pairs (1,1) and (2,2) evicted
+    state.offer(1 << 32 | 1, raw(0.8))
+    state.offer(2 << 32 | 2, raw(0.9))  # merge: p = 0.9
+    state.offer(3 << 32 | 3, raw(0.1))
+    state.offer(4 << 32 | 4, raw(0.2))  # merge: p = 0.2; pairs (1,1) and (2,2) evicted
     assert state.p == raw(0.2)
-    state.offer(2, 2, raw(0.9))
-    state.offer(1, 1, raw(0.8))  # merge: both are cut again
+    state.offer(2 << 32 | 2, raw(0.9))
+    state.offer(1 << 32 | 1, raw(0.8))  # merge: both are cut again
     assert state.p == raw(0.2)
     assert state.finalize().v == raw(0.2)
     assert held(state) == [entry(raw(0.1), 3, 3), entry(raw(0.2), 4, 4)]
@@ -253,7 +253,7 @@ def test_sketch_matches_sorted_distinct_reference(k, p0, offers):
     p = p0
     for a, c, hv in offers:
         seen.add(entry(hv, a, c))
-        state.offer(a, c, hv)
+        state.offer(a << 32 | c, hv)
         if not state.new_hashes:  # this offer merged
             accepted += len(seen) - len(kept)
             kept = sorted(seen)[:k]
