@@ -51,20 +51,21 @@ import numpy as np
 
 from .hashing import GRID, PairHash
 from .kmin import KMinState
-from .relation import GroupedInput, chunk_starts, offsets, tie_runs
+from .relation import GroupedInput, chunk_starts, offsets, pack, tie_runs
 
 # Tuples per chunk.  A chunk pays a fixed numpy per-call cost, so larger
 # chunks spread it over more tuples; the price is the chunk's candidate
 # arrays, 16 bytes a candidate.  Against 2**11, 2**13 took the benchmark's
 # host-scaled skewed-repeat estimate from 0.23 s to 0.18 s (medians of 3-4
 # runs, 2-core Xeon VM, numpy 2.4).  Where the occupancy pass prunes, the
-# work after it scales with the survivors, and chunks take 2**15 tuples:
-# against 2**13, that took the in-process estimate to 0.68x on
-# skewed-repeat (9 runs) and 0.74x on uniform-ingest (minimum of 7 calls,
-# 2-vCPU VM, numpy 2.4.6).  A pass that does not prune keeps 2**13, which
-# bounds what a chunk lists when a widening pass nears threshold 1.
+# work after it scales with the survivors, and chunks take four times as
+# many tuples and expected candidates together: against 2**13 tuples, that
+# took the in-process estimate to 0.68x on skewed-repeat (9 runs) and 0.74x
+# on uniform-ingest (minimum of 7 calls, 2-vCPU VM, numpy 2.4.6).  Counting
+# the candidates keeps large groups from sharing such a chunk, and a pass
+# that does not prune keeps 2**13 tuples, which bounds what a chunk lists
+# when a widening pass nears threshold 1.
 CHUNK_TUPLES = 1 << 13
-PRUNING_CHUNK_TUPLES = 1 << 15
 
 
 def _cell_cap(p: int) -> int:
@@ -90,11 +91,15 @@ def prunes(grouped: GroupedInput, p: int) -> bool:
 
 def chunk_bounds(grouped: GroupedInput, p: int = GRID) -> list[int]:
     """Group indices at which the chunks of a pass at threshold ``p``
-    start, followed by the group count: a chunk holds at most
-    ``PRUNING_CHUNK_TUPLES`` tuples if the pass prunes and ``CHUNK_TUPLES``
-    otherwise, unless it is a single group."""
-    budget = PRUNING_CHUNK_TUPLES if prunes(grouped, p) else CHUNK_TUPLES
-    return chunk_starts(grouped.left_offsets + grouped.right_offsets, budget)
+    start, followed by the group count.  A chunk holds at most
+    ``CHUNK_TUPLES`` tuples, or, if the pass prunes, at most four times as
+    many tuples and expected candidates (products times p) together,
+    unless it is a single group."""
+    before = grouped.left_offsets + grouped.right_offsets
+    if not prunes(grouped, p):
+        return chunk_starts(before, CHUNK_TUPLES)
+    expected = np.ceil(grouped.products * (p / GRID)).astype(np.int64)
+    return chunk_starts(before + offsets(expected), CHUNK_TUPLES << 2)
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,12 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     The occupancy pass prunes at ``ceiling`` (default ``p``), the threshold
     the run's pass began at, which ``p`` may have fallen below since.  What
     reaches the sort then depends on the input and the pass alone, not on
-    the chunks' sizes or on when the sketch tightened.
+    the chunks' sizes or on when the sketch tightened.  A ceiling below
+    ``p`` would prune rows of windows at ``p`` and is refused.
     """
     ceiling = p if ceiling is None else ceiling
+    if ceiling < p:
+        raise ValueError(f"ceiling {ceiling} lies below the threshold {p}")
     lb, le = grouped.left_offsets[[lo, hi]].tolist()
     rb, re = grouped.right_offsets[[lo, hi]].tolist()
     left_sizes = np.diff(grouped.left_offsets[lo:hi + 1])
@@ -280,8 +288,7 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     np.take(rows, at, out=at)
     pairs = xs[at]
     del at
-    pairs <<= np.uint64(32)
-    pairs |= np.repeat(ys[cols], counts)
+    pack(pairs, np.repeat(ys[cols], counts), out=pairs)
     group_offsets = column_offsets[offsets(np.bincount(group_of, minlength=groups))]
     return SortedChunk(
         pairs=memoryview(pairs),

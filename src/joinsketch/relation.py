@@ -73,9 +73,10 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
-def pack(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Keys ``high << 32 | low`` of two arrays of 32-bit values."""
-    keys = np.asarray(high, dtype=np.uint64) << _SHIFT
+def pack(high: np.ndarray, low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Keys ``high << 32 | low`` of two arrays of 32-bit values, written to
+    the uint64 array ``out`` if given, which may be ``high`` itself."""
+    keys = np.left_shift(np.asarray(high, dtype=np.uint64), _SHIFT, out=out)
     keys |= np.asarray(low, dtype=np.uint64)
     return keys
 

@@ -2,12 +2,13 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from joinsketch import (MODE_START_AT_ONE, EstimatorConfig, PairwiseHash, Relation, Side,
-                        enumerator, group_and_prune)
+                        enumerator, estimator, group_and_prune)
 from joinsketch.enumerator import chunk_bounds, scan_group, sort_group
 from joinsketch.estimator import run_once
-from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, spawn_rng
+from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, run_rng, spawn_rng
 from joinsketch.relation import chunk_starts, offsets
 
 from conftest import (FixedThreshold, a_run_pairs, greedy_chunks, group_values, random_instance,
@@ -221,6 +222,17 @@ def test_chunk_bounds_cover_every_group_once(monkeypatch):
                 assert hi - lo == 1 or size - (starts[hi] - starts[hi - 1]) < tuples
                 assert hi - lo == 1 or max(
                     starts[g + 1] - starts[g] for g in range(lo, hi)) < tuples
+        # A pass that prunes weighs each group's tuples plus its expected
+        # candidates, products times p, against four times the budget.
+        # Powers of two keep the expectations exact in floating point.
+        for p in (GRID >> 40, GRID >> 8, GRID >> 4):
+            if not enumerator.prunes(grouped, p):
+                continue
+            weights = [size + -(-int(product) * p // GRID)
+                       for size, product in zip(sizes, grouped.products)]
+            for tuples in (1, 16, 64):
+                monkeypatch.setattr(enumerator, "CHUNK_TUPLES", tuples)
+                assert chunk_bounds(grouped, p) == greedy_chunks(weights, 4 * tuples), (trial, p)
         monkeypatch.setattr(enumerator, "CHUNK_TUPLES", 1)
         assert chunk_bounds(grouped) == list(range(len(grouped) + 1))
 
@@ -455,6 +467,65 @@ def test_one_sort_group_call_holds_its_tuples_and_candidates():
         assert (chunk.sorted_tuples < grouped.tuple_count) == pruned
         bound = 96 * grouped.tuple_count + 2 * 16 * len(chunk.hashes)
         assert peak <= bound, (p, peak, bound)
+
+
+def test_chunks_of_a_pass_that_prunes_hold_few_candidates_unless_one_group(monkeypatch):
+    # 20,000 tiny groups make the passes prune; between them, 40 groups
+    # join the same 400 left values to the same 400 right values, so a
+    # widening start-at-one pass lists thousands of candidates per group.
+    # Cut by tuples alone, 2**15-tuple chunks of those groups would list
+    # several times more than chunks of 2**13 tuples.
+    rng = random.Random(27)
+    A, C = rng.sample(range(2**32), 400), rng.sample(range(2**32), 400)
+    t1 = [(rng.randrange(2**32), b) for b in range(20_000)]
+    t2 = [(b, rng.randrange(2**32)) for b in range(20_000)]
+    t1 += [(a, b) for b in range(10_000, 10_040) for a in A]
+    t2 += [(b, c) for b in range(10_000, 10_040) for c in C]
+    grouped = group_and_prune(Relation.from_pairs(Side.LEFT, t1),
+                              Relation.from_pairs(Side.RIGHT, t2))
+    passes = []
+
+    def recording(grouped, p):
+        bounds = chunk_bounds(grouped, p)
+        passes.append((p, bounds))
+        return bounds
+
+    monkeypatch.setattr(estimator, "chunk_bounds", recording)
+    cfg = EstimatorConfig(k=4096, threshold_mode=MODE_START_AT_ONE, seed=3)
+    tracemalloc.start()
+    try:
+        est = run_once(grouped, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.work.passes == len(passes) == 2
+    h = draw_pair_hash(run_rng(cfg.seed, (0,)), cfg.family)
+    budget = enumerator.CHUNK_TUPLES << 2
+    by_tuples = chunk_starts(grouped.left_offsets + grouped.right_offsets, budget)
+
+    def candidates(bounds, p):
+        """Each chunk's candidates below p and its group count."""
+        return [(len(sort_group(grouped, lo, hi, h, p).hashes), hi - lo)
+                for lo, hi in zip(bounds, bounds[1:])]
+
+    most = 0
+    for p, bounds in passes:
+        assert enumerator.prunes(grouped, p)
+        listed = candidates(bounds, p)
+        assert all(n <= 2 * budget for n, groups in listed if groups > 1), (p, listed)
+        most = max(most, max(n for n, _ in listed))
+    assert max(n for n, _ in candidates(by_tuples, passes[-1][0])) > 4 * budget
+    # The input, the sketch and one chunk's candidates, twice over while
+    # the chunk gathers them.
+    bound = 64 * grouped.tuple_count + 64 * cfg.k + 2 * 16 * most
+    assert peak <= bound, (peak, bound)
+
+
+def test_sort_group_refuses_a_ceiling_below_the_threshold():
+    grouped = single_group([1, 2, 3], [4, 5])
+    h = draw_pair_hash(spawn_rng(6700))
+    with pytest.raises(ValueError):
+        sort_group(grouped, 0, 1, h, GRID >> 4, 0, GRID >> 5)
 
 
 def test_a_run_holds_one_chunk_of_candidates_at_a_time():
