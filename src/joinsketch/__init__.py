@@ -21,7 +21,7 @@ from .estimator import (
     WorkCounters,
     estimate_median,
 )
-from .hashing import FAMILIES, MERSENNE, WRAPPING64, PairwiseHash
+from .hashing import WRAPPING64, PairwiseHash
 from .oracle import ExactResult, SizeCapError, exact_size
 from .relation import (
     EDGES,
@@ -62,11 +62,9 @@ __all__ = [
     "Estimate",
     "EstimatorConfig",
     "ExactResult",
-    "FAMILIES",
     "FIMI",
     "FORMATS",
     "GroupedInput",
-    "MERSENNE",
     "MODE_LINEAR",
     "MODE_START_AT_ONE",
     "MTX_PATTERN",

@@ -83,7 +83,6 @@ def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-k", dest="k", type=int, help="sketch size (alternative to --epsilon)")
     p.add_argument("--runs", type=int, default=1, help="odd number of runs; the median is reported")
     p.add_argument("--seed", type=_u64, default=0)
-    p.add_argument("--hash-family", choices=hashing.FAMILIES, default=hashing.WRAPPING64)
 
 
 def _grouped_inputs(args) -> GroupedInput:
@@ -109,7 +108,6 @@ def _config_from_args(args) -> EstimatorConfig:
         threshold_mode=args.threshold_mode,
         runs=args.runs,
         seed=args.seed,
-        family=args.hash_family,
     )
 
 
@@ -270,9 +268,7 @@ _SIDE_INDEX = {Side.LEFT: 0, Side.RIGHT: 1}
 def cmd_sample(args) -> int:
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     relation = load_relation(args.input, args.format, side)
-    selector = hashing.draw_single(
-        hashing.selector_rng(args.seed, _SIDE_INDEX[side]), args.hash_family
-    )
+    selector = hashing.draw_single(hashing.selector_rng(args.seed, _SIDE_INDEX[side]))
     sample = sampling.draw_sample(relation, args.prob, selector)
     sampling.save_sample(sample, args.out)
     _emit(
@@ -373,7 +369,6 @@ def build_parser() -> _Parser:
     p.add_argument("--side", choices=("left", "right"), required=True)
     p.add_argument("--prob", type=_probability, required=True)
     p.add_argument("--seed", type=_u64, default=0)
-    p.add_argument("--hash-family", choices=hashing.FAMILIES, default=hashing.WRAPPING64)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_sample)
 

@@ -70,7 +70,8 @@ class EstimatorConfig:
     Give either ``epsilon`` (target relative error, 0 < epsilon < 1/4, which
     sets k = ceil(9 / epsilon^2)) or ``k`` directly; k must lie in
     [1, 2**64).  ``runs`` must be odd so the median is well defined.  All
-    randomness derives from ``seed``.
+    randomness derives from ``seed``.  ``family`` names the hash family and
+    must be ``wrapping64``, the only one.
     """
 
     epsilon: float | None = None
@@ -101,7 +102,7 @@ class EstimatorConfig:
             raise ConfigError(f"runs must be odd and positive, got {self.runs}")
         if not 0 <= self.seed < hashing.GRID:
             raise ConfigError("seed must fit in 64 bits")
-        if self.family not in hashing.FAMILIES:
+        if self.family != hashing.WRAPPING64:
             raise ConfigError(f"unknown hash family: {self.family!r}")
         # The grid holds 2**64 hash values.  A tiny epsilon is rejected
         # before 9 / epsilon**2 can divide by zero or overflow.

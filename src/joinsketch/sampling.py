@@ -32,7 +32,7 @@ import numpy as np
 
 from . import oracle
 from .estimator import EXACT_SMALL, MODE_START_AT_ONE, Estimate, EstimatorConfig, estimate_median
-from .hashing import GRID, MERSENNE, PairwiseHash, WRAPPING64
+from .hashing import GRID, PairwiseHash
 from .relation import GroupedInput, Relation, Side, group_and_prune, pack, sorted_distinct, unpack
 
 DEFAULT_EXACT_CUTOFF = 10_000
@@ -215,14 +215,16 @@ def plan_sample_size(
 
 # Sample files: little-endian header + one (u32, u32) record per tuple.  The
 # membership cut needs 65 bits (prob = 1 means cut = 2**64), hence two words.
+# The family byte is 0, for the one hash family; 1 marked files drawn with
+# the retired family, whose hashes this version no longer computes.
 _MAGIC = b"JPDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBBQQQQdQQQ")
 _PAIR = np.dtype([("x", "<u4"), ("y", "<u4")])
 _SIDE_CODES = {Side.LEFT: 0, Side.RIGHT: 1}
 _SIDE_FROM_CODE = {v: k for k, v in _SIDE_CODES.items()}
-_FAMILY_CODES = {WRAPPING64: 0, MERSENNE: 1}
-_FAMILY_FROM_CODE = {v: k for k, v in _FAMILY_CODES.items()}
+_FAMILY_CODE = 0
+_RETIRED_FAMILY_CODE = 1
 
 
 def save_sample(sample: DistinctSample, path: str) -> None:
@@ -231,7 +233,7 @@ def save_sample(sample: DistinctSample, path: str) -> None:
         _MAGIC,
         _VERSION,
         _SIDE_CODES[sample.relation.side],
-        _FAMILY_CODES[sample.selector.family],
+        _FAMILY_CODE,
         sample.selector.multiplier,
         sample.selector.addend,
         sample.cut & (GRID - 1),
@@ -261,7 +263,10 @@ def load_sample(path: str) -> DistinctSample:
         raise SampleFormatError(f"{path}: not a sample file")
     if version != _VERSION:
         raise SampleFormatError(f"{path}: unsupported sample version {version}")
-    if side_code not in _SIDE_FROM_CODE or family_code not in _FAMILY_FROM_CODE:
+    if family_code == _RETIRED_FAMILY_CODE:
+        raise SampleFormatError(f"{path}: drawn with the retired mersenne61 hash family; "
+                                "draw the sample again")
+    if side_code not in _SIDE_FROM_CODE or family_code != _FAMILY_CODE:
         raise SampleFormatError(f"{path}: corrupt header fields")
     if not (math.isfinite(prob) and 0 < prob <= 1):
         raise SampleFormatError(f"{path}: sampling probability {prob} outside (0, 1]")
@@ -279,7 +284,7 @@ def load_sample(path: str) -> DistinctSample:
     if np.any(keys[1:] <= keys[:-1]):
         raise SampleFormatError(f"{path}: tuple records are not strictly ascending")
     side = _SIDE_FROM_CODE[side_code]
-    selector = PairwiseHash(multiplier, addend, _FAMILY_FROM_CODE[family_code])
+    selector = PairwiseHash(multiplier, addend)
     attrs = sorted_distinct(unpack(keys)[0 if side is Side.LEFT else 1])
     if attrs.size > source_distinct:
         raise SampleFormatError(f"{path}: {attrs.size} distinct sampled values, more than the "

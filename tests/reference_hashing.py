@@ -1,11 +1,11 @@
 """Scalar reference hashes in plain Python integers, and every distinct
 result pair at once.
 
-The hashes are the textbook formulas that joinsketch's vectorized
+The hash is the textbook formula that joinsketch's vectorized
 ``PairwiseHash.values`` computes in uint64 numpy arithmetic: the tests
-check ``values`` against them, for both families, and use them to hash
-single values.  ``distinct_pair_keys`` joins the oracle's chunks into one
-array, for tests that compare whole pair sets.
+check ``values`` against it and use it to hash single values.
+``distinct_pair_keys`` joins the oracle's chunks into one array, for tests
+that compare whole pair sets.
 """
 
 from __future__ import annotations
@@ -13,17 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from joinsketch import oracle
-from joinsketch.hashing import GRID_BITS, MASK64, MERSENNE61, WRAPPING64, PairHash, PairwiseHash
+from joinsketch.hashing import MASK64, PairHash, PairwiseHash
 from joinsketch.relation import GroupedInput
 
 
 def hash_value(h: PairwiseHash, x: int) -> int:
-    """``h`` at one value: ``(m x + a) mod 2**64``, or ``(m x + a) mod
-    (2**61 - 1)`` rescaled to the grid."""
-    if h.family == WRAPPING64:
-        return (h.multiplier * x + h.addend) & MASK64
-    v = (h.multiplier * x + h.addend) % MERSENNE61
-    return (v << GRID_BITS) // MERSENNE61
+    """``h`` at one value: ``(m x + a) mod 2**64``."""
+    return (h.multiplier * x + h.addend) & MASK64
 
 
 def pair_value(h: PairHash, x: int, y: int) -> int:

@@ -20,6 +20,8 @@ from joinsketch import (
     MODE_START_AT_ONE,
     POINT,
     EstimatorConfig,
+    Relation,
+    Side,
     draw_sample,
     estimate_from_samples,
     estimate_median,
@@ -148,6 +150,27 @@ def test_criterion_4_accuracy_k256(accuracy_ratios):
         fraction >= 0.567 and elapsed[256] < 120.0,
         f"within={fraction:.3f} (needed 0.567) trials={len(ratios[256])} elapsed={elapsed[256]:.1f}s",
     )
+
+
+@pytest.mark.parametrize("stride", [1, 2**16, 2**20])
+def test_criterion_4_accuracy_on_structured_ids(stride):
+    # Ids in arithmetic progression are where a multiply-add hash is weakest.
+    # Full product of 400 left and 250 right ids through 4 join values:
+    # z = 100000 > k**2, each pair reached 4 times.
+    left = Relation.from_pairs(Side.LEFT, [(i * stride, b) for i in range(400) for b in range(4)])
+    right = Relation.from_pairs(Side.RIGHT, [(b, j * stride) for b in range(4) for j in range(250)])
+    grouped = group_and_prune(left, right)
+    z = exact_size(grouped).z
+    assert z == 100_000
+    epsilon = math.sqrt(9.0 / 256)
+    cfg = EstimatorConfig(k=256, threshold_mode=MODE_START_AT_ONE, seed=1871)
+    within = 0
+    for t in range(200):
+        est = run_once(grouped, cfg, key=(t,))
+        assert est.kind == POINT
+        within += abs(est.value / z - 1.0) <= epsilon
+    report(4, f"point accuracy at k=256, ids at stride {stride}", within / 200 >= 0.567,
+           f"within={within / 200:.3f} (needed 0.567) trials=200")
 
 
 def test_criterion_5_error_shrinks_with_k(accuracy_ratios):

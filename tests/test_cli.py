@@ -235,6 +235,25 @@ def test_negative_count_flag_is_usage_error(capsys, tmp_path, tiny_pair, command
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "experiment", "sample", "sample-estimate"])
+def test_hash_family_flag_is_usage_error(capsys, tmp_path, tiny_pair, command):
+    # wrapping64 is the only hash family, so there is no flag to choose one.
+    left, right = tiny_pair
+    if command == "sample-estimate":
+        inputs = [str(p) for p in _make_samples(capsys, tmp_path, tiny_pair)] + ["-k", "4"]
+    elif command == "sample":
+        inputs = ["--input", str(left), "--side", "left", "--prob", "0.5",
+                  "--out", str(tmp_path / "s.sample")]
+    else:
+        inputs = ["--left", str(left), "--right", str(right), "-k", "4"]
+        if command == "experiment":
+            inputs += ["--trials", "1", "--out-dir", str(tmp_path / "out")]
+    before = sorted(tmp_path.rglob("*"))
+    for family in ("wrapping64", "mersenne61"):
+        assert one_error_line(*run_cli(capsys, [command, *inputs, "--hash-family", family]))
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("size", [["-k", "1" + "0" * 200], ["--epsilon", "1e-200"],
                                   ["--epsilon", "1e-150"]], ids=["k", "eps-1e-200", "eps-1e-150"])
 def test_sketch_size_of_2_64_or_more_is_usage_error(capsys, tiny_pair, size):
@@ -603,6 +622,17 @@ def test_sample_estimate_rejects_a_record_that_fails_the_cut(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["sample-estimate", str(ls), str(rs), "-k", "16", "--json"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_sample_estimate_refuses_the_retired_hash_family(capsys, tmp_path, tiny_pair):
+    ls, rs = _make_samples(capsys, tmp_path, tiny_pair)
+    blob = bytearray(ls.read_bytes())
+    assert blob[7] == 0  # the header's family byte
+    blob[7] = 1
+    ls.write_bytes(bytes(blob))
+    code, out, err = run_cli(capsys, ["sample-estimate", str(ls), str(rs), "-k", "16", "--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "mersenne61" in err and err.count("\n") == 1
 
 
 def test_sample_estimate_corrupt_file(capsys, tmp_path):

@@ -499,7 +499,7 @@ def test_chunks_of_a_pass_that_prunes_hold_few_candidates_unless_one_group(monke
     finally:
         tracemalloc.stop()
     assert est.work.passes == len(passes) == 2
-    h = draw_pair_hash(run_rng(cfg.seed, (0,)), cfg.family)
+    h = draw_pair_hash(run_rng(cfg.seed, (0,)))
     budget = enumerator.CHUNK_TUPLES << 2
     by_tuples = chunk_starts(grouped.left_offsets + grouped.right_offsets, budget)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from joinsketch import MERSENNE, WRAPPING64, PairwiseHash
-from joinsketch.hashing import (GRID, MASK64, MERSENNE61, PairHash, draw_pair_hash, draw_single,
-                               run_rng, spawn_rng)
+from joinsketch import WRAPPING64, PairwiseHash
+from joinsketch.hashing import (GRID, MASK64, PairHash, draw_pair_hash, draw_single, run_rng,
+                               spawn_rng)
 
 from reference_hashing import hash_value, pair_value
 
@@ -63,11 +63,14 @@ def test_odd_multiplier_drawn():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        draw_single(spawn_rng(0), "md5")
+    for family in ("md5", "mersenne61"):
+        with pytest.raises(ValueError, match="unknown hash family"):
+            draw_single(spawn_rng(0), family)
+        with pytest.raises(ValueError, match="unknown hash family"):
+            draw_pair_hash(spawn_rng(0), family)
 
 
-@pytest.mark.parametrize("family", [WRAPPING64, MERSENNE])
+@pytest.mark.parametrize("family", [WRAPPING64])
 def test_pair_hash_no_collisions_at_scale(family):
     # 15k distinct pairs give ~1.1e8 value comparisons; any repeated hash
     # would blow the pairwise collision budget by orders of magnitude.
@@ -96,12 +99,11 @@ def _cyclic_ascents(values):
     st.integers(0, 2**32 - 1),
     st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=100, unique=True),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([WRAPPING64, MERSENNE]),
 )
-def test_columns_are_cyclically_sorted(seed, xs, y, family):
+def test_columns_are_cyclically_sorted(seed, xs, y):
     # For fixed y, x taken in h1 order makes the pair hash ascend with at
     # most one wraparound; this is what the per-column scan relies on.
-    h = draw_pair_hash(spawn_rng(seed), family)
+    h = draw_pair_hash(spawn_rng(seed))
     xs = sorted(xs, key=lambda x: (hash_value(h.h1, x), x))
     col = [pair_value(h, x, y) for x in xs]
     assert _cyclic_descents(col) <= 1
@@ -124,7 +126,7 @@ def test_rows_are_cyclically_sorted_in_reverse(seed, ys, x):
         assert _cyclic_ascents(row) == 1
 
 
-@pytest.mark.parametrize("family", [WRAPPING64, MERSENNE])
+@pytest.mark.parametrize("family", [WRAPPING64])
 @pytest.mark.parametrize("t", [2**32, 2**48, 2**60])
 def test_pair_uniformity_smoke(family, t):
     # Monte Carlo over fresh hash draws: the sub-threshold rate must sit
@@ -132,10 +134,9 @@ def test_pair_uniformity_smoke(family, t):
     # slack, since the small-t expectations are single digits).
     seeds = 150
     per_seed = 5000
-    fam_key = 0 if family == WRAPPING64 else 1
     below = 0
     for s in range(seeds):
-        rng = spawn_rng(4242, fam_key, s)
+        rng = spawn_rng(4242, 0, s)
         h = draw_pair_hash(rng, family)
         xs = rng.integers(0, 2**32, size=per_seed, dtype=np.uint64)
         ys = rng.integers(0, 2**32, size=per_seed, dtype=np.uint64)
@@ -147,38 +148,14 @@ def test_pair_uniformity_smoke(family, t):
     assert abs(below / n - p) <= 3 * se + 1.0 / n
 
 
-def test_mersenne_rescaling_stays_on_grid():
-    h = draw_single(spawn_rng(5), MERSENNE)
-    values = h.values(np.arange(1000, dtype=np.uint64))
-    assert int(values.max()) < GRID
-    assert [hash_value(h, i) for i in range(10)] == values[:10].tolist()
-
-
-def test_mersenne_values_match_the_scalar_formula():
-    rng = np.random.default_rng(150)
-    xs = np.concatenate(([0, 1, 2**32 - 2, 2**32 - 1],
-                         rng.integers(0, 2**32, 400))).astype(np.uint64)
-    p = MERSENNE61
-    hashes = [draw_single(spawn_rng(150, i), MERSENNE) for i in range(100)]
-    # Edge parameters, and parameters of 2**61 or more as a loaded sample
-    # file may hold them.
-    for m in (1, 2**32 - 1, 2**32, p - 1, p, p + 1, GRID - 1):
-        for a in (0, 1, p - 1, GRID - 1):
-            hashes.append(PairwiseHash(m, a, MERSENNE))
-    # A sum that folds to p + 1 before the last reduction, at x = 2**32 - 1.
-    hashes.append(PairwiseHash(2**40 + 12345, 2305791087354062905, MERSENNE))
-    for h in hashes:
-        assert h.values(xs).tolist() == [hash_value(h, x) for x in xs.tolist()], h
-
-
 def test_wrapping_values_match_the_scalar_formula():
     rng = np.random.default_rng(151)
     xs = np.concatenate(([0, 1, 2**32 - 2, 2**32 - 1],
                          rng.integers(0, 2**32, 400))).astype(np.uint64)
-    hashes = [draw_single(spawn_rng(151, i), WRAPPING64) for i in range(100)]
+    hashes = [draw_single(spawn_rng(151, i)) for i in range(100)]
     for m in (1, 3, 2**32 - 1, 2**32 + 1, GRID - 1):
         for a in (0, 1, 2**32, GRID - 1):
-            hashes.append(PairwiseHash(m, a, WRAPPING64))
+            hashes.append(PairwiseHash(m, a))
     for h in hashes:
         assert h.values(xs).tolist() == [hash_value(h, x) for x in xs.tolist()], h
 

@@ -16,8 +16,8 @@ def test_signatures_are_strict_json_and_repeat(capsys):
     first = capsys.readouterr().out.splitlines()
     outcome_signatures.main(args)
     assert capsys.readouterr().out.splitlines() == first
-    # Three workloads at one seed, then four configurations per instance.
-    assert len(first) == 3 + 3 * 4
+    # Three workloads at one seed, then two configurations per instance.
+    assert len(first) == 3 + 3 * 2
     lines = [strict_json(line) for line in first]
     assert [line["workload"] for line in lines[:3]] == ["uniform-ingest", "skewed-repeat",
                                                         "fimi-sketch"]
@@ -25,9 +25,8 @@ def test_signatures_are_strict_json_and_repeat(capsys):
         assert {"kind", "v", "count", "value", "work"} <= line.keys()
         assert line["work"] and all("inner_iterations" not in w and "emitted_pairs" in w
                                     for w in line["work"])
-    assert {(line["mode"], line["family"]) for line in lines[3:]} == {
-        (mode, family) for mode in ("linear", "start-at-one")
-        for family in ("wrapping64", "mersenne61")}
+    assert [(line["mode"], line["family"]) for line in lines[3:]] == [
+        ("linear", "wrapping64"), ("start-at-one", "wrapping64")] * 3
 
 
 def test_outcomes_only_leaves_out_every_counter(capsys):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from joinsketch import (
-    MERSENNE,
     DistinctSample,
     EstimatorConfig,
     PairwiseHash,
@@ -26,7 +25,7 @@ from joinsketch import (
 )
 from joinsketch import plan_sample_size
 from joinsketch.estimator import run_once
-from joinsketch.hashing import GRID, WRAPPING64, draw_single, spawn_rng
+from joinsketch.hashing import GRID, draw_single, spawn_rng
 from joinsketch.sampling import membership_cut
 
 from conftest import break_the_cut, disjoint_instance
@@ -309,9 +308,9 @@ def test_sample_round_trip(tmp_path):
     assert loaded == sample
 
 
-def test_sample_round_trip_all_pass_cut_and_mersenne(tmp_path):
+def test_sample_round_trip_all_pass_cut(tmp_path):
     r = Relation.from_pairs(Side.RIGHT, {(i % 9, i) for i in range(50)})
-    sample = draw_sample(r, 1.0, draw_single(spawn_rng(11), MERSENNE))
+    sample = draw_sample(r, 1.0, draw_single(spawn_rng(11)))
     path = tmp_path / "right.sample"
     save_sample(sample, str(path))
     loaded = load_sample(str(path))
@@ -335,7 +334,7 @@ def _samples(draw):
     side = draw(st.sampled_from([Side.LEFT, Side.RIGHT]))
     relation = Relation.from_pairs(side, draw(st.lists(st.tuples(_U32, _U32), max_size=40)))
     prob = draw(st.one_of(st.just(1.0), st.floats(0, 1, exclude_min=True)))
-    selector = PairwiseHash(draw(_U64), draw(_U64), draw(st.sampled_from([WRAPPING64, MERSENNE])))
+    selector = PairwiseHash(draw(_U64), draw(_U64))
     return draw_sample(relation, prob, selector)
 
 
@@ -441,6 +440,17 @@ def _patched(tmp_path, offset=None, value=b"", body=None):
         blob[struct.calcsize("<4sHBBQQQQdQQQ"):] = body(blob[struct.calcsize("<4sHBBQQQQdQQQ"):])
     path.write_bytes(bytes(blob))
     return path
+
+
+def test_load_refuses_the_retired_hash_family(tmp_path):
+    # Byte 7 is the family: 0 for wrapping64, 1 for the retired mersenne61.
+    assert _patched(tmp_path).read_bytes()[7] == 0
+    path = _patched(tmp_path, 7, b"\x01")
+    with pytest.raises(SampleFormatError, match="retired mersenne61 hash family"):
+        load_sample(str(path))
+    path = _patched(tmp_path, 7, b"\x02")
+    with pytest.raises(SampleFormatError, match="corrupt header fields"):
+        load_sample(str(path))
 
 
 @pytest.mark.parametrize("prob", [0.0, -0.25, 1.5, float("nan"), float("inf")])
