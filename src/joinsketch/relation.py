@@ -35,9 +35,12 @@ _LOW = np.uint64(MAX_ATTRIBUTE)
 # Token grammar, shared by all formats: ASCII "-?[0-9]+" fields separated by
 # spaces and tabs.  Lines end at "\n", "\r\n" or a lone "\r".
 _TAB, _NEWLINE, _SPACE, _HASH, _PERCENT, _MINUS, _ZERO = 9, 10, 32, 35, 37, 45, 48
-# Fields of at most this many digits are converted in uint64 arithmetic;
-# longer ones (leading zeros, or out of range anyway) by Python's int().
+# Fields of at most this many digits are converted in uint64 arithmetic, by
+# numpy's C text reader or digit by digit; longer ones (leading zeros, or out
+# of range anyway) by Python's int().
 _FAST_DIGITS = 10
+# An error message shows at most this many bytes of the field it names.
+_SHOWN = 40
 # Input bytes per tokenizer block; a block ends at a newline, and a longer
 # line is a block of its own.  Tokenizer time against one pass over the
 # whole input, on the benchmark's uniform-ingest and skewed-repeat edge
@@ -57,12 +60,18 @@ class ParseError(ValueError):
 class RangeError(ValueError):
     """Attribute value outside the unsigned 32-bit range.
 
-    A value with more digits than ``int()`` converts is reported by its
-    digit count, and ``value`` is None.
+    The message shows a value of more than 40 characters by its first 40
+    and its digit count.  A value with more digits than ``int()`` converts
+    is reported by its digit count alone, and ``value`` is None.
     """
 
     def __init__(self, value: int | None, line: int, digits: int = 0):
-        shown = f"of {digits} digits" if value is None else value
+        if value is None:
+            shown = f"of {digits} digits"
+        else:
+            shown = str(value)
+            if len(shown) > _SHOWN:
+                shown = f"{shown[:_SHOWN]}... ({len(shown.lstrip('-'))} digits)"
         super().__init__(f"line {line}: attribute value {shown} outside unsigned 32-bit range")
         self.value = value
         self.line = line
@@ -211,10 +220,13 @@ class Relation:
 # -- parsing ---------------------------------------------------------------
 #
 # One tokenizer reads all three formats: a few numpy passes over each
-# newline-aligned block of the input bytes split and convert its fields and
-# find the first bad one.  Each format then checks its line rules (field
-# counts, the mtx shape and entry count) on those arrays; no parser walks its
-# lines in Python.
+# newline-aligned block of the input bytes split it into fields and find the
+# first bad one.  A block of plain digits and gaps is converted by numpy's C
+# text reader, any other block digit by digit.  Each format then checks its
+# line rules (field counts, the mtx shape and entry count) on those arrays;
+# no parser walks its lines in Python.  edges and fimi pack each block's
+# tuples as it comes, so only the keys are joined; mtx-pattern joins the
+# fields of all blocks.
 
 
 def _normalized(text: str | bytes) -> bytes:
@@ -227,15 +239,18 @@ def _normalized(text: str | bytes) -> bytes:
 
 
 def _field_error(token: bytes, line: int) -> ParseError | RangeError:
-    """The error of a field that breaks the grammar or the 32-bit range."""
+    """The error of a field that breaks the grammar or the 32-bit range.
+    A field of more than 40 bytes is shown by its first 40 and its length."""
     digits = token.removeprefix(b"-")
     if digits.isdigit():  # ASCII digits only, for bytes
         try:
             return RangeError(int(token), line)
         except ValueError:  # beyond the interpreter's integer string limit
             return RangeError(None, line, len(digits))
-    shown = token.decode("ascii", "backslashreplace")
-    return ParseError(f"expected an integer, got {shown!r}", line)
+    shown = repr(token[:_SHOWN].decode("ascii", "backslashreplace"))
+    if len(token) > _SHOWN:
+        shown += f"... ({len(token)} bytes)"
+    return ParseError(f"expected an integer, got {shown}", line)
 
 
 def _first_error(*errors: ValueError | None) -> ValueError | None:
@@ -252,28 +267,40 @@ def _tokenize(data: bytes, comment: int | None) -> tuple[np.ndarray, np.ndarray,
     if none).  A line whose first field starts with the byte ``comment`` is
     dropped whole, whatever bytes follow.  After an error the fields are
     returned up to the end of its block, so at least every field of every
-    line up to the error's.
+    line up to the error's.  These are the blocks of :func:`_token_blocks`,
+    joined.
     """
+    lines, values = [], []
+    for block_lines, block_values, error in _token_blocks(data, comment):
+        lines.append(block_lines)
+        values.append(block_values)
+    # The joins set the parse's memory peak, so the blocks' lines are freed
+    # before their values are joined.
+    del block_lines, block_values
+    lines = np.concatenate(lines)
+    return lines, np.concatenate(values), error
+
+
+def _token_blocks(data: bytes, comment: int | None
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, ValueError | None]]:
+    """:func:`_tokenize` one block at a time: the lines, values and first
+    error of each block of :func:`_blocks`, ending with the block that
+    holds the first error.  Lines count from the start of ``data``."""
     # Each step's temporaries are the size of a block, not of the input, and
     # the two byte masks are reused from block to block.
     scratch = np.empty((2, min(len(data), _BLOCK) + 2), dtype=bool)
-    lines, values = [], []
     line = 0
     for start, end in _blocks(data):
         if scratch.shape[1] < end - start + 2:
             scratch = np.empty((2, end - start + 2), dtype=bool)
-        block_lines, block_values, error, newlines = _tokenize_block(
-            data, start, end, line, comment, scratch)
-        lines.append(block_lines)
-        values.append(block_values)
+        lines, values, error, newlines = _tokenize_block(data, start, end, line, comment, scratch)
+        yield lines, values, error
+        # Hold no block's fields while the next one is tokenized, so that
+        # its temporaries can reuse their memory; the parsers drop theirs too.
+        del lines, values
         line += newlines
         if error:
-            break
-    # The joins set the parse's memory peak: free the buffers first, and the
-    # blocks' lines before the values are joined.
-    del scratch, block_lines, block_values
-    lines = np.concatenate(lines)
-    return lines, np.concatenate(values), error
+            return
 
 
 def _blocks(data: bytes) -> Iterator[tuple[int, int]]:
@@ -295,6 +322,10 @@ def _tokenize_block(data: bytes, start: int, end: int, line: int, comment: int |
                     scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, ValueError | None, int]:
     """:func:`_tokenize` on ``data[start:end]``, which holds whole lines
     from line ``line`` on; also returns the number of newlines in it.
+
+    A block of only ASCII digits and gaps, with at least one field and no
+    field longer than ``_FAST_DIGITS``, is converted by one
+    ``np.fromstring`` call; any other block, digit by digit.
 
     ``scratch`` is two rows of at least ``end - start + 2`` bools.  Entry
     j + 1 of a row stands for byte j of the block, with a sentinel entry on
@@ -323,13 +354,49 @@ def _tokenize_block(data: bytes, start: int, end: int, line: int, comment: int |
     del cuts, newlines_before, field
 
     # Bytes that are neither gaps nor digits: minus signs, comment text, and
-    # anything that breaks the grammar.  A minus may only open a field that
-    # has a digit after it.
+    # anything that breaks the grammar.
     shifted = aux_inner.view(np.uint8)
     np.subtract(buf, np.uint8(_ZERO), out=shifted)
     np.less(shifted, 10, out=aux_inner)
     inner |= aux_inner
     odd = np.flatnonzero(np.logical_not(inner, out=inner))
+
+    values = None
+    if not odd.size and starts.size and int((ends - starts).max()) <= _FAST_DIGITS:
+        # The C reader reads blank text as one 0, so its values count only
+        # if they are one per field.
+        values = np.fromstring(data[start:end], dtype=np.uint64, sep=" ")
+    if values is not None and values.size == starts.size:
+        bad = values > MAX_ATTRIBUTE
+    else:
+        values, bad = _digit_values(data, start, buf, starts, ends, odd)
+
+    keep = None
+    if comment is not None and odd.size:  # a comment opens with an odd byte
+        comment_line = np.zeros(int(lines[-1]) + 1, dtype=bool)
+        comment_line[lines[run_starts(lines) & (buf[starts] == comment)]] = True
+        keep = ~comment_line[lines]
+        bad &= keep
+    error = None
+    if bad.any():
+        i = int(np.argmax(bad))
+        error = _field_error(data[start + starts[i]:start + ends[i]], line + int(lines[i]) + 1)
+    if keep is not None:
+        lines, values = lines[keep], values[keep]
+    lines += line
+    return lines, values, error, newlines
+
+
+def _digit_values(data: bytes, start: int, buf: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of a block's fields, converted digit by digit, and the
+    mask of the fields that break the grammar or the 32-bit range.
+
+    ``starts`` and ``ends`` are the fields' byte offsets in the block
+    ``buf``, which starts at ``data[start]``, and ``odd`` those of its
+    bytes that are neither gaps nor digits.
+    """
+    # A minus may only open a field that has a digit after it.
     field = np.searchsorted(starts, odd, side="right") - 1
     allowed = (buf[odd] == _MINUS) & (odd == starts[field]) & (ends[field] - odd >= 2)
     bad = np.zeros(starts.size, dtype=bool)
@@ -350,45 +417,50 @@ def _tokenize_block(data: bytes, start: int, end: int, line: int, comment: int |
         values[i] = MAX_ATTRIBUTE + 1 if too_long else int(significant or b"0")
     bad |= values > MAX_ATTRIBUTE
     bad |= negative & (values != 0)
-    del negative, digits, pos
+    return values, bad
 
-    keep = None
-    if comment is not None and starts.size:
-        comment_line = np.zeros(int(lines[-1]) + 1, dtype=bool)
-        comment_line[lines[run_starts(lines) & (buf[starts] == comment)]] = True
-        keep = ~comment_line[lines]
-        bad &= keep
-    error = None
-    if bad.any():
-        i = int(np.argmax(bad))
-        error = _field_error(data[start + starts[i]:start + ends[i]], line + int(lines[i]) + 1)
-    if keep is not None:
-        lines, values = lines[keep], values[keep]
-    lines += line
-    return lines, values, error, newlines
+
+def _pair_count_error(lines: np.ndarray) -> ParseError | None:
+    """The error of the first line that does not hold exactly two fields,
+    given the ascending 0-based lines of some whole lines' fields."""
+    if not lines.size:
+        return None
+    first = int(lines[0])
+    counts = np.bincount(lines - first)
+    wrong = np.flatnonzero((counts != 0) & (counts != 2))
+    if not wrong.size:
+        return None
+    i = int(wrong[0])
+    return ParseError(f"expected two fields, got {counts[i]}", first + i + 1)
 
 
 def _parse_edges(text: str | bytes) -> np.ndarray:
-    lines, values, error = _tokenize(_normalized(text), _HASH)
-    # Every line that is not blank or a comment holds exactly two fields.
-    counts = np.bincount(lines)
-    wrong = np.flatnonzero((counts != 0) & (counts != 2))[:1].tolist()
-    error = _first_error(
-        *(ParseError(f"expected two fields, got {counts[i]}", i + 1) for i in wrong), error)
-    if error:
-        raise error
-    return pack(values[0::2], values[1::2])
+    keys = []
+    for lines, values, error in _token_blocks(_normalized(text), _HASH):
+        # Every line that is not blank or a comment holds exactly two
+        # fields.  A block holds whole lines, so it checks its own.
+        error = _first_error(_pair_count_error(lines), error)
+        if error:
+            raise error
+        keys.append(pack(values[0::2], values[1::2]))
+        del lines, values  # before the next block; see _token_blocks
+    return np.concatenate(keys)
 
 
 def _parse_fimi(text: str | bytes) -> np.ndarray:
     # One transaction per line; tuple = (0-based line index, item id).
-    lines, values, error = _tokenize(_normalized(text), None)
-    if error:
-        raise error
-    if lines.size and lines[-1] > MAX_ATTRIBUTE:
-        row = int(lines[-1])
+    keys, row = [], 0
+    for lines, values, error in _token_blocks(_normalized(text), None):
+        if error:
+            raise error
+        if lines.size:
+            row = int(lines[-1])
+        high = lines.view(np.uint64)
+        keys.append(pack(high, values, out=high))
+        del lines, values, high  # before the next block; see _token_blocks
+    if row > MAX_ATTRIBUTE:
         raise RangeError(row, row + 1)
-    return pack(lines, values)
+    return np.concatenate(keys)
 
 
 def _parse_mtx(text: str | bytes) -> np.ndarray:

@@ -158,6 +158,19 @@ def test_field_too_long_to_convert_is_data_error(capsys, tmp_path, field, digits
     assert err == f"error: line 1: attribute value of {digits} digits outside unsigned 32-bit range\n"
 
 
+@pytest.mark.parametrize("field, shown", [
+    ("x" * 2_000_000, f"expected an integer, got '{'x' * 40}'... (2000000 bytes)"),
+    ("9" * 4000, f"attribute value {'9' * 40}... (4000 digits) outside unsigned 32-bit range"),
+], ids=["2M-byte-field", "4000-digit-value"])
+def test_huge_field_error_shows_its_first_40_bytes_and_its_length(capsys, tmp_path, field, shown):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(f"1 2\n3 {field}\n")
+    code, out, err = run_cli(capsys, ["exact", "--self", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: {shown}\n"
+    assert len(err.encode()) < 200
+
+
 def test_leading_zeros_beyond_the_conversion_limit_still_parse(capsys, tmp_path):
     data = tmp_path / "zeros.edges"
     data.write_text(f"1 {'0' * 5000}7\n")

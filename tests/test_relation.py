@@ -213,6 +213,17 @@ def test_group_structural_invariants():
 
 # -- token grammar ---------------------------------------------------------
 
+# The block sizes of test_tokenizer_agrees_with_the_line_parsers.  A block
+# of plain digits and gaps is converted by numpy's C reader, any other digit
+# by digit.
+_BLOCKS = [1, 7, 64, relation._BLOCK]
+
+
+def _parse_in_blocks(text, fmt, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation, "_BLOCK", block)
+        return parse_relation(text, fmt)
+
 
 @pytest.mark.parametrize(
     "text,fmt,want",
@@ -228,10 +239,27 @@ def test_group_structural_invariants():
         ("5\r6 7\n", "fimi", {(0, 5), (1, 6), (1, 7)}),
         ("%%MatrixMarket matrix coordinate pattern general\r\n% é\r\n2 2 1\r\n1\t2\r\n",
          "mtx-pattern", {(1, 2)}),
+        # Gaps only: the C reader returns one 0 for these.
+        ("\n\n", "edges", set()),
+        ("\n\n", "fimi", set()),
+        ("  \t \n \n  ", "edges", set()),
+        ("  \t \n \n  ", "fimi", set()),
+        # Zero-padded fields longer than the C reader takes, in clean blocks.
+        ("00000000007 00004294967295\n1 2\n", "edges", {(7, 2**32 - 1), (1, 2)}),
+        ("1\n00000000003 9\n", "fimi", {(0, 1), (1, 3), (1, 9)}),
     ],
 )
 def test_grammar_accepts(text, fmt, want):
-    assert parse_relation(text, fmt).tuples == want
+    for block in _BLOCKS:
+        assert _parse_in_blocks(text, fmt, block).tuples == want, block
+
+
+# A 10-digit value above 2**32 in a block of plain digits and gaps.
+_RANGE_REJECTS = [
+    ("1 2\n4294967296 3\n", "edges", 2),
+    ("1 2\n3 9999999999\n5 6\n", "edges", 2),
+    ("1 2\n3 4294967296\n", "fimi", 2),
+]
 
 
 @pytest.mark.parametrize(
@@ -248,13 +276,15 @@ def test_grammar_accepts(text, fmt, want):
         ("5\n6 ٣\n", "fimi", 2),
         ("5\n# 6\n", "fimi", 2),  # fimi has no comments
         ("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 +2\n", "mtx-pattern", 3),
-    ],
+    ] + _RANGE_REJECTS,
 )
 def test_grammar_rejects(text, fmt, line):
-    with pytest.raises(ParseError) as exc:
-        parse_relation(text, fmt)
-    assert exc.value.line == line
-    assert "\n" not in str(exc.value)
+    error = RangeError if (text, fmt, line) in _RANGE_REJECTS else ParseError
+    for block in _BLOCKS:
+        with pytest.raises(error) as exc:
+            _parse_in_blocks(text, fmt, block)
+        assert exc.value.line == line, block
+        assert "\n" not in str(exc.value)
 
 
 def test_errors_report_the_first_bad_line():
@@ -271,6 +301,9 @@ def test_errors_report_the_first_bad_line():
     with pytest.raises(RangeError) as exc:
         parse_relation(f"1\n2 {'0' * 12}{2**32} 3\n", "fimi")
     assert (exc.value.line, exc.value.value) == (2, 2**32)
+    with pytest.raises(RangeError) as exc:
+        parse_relation(f"1 2\n3 {'9' * 4000}\n", "edges")
+    assert (exc.value.line, exc.value.value) == (2, int("9" * 4000))
     header = "%%MatrixMarket matrix coordinate pattern general\n"
     for body, message in [
         ("% c\n3 x 2\n1 1\n", "line 3: expected an integer, got 'x'"),
@@ -423,10 +456,11 @@ def test_blocks_join_into_the_relation_of_the_whole_text():
 def test_parse_peak_memory_is_a_small_multiple_of_the_input():
     _, data = _scattered_edges(np.random.default_rng(13), 100_000)
     assert len(data) >= 2 * 2**20
-    tracemalloc.start()
-    try:
-        parse_relation(data, "edges")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * len(data)
+    for fmt in ("edges", "fimi"):
+        tracemalloc.start()
+        try:
+            parse_relation(data, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(data), fmt
