@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +39,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CAP = 3
+# A closed standard output: the status a shell reports for a filter that
+# SIGPIPE ended, 128 + 13.
+EXIT_PIPE = 141
 
 
 class UsageError(Exception):
@@ -394,7 +398,15 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "func"):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        return args.func(args)
+        status = args.func(args)
+        # Report a closed pipe here, not from the flush at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader stopped reading: end quietly, as a filter does, and
+        # send what is still buffered to the null device at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

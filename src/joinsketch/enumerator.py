@@ -35,6 +35,9 @@ first surviving row from its hash on lies no nearer than its minimum, so
 the column is still dropped.  The sorted order restricted to the survivors
 is the order of the whole chunk restricted to them, so the candidates,
 their order and the group offsets are those of sorting every tuple.
+The pass hashes and prunes a chunk in slices of consecutive groups that
+fit in cache, and the chunk's survivors are then sorted together; the
+cells depend on the group alone, so the slices change no survivor.
 
 A run may pass over the chunks more than once, sorting every group again
 at a wider threshold.  The previous pass's threshold is then the floor: a
@@ -58,13 +61,27 @@ from .relation import GroupedInput, chunk_starts, offsets, pack, tie_runs
 # arrays, 16 bytes a candidate.  Against 2**11, 2**13 took the benchmark's
 # host-scaled skewed-repeat estimate from 0.23 s to 0.18 s (medians of 3-4
 # runs, 2-core Xeon VM, numpy 2.4).  Where the occupancy pass prunes, the
-# work after it scales with the survivors, and chunks take four times as
-# many tuples and expected candidates together: against 2**13 tuples, that
-# took the in-process estimate to 0.68x on skewed-repeat (9 runs) and 0.74x
-# on uniform-ingest (minimum of 7 calls, 2-vCPU VM, numpy 2.4.6).  Counting
-# the candidates keeps large groups from sharing such a chunk, and a pass
-# that does not prune keeps 2**13 tuples, which bounds what a chunk lists
-# when a widening pass nears threshold 1.
+# work after it scales with the survivors, so a chunk weighs each group's
+# tuples plus four times its expected candidates (products times p)
+# against 16 times as many: up to 2**17 tuples, and at most 2**15 expected
+# candidates, as with the earlier cut of 2**15 tuples and candidates
+# together.  The pass runs over slices of at most 2**15 tuples and the
+# chunk's survivors are sorted in one batch: 2 batches per run on
+# uniform-ingest and skewed-repeat instead of 7 and 5.  With the pass's
+# spare slot, that took the benchmark's estimate_s to 0.83x on both
+# (paired run.py, 2-vCPU VM, numpy 2.4.6).  In process, cuts of 2**15,
+# 2**16, 2**17, 2**18 and 2**20 took 8.7, 8.3, 8.0, 7.9 and 7.8 ms on
+# uniform-ingest and 34.7, 33.2, 30.8, 29.8 and 29.8 ms on skewed-repeat;
+# past 2**17 the gain is small and the worst case grows.  Without the
+# slices, 2**17-tuple chunks raised the estimate's traced peak from 1.5 to
+# 3.3 MiB on uniform-ingest and from 1.0 to 2.4 MiB on skewed-repeat; with
+# them it is 1.5 and 0.8 MiB.  The worst case is a pruning chunk whose
+# tuples nearly all survive: all of its up to 2**17 tuples are then
+# sorted together, 13.5 MiB of temporaries for 123k tuples with a
+# candidate per column (tracemalloc), against 3.5 MiB for the 32k tuples
+# of a 2**15 cut.  Counting the candidates keeps large groups from sharing
+# such a chunk, and a pass that does not prune keeps 2**13 tuples, which
+# bounds what a chunk lists when a widening pass nears threshold 1.
 CHUNK_TUPLES = 1 << 13
 
 
@@ -92,14 +109,14 @@ def prunes(grouped: GroupedInput, p: int) -> bool:
 def chunk_bounds(grouped: GroupedInput, p: int = GRID) -> list[int]:
     """Group indices at which the chunks of a pass at threshold ``p``
     start, followed by the group count.  A chunk holds at most
-    ``CHUNK_TUPLES`` tuples, or, if the pass prunes, at most four times as
-    many tuples and expected candidates (products times p) together,
-    unless it is a single group."""
+    ``CHUNK_TUPLES`` tuples, or, if the pass prunes, its groups' tuples
+    plus four times their expected candidates (products times p) come to
+    at most ``CHUNK_TUPLES << 4``, unless it is a single group."""
     before = grouped.left_offsets + grouped.right_offsets
     if not prunes(grouped, p):
         return chunk_starts(before, CHUNK_TUPLES)
     expected = np.ceil(grouped.products * (p / GRID)).astype(np.int64)
-    return chunk_starts(before + offsets(expected), CHUNK_TUPLES << 2)
+    return chunk_starts(before + 4 * offsets(expected), CHUNK_TUPLES << 4)
 
 
 @dataclass(frozen=True)
@@ -124,47 +141,75 @@ class SortedChunk:
 
 
 def _reachable(x_hashes: np.ndarray, left_sizes: np.ndarray, y_hashes: np.ndarray,
-               right_sizes: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
-    """The occupancy pass at threshold ``p``: masks of the rows and the
-    columns it keeps, and the kept rows and columns per group.
+               right_sizes: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The occupancy pass over consecutive groups split into 2**``bits``
+    cells each: the indices of the rows and the columns it keeps, and the
+    kept rows and columns per group.
 
-    Group g's hash range is split into 2**c cells, c the least of
-    ``_cell_cap(p)`` and floor(log2(16 t)) for its t tuples, so the cells
-    depend on the group alone and the table holds at most 16 per tuple.
+    Each group's table ends in a spare slot, so a column's next cell is the
+    slot after its own.  The spare holds a copy of the group's first cell
+    while the columns look at their two cells, and is ORed back into it
+    once the kept columns have marked theirs: the next cell of a group's
+    last cell is its first, wrapping past 2**64.
     """
-    groups = left_sizes.size
-    # floor(log2(16 t)), exact for t below 2**49.
-    bits = np.minimum(np.frexp(16 * (left_sizes + right_sizes))[1] - 1, _cell_cap(p))
     shift = (64 - bits).astype(np.uint64)
-    base = offsets(1 << bits)
-    row_shift = np.repeat(shift, left_sizes)
-    row_cells = (x_hashes >> row_shift).view(np.int64)
-    row_cells += np.repeat(base[:-1], left_sizes)
-    del row_shift
-    col_shift = np.repeat(shift, right_sizes)
-    col_base = np.repeat(base[:-1], right_sizes)
-    col_cells = (y_hashes >> col_shift).view(np.int64)
-    col_cells += col_base
-    # The cell after a column's, wrapping past 2**64 to its group's first.
-    next_cells = y_hashes + (np.uint64(1) << col_shift)
-    next_cells >>= col_shift
-    next_cells = next_cells.view(np.int64)
-    next_cells += col_base
-    del col_shift, col_base
+    base = offsets((1 << bits) + 1)
+    first, spare = base[:-1], base[1:] - 1
+    row_cells = (x_hashes >> np.repeat(shift, left_sizes)).view(np.int64)
+    row_cells += np.repeat(first, left_sizes)
+    col_cells = (y_hashes >> np.repeat(shift, right_sizes)).view(np.int64)
+    col_cells += np.repeat(first, right_sizes)
     marked = np.zeros(int(base[-1]), dtype=bool)
     marked[row_cells] = True
+    marked[spare] = marked[first]
     kept_cols = marked[col_cells]
-    kept_cols |= marked[next_cells]
+    col_cells += 1
+    kept_cols |= marked[col_cells]
+    cols = np.flatnonzero(kept_cols)
+    del kept_cols
     marked[:] = False
-    col_cells = col_cells[kept_cols]
+    col_cells = col_cells[cols]
     marked[col_cells] = True
-    marked[next_cells[kept_cols]] = True
-    kept_rows = marked[row_cells]
+    col_cells -= 1
+    marked[col_cells] = True
+    marked[first] |= marked[spare]
+    rows = np.flatnonzero(marked[row_cells])
+    return (rows, cols, np.diff(np.searchsorted(rows, offsets(left_sizes))),
+            np.diff(np.searchsorted(cols, offsets(right_sizes))))
 
-    def per_group(cells):
-        return np.bincount(np.searchsorted(base, cells, side="right") - 1, minlength=groups)
 
-    return kept_rows, kept_cols, per_group(row_cells[kept_rows]), per_group(col_cells)
+def _survivors(pair_hash: PairHash, xs: np.ndarray, left_sizes: np.ndarray, ys: np.ndarray,
+               right_sizes: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """The rows and columns of consecutive groups that the occupancy pass
+    at ``p`` keeps: their values, their hashes and their counts per group,
+    as ``xs, x_hashes, left_sizes, ys, y_hashes, right_sizes``.
+
+    The groups are hashed and pruned in slices of at most
+    ``CHUNK_TUPLES << 2`` tuples (a larger group is a slice of its own),
+    so the pass's temporaries scale with a slice, not with the chunk.  The
+    cells depend on the group alone, so slicing changes no survivor.
+    """
+    # Cell bits of each group: the least of _cell_cap(p) and
+    # floor(log2(16 t)) for its t tuples, exact for t below 2**49, so the
+    # cells depend on the group alone and a table holds at most 16 slots a
+    # tuple.
+    bits = np.minimum(np.frexp(16 * (left_sizes + right_sizes))[1] - 1, _cell_cap(p))
+    bits = bits.astype(np.int64)
+    left_offsets, right_offsets = offsets(left_sizes), offsets(right_sizes)
+    bounds = chunk_starts(left_offsets + right_offsets, CHUNK_TUPLES << 2)
+    parts = []
+    for s, e in zip(bounds, bounds[1:]):
+        part_xs = xs[left_offsets[s]:left_offsets[e]]
+        part_ys = ys[right_offsets[s]:right_offsets[e]]
+        x_hashes = pair_hash.h1.values(part_xs)
+        y_hashes = pair_hash.h2.values(part_ys)
+        rows, cols, kept_left, kept_right = _reachable(
+            x_hashes, left_sizes[s:e], y_hashes, right_sizes[s:e], bits[s:e])
+        parts.append((part_xs[rows], x_hashes[rows], kept_left,
+                      part_ys[cols], y_hashes[cols], kept_right))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
@@ -175,8 +220,11 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     The occupancy pass prunes at ``ceiling`` (default ``p``), the threshold
     the run's pass began at, which ``p`` may have fallen below since.  What
     reaches the sort then depends on the input and the pass alone, not on
-    the chunks' sizes or on when the sketch tightened.  A ceiling below
-    ``p`` would prune rows of windows at ``p`` and is refused.
+    the chunks' sizes, the pass's slices or when the sketch tightened.  A
+    ceiling below ``p`` would prune rows of windows at ``p`` and is
+    refused.  Where the pass runs, it hashes and prunes the groups slice by
+    slice (``_survivors``) and the survivors are sorted together;
+    otherwise the whole chunk is hashed and sorted.
     """
     ceiling = p if ceiling is None else ceiling
     if ceiling < p:
@@ -187,16 +235,14 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     right_sizes = np.diff(grouped.right_offsets[lo:hi + 1])
     xs = grouped.left_values[lb:le]
     ys = grouped.right_values[rb:re]
-    x_hashes = pair_hash.h1.values(xs)
-    y_hashes = pair_hash.h2.values(ys)
     probes = ys.size
     groups = hi - lo
     if prunes(grouped, ceiling):
-        kept_rows, kept_cols, left_sizes, right_sizes = _reachable(
-            x_hashes, left_sizes, y_hashes, right_sizes, ceiling)
-        xs, x_hashes = xs[kept_rows], x_hashes[kept_rows]
-        ys, y_hashes = ys[kept_cols], y_hashes[kept_cols]
-        del kept_rows, kept_cols
+        xs, x_hashes, left_sizes, ys, y_hashes, right_sizes = _survivors(
+            pair_hash, xs, left_sizes, ys, right_sizes, ceiling)
+    else:
+        x_hashes = pair_hash.h1.values(xs)
+        y_hashes = pair_hash.h2.values(ys)
     left_offsets = offsets(left_sizes)
     nr = ys.size
 

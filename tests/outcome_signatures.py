@@ -19,13 +19,26 @@ each ``wrapping64`` line; leave those out to compare with one:
 ``--drop inner_iterations`` leaves a counter out, for a change that
 redefines it.  ``--outcomes-only`` prints only ``kind``, ``v``, ``count`` and
 ``value`` after the configuration, for a change to the threshold schedule,
-which moves every work counter but no outcome.  The script uses only the
-public estimator API, so it runs against older checkouts too.
+which moves every work counter but no outcome.  Apart from ``--candidates``,
+the script uses only the public estimator API, so it runs against older
+checkouts too.
+
+``--candidates`` prints, instead, what ``sort_group`` lists for each
+workload, seed and run key at three thresholds: linear mode's p0, p0 >> 2
+and start-at-one's first threshold.  A line holds the sha256 of the
+candidate stream in group order (each group's candidate count, then its
+``pairs`` and ``hashes`` bytes) over the chunks of ``chunk_bounds`` at that
+threshold, and the summed ``sorted_tuples`` and ``probes``.  The stream
+does not depend on how the groups are chunked, so a change to the chunking
+or to the occupancy pass leaves these lines as they were.  It needs the
+``sort_group(grouped, lo, hi, h, p, floor, ceiling)`` and
+``chunk_bounds(grouped, p)`` signatures.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import random
@@ -34,7 +47,7 @@ import tempfile
 from pathlib import Path
 
 from joinsketch import (MODE_LINEAR, MODE_START_AT_ONE, EstimatorConfig, Side, estimate_median,
-                        group_and_prune, load_relation)
+                        group_and_prune, hashing, load_relation)
 
 from conftest import random_instance
 
@@ -53,9 +66,9 @@ def signature(grouped, cfg: EstimatorConfig, key_prefix=(), drop=()) -> dict:
     return {**outcome, "work": work}
 
 
-def workload_signatures(seeds, keys=1, scale=1.0, drop=()):
-    """Each benchmark workload at each seed, estimated as the benchmark
-    does, with key prefixes (0,) to (keys - 1,)."""
+def workload_inputs(seeds, scale=1.0):
+    """Each benchmark workload at each seed: its name, seed, grouped input
+    and the configuration the benchmark estimates it with."""
     spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
     workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(workloads)
@@ -74,12 +87,57 @@ def workload_signatures(seeds, keys=1, scale=1.0, drop=()):
                 else:
                     left = load_relation(str(paths["left"]), facts.fmt, Side.LEFT)
                     right = load_relation(str(paths["right"]), facts.fmt, Side.RIGHT)
-            grouped = group_and_prune(left, right)
             cfg = EstimatorConfig(k=facts.k, threshold_mode=facts.mode, runs=facts.runs,
                                   seed=facts.seed)
-            for key in range(keys):
-                yield {"workload": name, "seed": seed, "key": key,
-                       **signature(grouped, cfg, (key,), drop)}
+            yield name, seed, group_and_prune(left, right), cfg
+
+
+def workload_signatures(seeds, keys=1, scale=1.0, drop=()):
+    """Each benchmark workload at each seed, estimated as the benchmark
+    does, with key prefixes (0,) to (keys - 1,)."""
+    for name, seed, grouped, cfg in workload_inputs(seeds, scale):
+        for key in range(keys):
+            yield {"workload": name, "seed": seed, "key": key,
+                   **signature(grouped, cfg, (key,), drop)}
+
+
+def candidate_stream(grouped, pair_hash, p) -> dict:
+    """The digest of every group's candidates below ``p`` in one pass that
+    prunes at ``p``, and the pass's sorted tuples and probes."""
+    # Imported here: only --candidates needs these, and older checkouts lack them.
+    from joinsketch.enumerator import chunk_bounds, sort_group
+
+    digest = hashlib.sha256()
+    sorted_tuples = probes = 0
+    bounds = chunk_bounds(grouped, p)
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = sort_group(grouped, lo, hi, pair_hash, p, 0, p)
+        sorted_tuples += chunk.sorted_tuples
+        probes += chunk.probes
+        for first, last in zip(chunk.offsets, chunk.offsets[1:]):
+            digest.update((last - first).to_bytes(8, "little"))
+            digest.update(chunk.pairs[first:last])
+            digest.update(chunk.hashes[first:last])
+    return {"digest": digest.hexdigest(), "sorted_tuples": sorted_tuples, "probes": probes}
+
+
+def candidate_signatures(seeds, scale=1.0):
+    """Each workload's candidate stream for each run key (0,) to
+    (runs - 1,) at linear mode's p0, at p0 >> 2 and at start-at-one's first
+    threshold."""
+    # Imported here: only --candidates needs these, and older checkouts lack them.
+    from joinsketch.estimator import choose_threshold, draw_pilot, first_threshold
+
+    for name, seed, grouped, cfg in workload_inputs(seeds, scale):
+        k = cfg.resolved_k
+        p0 = choose_threshold(grouped, k, MODE_LINEAR)
+        thresholds = {"p0": p0, "p0>>2": p0 >> 2,
+                      "first": first_threshold(grouped, k, draw_pilot(grouped, cfg.seed))}
+        for run in range(cfg.runs):
+            pair_hash = hashing.draw_pair_hash(hashing.run_rng(cfg.seed, (run,)), cfg.family)
+            for label, p in thresholds.items():
+                yield {"workload": name, "seed": seed, "key": run, "threshold": label, "p": p,
+                       **candidate_stream(grouped, pair_hash, p)}
 
 
 def random_signatures(count, drop=()):
@@ -111,7 +169,13 @@ def main(argv=None) -> int:
                         help="leave this work counter out (repeatable)")
     parser.add_argument("--outcomes-only", action="store_true",
                         help="print the outcomes without any work counter")
+    parser.add_argument("--candidates", action="store_true",
+                        help="print each workload's candidate stream digests instead")
     args = parser.parse_args(argv)
+    if args.candidates:
+        for line in candidate_signatures(args.seeds, args.scale):
+            print(json.dumps(line, sort_keys=True))
+        return 0
     drop = None if args.outcomes_only else tuple(args.drop)
     for line in workload_signatures(args.seeds, args.keys, args.scale, drop):
         print(json.dumps(line, sort_keys=True))

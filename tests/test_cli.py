@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -690,6 +691,26 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "--cap" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("command", [["exact"], ["estimate", "-k", "4"]])
+def test_a_closed_stdout_ends_quietly_with_status_141(tmp_path, command, unbuffered):
+    # The reader is gone before the command writes, as with `| true`.
+    # Buffered, the output reaches the pipe only when main flushes it.
+    path = tmp_path / "in.edges"
+    path.write_text("1 2\n2 3\n3 1\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "joinsketch", *command, "--self", str(path), "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_library_calls_write_nothing_to_stdout(capsys, tmp_path, mini_fimi_path):

@@ -222,17 +222,18 @@ def test_chunk_bounds_cover_every_group_once(monkeypatch):
                 assert hi - lo == 1 or size - (starts[hi] - starts[hi - 1]) < tuples
                 assert hi - lo == 1 or max(
                     starts[g + 1] - starts[g] for g in range(lo, hi)) < tuples
-        # A pass that prunes weighs each group's tuples plus its expected
-        # candidates, products times p, against four times the budget.
-        # Powers of two keep the expectations exact in floating point.
+        # A pass that prunes weighs each group's tuples plus four times its
+        # expected candidates, products times p, against 16 times the
+        # budget.  Powers of two keep the expectations exact in floating
+        # point.
         for p in (GRID >> 40, GRID >> 8, GRID >> 4):
             if not enumerator.prunes(grouped, p):
                 continue
-            weights = [size + -(-int(product) * p // GRID)
+            weights = [size + 4 * -(-int(product) * p // GRID)
                        for size, product in zip(sizes, grouped.products)]
             for tuples in (1, 16, 64):
                 monkeypatch.setattr(enumerator, "CHUNK_TUPLES", tuples)
-                assert chunk_bounds(grouped, p) == greedy_chunks(weights, 4 * tuples), (trial, p)
+                assert chunk_bounds(grouped, p) == greedy_chunks(weights, 16 * tuples), (trial, p)
         monkeypatch.setattr(enumerator, "CHUNK_TUPLES", 1)
         assert chunk_bounds(grouped) == list(range(len(grouped) + 1))
 
@@ -377,22 +378,31 @@ def tiny_groups_instance(rng, groups, big=None):
     return group_and_prune(Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2))
 
 
-def assert_the_pass_keeps_every_candidate(grouped, h, p, floor):
+def assert_the_pass_keeps_every_candidate(grouped, h, p, floor, monkeypatch):
     """``sort_group`` over the whole instance, pruning at ``p`` and at a
     ceiling above it, lists what ``reference_chunk`` lists, and at least
-    the tuples of a pair below ``p`` reach the sort.  Returns the tuples
-    that reached it."""
+    the tuples of a pair below ``p`` reach the sort.  Where the pass
+    prunes, it runs over many slices of the instance with ``CHUNK_TUPLES``
+    at 1 and 16, and must list and sort the same; it does not read the
+    floor, so this is checked at floor 0 only.  Returns the tuples that
+    reached the sort."""
     want = reference_chunk(grouped, 0, len(grouped), h, p, floor)
     kept = []
     for ceiling in (p, min(GRID, 2 * p + 1)):
         chunk = sort_group(grouped, 0, len(grouped), h, p, floor, ceiling)
         assert listing(chunk) == want, (p, floor, ceiling)
+        for tuples in (1, 16) if not floor and enumerator.prunes(grouped, ceiling) else ():
+            with monkeypatch.context() as patch:
+                patch.setattr(enumerator, "CHUNK_TUPLES", tuples)
+                sliced = sort_group(grouped, 0, len(grouped), h, p, floor, ceiling)
+            assert listing(sliced) == want, (p, floor, ceiling, tuples)
+            assert sliced.sorted_tuples == chunk.sorted_tuples, (p, floor, ceiling, tuples)
         kept.append(chunk.sorted_tuples)
     assert reachable_tuples(grouped, h, p) <= kept[0] <= kept[1] <= grouped.tuple_count
     return kept[0]
 
 
-def test_the_occupancy_pass_keeps_every_candidate_at_every_threshold():
+def test_the_occupancy_pass_keeps_every_candidate_at_every_threshold(monkeypatch):
     # Thresholds from one grid unit to the whole range, so cells run from
     # exactly p wide to one per group.  Many tiny groups make the table's
     # cap, not p, set the cells; the large group gets cells p wide.
@@ -405,13 +415,14 @@ def test_the_occupancy_pass_keeps_every_candidate_at_every_threshold():
             for s in range(64):
                 for p in (1 << s, (1 << s) + 1):
                     for floor in (0, p // 4):
-                        kept = assert_the_pass_keeps_every_candidate(grouped, h, p, floor)
+                        kept = assert_the_pass_keeps_every_candidate(grouped, h, p, floor,
+                                                                     monkeypatch)
                         pruned += kept < grouped.tuple_count
                         assert (kept < grouped.tuple_count) <= enumerator.prunes(grouped, p)
         assert pruned > 0, trial
 
 
-def test_the_occupancy_pass_follows_windows_past_two_to_the_64():
+def test_the_occupancy_pass_follows_windows_past_two_to_the_64(monkeypatch):
     # Every pair hashes to x - 50 (see the test above), so each column's
     # window wraps past 2**64 into its group's first cell.
     h = PairHash(PairwiseHash(1, GRID - 100), PairwiseHash(0, GRID - 50))
@@ -422,7 +433,7 @@ def test_the_occupancy_pass_follows_windows_past_two_to_the_64():
     for p in (1, 50, 51, 100, 1 << 20, 1 << 40):
         assert enumerator.prunes(grouped, p)
         for floor in (0, p // 4):
-            assert_the_pass_keeps_every_candidate(grouped, h, p, floor)
+            assert_the_pass_keeps_every_candidate(grouped, h, p, floor, monkeypatch)
 
 
 def zipf_instance(rng, groups=300, cap=200):
@@ -436,14 +447,24 @@ def zipf_instance(rng, groups=300, cap=200):
     return group_and_prune(Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2))
 
 
-def test_the_occupancy_pass_prunes_most_of_a_zipf_instance():
+def test_the_occupancy_pass_prunes_most_of_a_zipf_instance(monkeypatch):
     grouped = zipf_instance(random.Random(25))
     p = GRID >> 10
     assert enumerator.prunes(grouped, p)
     for trial in range(3):
         h = draw_pair_hash(spawn_rng(6500 + trial))
-        kept = assert_the_pass_keeps_every_candidate(grouped, h, p, 0)
+        kept = assert_the_pass_keeps_every_candidate(grouped, h, p, 0, monkeypatch)
         assert kept < 0.2 * grouped.tuple_count, (kept, grouped.tuple_count)
+
+
+def traced_sort_group(grouped, h, p):
+    """``sort_group`` over the whole instance and its traced peak."""
+    tracemalloc.start()
+    try:
+        chunk = sort_group(grouped, 0, len(grouped), h, p)
+        return chunk, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_one_sort_group_call_holds_its_tuples_and_candidates():
@@ -458,14 +479,19 @@ def test_one_sort_group_call_holds_its_tuples_and_candidates():
     for grouped, p, pruned in ((dense, GRID, False), (dense, GRID // 3, False),
                                (sparse, GRID >> 10, True), (sparse, GRID >> 8, True)):
         assert enumerator.prunes(grouped, p) == pruned
-        tracemalloc.start()
-        try:
-            chunk = sort_group(grouped, 0, len(grouped), h, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        chunk, peak = traced_sort_group(grouped, h, p)
         assert (chunk.sorted_tuples < grouped.tuple_count) == pruned
         bound = 96 * grouped.tuple_count + 2 * 16 * len(chunk.hashes)
+        assert peak <= bound, (p, peak, bound)
+    # A chunk of more than four slices: the occupancy pass holds one
+    # slice's temporaries at a time, and the sort those of the survivors.
+    slice_tuples = enumerator.CHUNK_TUPLES << 2
+    sliced = zipf_instance(rng, groups=9000, cap=60)
+    assert sliced.tuple_count > 4 * slice_tuples
+    for p in (GRID >> 10, GRID >> 8):
+        assert enumerator.prunes(sliced, p)
+        chunk, peak = traced_sort_group(sliced, h, p)
+        bound = 96 * slice_tuples + 96 * chunk.sorted_tuples + 2 * 16 * len(chunk.hashes)
         assert peak <= bound, (p, peak, bound)
 
 

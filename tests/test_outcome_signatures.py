@@ -1,6 +1,7 @@
 import json
 
 import outcome_signatures
+from joinsketch import enumerator
 
 
 def strict_json(line: str) -> dict:
@@ -38,3 +39,21 @@ def test_outcomes_only_leaves_out_every_counter(capsys):
     assert outcomes == [{key: value for key, value in line.items() if key != "work"}
                         for line in full]
     assert all({"kind", "v", "count", "value"} <= line.keys() for line in outcomes)
+
+
+def test_candidate_digests_do_not_depend_on_the_chunking(capsys, monkeypatch):
+    args = ["--candidates", "--seeds", "1", "--scale", "0.02"]
+    assert outcome_signatures.main(args) == 0
+    default = capsys.readouterr().out.splitlines()
+    lines = [strict_json(line) for line in default]
+    # One line per workload, run key and threshold: 1 + 9 + 1 runs.
+    assert len(lines) == 3 * 11
+    assert {line["threshold"] for line in lines} == {"p0", "p0>>2", "first"}
+    # Some pass prunes, so the occupancy pass runs over many slices below.
+    sizes = {name: grouped.tuple_count
+             for name, _, grouped, _ in outcome_signatures.workload_inputs([1], 0.02)}
+    assert any(line["sorted_tuples"] < sizes[line["workload"]] for line in lines)
+    for tuples in (1, 16):
+        monkeypatch.setattr(enumerator, "CHUNK_TUPLES", tuples)
+        assert outcome_signatures.main(args) == 0
+        assert capsys.readouterr().out.splitlines() == default, tuples
