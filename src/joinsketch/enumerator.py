@@ -22,22 +22,20 @@ tighten mid-scan.  A column's candidates ascend from its minimum and the
 threshold only falls, so the pairs offered and their order are those of
 walking every column of every group and stopping each at its first miss.
 
-Before the sort, an occupancy pass drops the tuples no window can reach
-when the threshold is small against the input's groups (``prunes``).  It
+When the threshold is small against the input's groups (``prunes``), a
+pass first drops the tuples no window can reach (``prune``), once over the
+whole input, and chunks and sorts what survives.  This occupancy pass
 splits each group's hash range into 2**c cells, each at least p wide, so a
 column's window lies in its own cell and the next one, wrapping past 2**64
-to the group's first cell.  It marks the cells that
-hold a row, keeps the columns with a row in one of their two cells, and
-keeps the rows in a kept column's cells.  Every row in a kept column's
-window survives, and so does the column's cyclic minimum whenever the
-window holds a row.  A column whose window is empty may survive, but the
-first surviving row from its hash on lies no nearer than its minimum, so
-the column is still dropped.  The sorted order restricted to the survivors
-is the order of the whole chunk restricted to them, so the candidates,
-their order and the group offsets are those of sorting every tuple.
-The pass hashes and prunes a chunk in slices of consecutive groups that
-fit in cache, and the chunk's survivors are then sorted together; the
-cells depend on the group alone, so the slices change no survivor.
+to the group's first cell.  It marks the cells that hold a row, keeps the
+columns with a row in one of their two cells, and keeps the rows in a kept
+column's cells.  Every row in a kept column's window survives, and so does
+the column's cyclic minimum whenever the window holds a row.  A column
+whose window is empty may survive, but the first surviving row from its
+hash on lies no nearer than its minimum, so the column is still dropped.
+The sorted order restricted to the survivors is the order of the whole
+input restricted to them, so the candidates, their order and the group
+offsets are those of sorting every tuple.
 
 A run may pass over the chunks more than once, sorting every group again
 at a wider threshold.  The previous pass's threshold is then the floor: a
@@ -56,33 +54,20 @@ from .hashing import GRID, PairHash
 from .kmin import KMinState
 from .relation import GroupedInput, chunk_starts, offsets, pack, tie_runs
 
-# Tuples per chunk.  A chunk pays a fixed numpy per-call cost, so larger
-# chunks spread it over more tuples; the price is the chunk's candidate
-# arrays, 16 bytes a candidate.  Against 2**11, 2**13 took the benchmark's
-# host-scaled skewed-repeat estimate from 0.23 s to 0.18 s (medians of 3-4
-# runs, 2-core Xeon VM, numpy 2.4).  Where the occupancy pass prunes, the
-# work after it scales with the survivors, so a chunk weighs each group's
-# tuples plus four times its expected candidates (products times p)
-# against 16 times as many: up to 2**17 tuples, and at most 2**15 expected
-# candidates, as with the earlier cut of 2**15 tuples and candidates
-# together.  The pass runs over slices of at most 2**15 tuples and the
-# chunk's survivors are sorted in one batch: 2 batches per run on
-# uniform-ingest and skewed-repeat instead of 7 and 5.  With the pass's
-# spare slot, that took the benchmark's estimate_s to 0.83x on both
-# (paired run.py, 2-vCPU VM, numpy 2.4.6).  In process, cuts of 2**15,
-# 2**16, 2**17, 2**18 and 2**20 took 8.7, 8.3, 8.0, 7.9 and 7.8 ms on
-# uniform-ingest and 34.7, 33.2, 30.8, 29.8 and 29.8 ms on skewed-repeat;
-# past 2**17 the gain is small and the worst case grows.  Without the
-# slices, 2**17-tuple chunks raised the estimate's traced peak from 1.5 to
-# 3.3 MiB on uniform-ingest and from 1.0 to 2.4 MiB on skewed-repeat; with
-# them it is 1.5 and 0.8 MiB.  The worst case is a pruning chunk whose
-# tuples nearly all survive: all of its up to 2**17 tuples are then
-# sorted together, 13.5 MiB of temporaries for 123k tuples with a
-# candidate per column (tracemalloc), against 3.5 MiB for the 32k tuples
-# of a 2**15 cut.  Counting the candidates keeps large groups from sharing
-# such a chunk, and a pass that does not prune keeps 2**13 tuples, which
-# bounds what a chunk lists when a widening pass nears threshold 1.
-CHUNK_TUPLES = 1 << 13
+# The one chunk budget, in tuples.  A chunk's tuples plus four times its
+# expected candidates (16 bytes each) come to at most this, so large groups
+# do not share a chunk at any threshold, and the occupancy pass runs over
+# slices of at most this many tuples.  Each chunk and slice pays a fixed
+# numpy per-call cost; the price of larger ones is their temporaries.  In
+# process (seed 1, minimum of 25 estimates, numpy 2.4.6, 2-vCPU VM),
+# budgets of 2**13, 2**14, 2**15, 2**16 and 2**17 took 8.6, 7.5, 7.7, 7.7
+# and 7.5 ms on uniform-ingest, 36.5, 31.6, 30.8, 30.4 and 30.3 ms on
+# skewed-repeat and 35.3, 33.5, 31.8, 31.7 and 31.8 ms on fimi-sketch,
+# while the estimate's traced peak went 1.53, 1.53, 1.53, 2.35 and 4.01 MiB
+# on uniform-ingest and 0.46, 0.75, 0.79, 1.45 and 2.70 MiB on
+# skewed-repeat.  A pass whose 360k tuples all survive the occupancy pass
+# peaked at 6.2 MiB, the survivors and one chunk.
+CHUNK_TUPLES = 1 << 15
 
 
 def _cell_cap(p: int) -> int:
@@ -92,12 +77,11 @@ def _cell_cap(p: int) -> int:
 
 
 def prunes(grouped: GroupedInput, p: int) -> bool:
-    """Whether ``sort_group`` runs the occupancy pass at threshold ``p``.
+    """Whether a pass at threshold ``p`` runs the occupancy pass (``prune``).
 
     It does when the input's groups, split into cells at least p wide and
     at most 16 per tuple on average, would hold at least 4 cells per tuple,
-    so that most cells hold no tuple.  The rule reads the whole input, so
-    every chunk of a pass takes the same decision.
+    so that most cells hold no tuple.
     """
     groups, tuples = len(grouped), grouped.tuple_count
     if not groups:
@@ -108,15 +92,12 @@ def prunes(grouped: GroupedInput, p: int) -> bool:
 
 def chunk_bounds(grouped: GroupedInput, p: int = GRID) -> list[int]:
     """Group indices at which the chunks of a pass at threshold ``p``
-    start, followed by the group count.  A chunk holds at most
-    ``CHUNK_TUPLES`` tuples, or, if the pass prunes, its groups' tuples
-    plus four times their expected candidates (products times p) come to
-    at most ``CHUNK_TUPLES << 4``, unless it is a single group."""
-    before = grouped.left_offsets + grouped.right_offsets
-    if not prunes(grouped, p):
-        return chunk_starts(before, CHUNK_TUPLES)
+    start, followed by the group count.  A chunk's groups' tuples plus four
+    times their expected candidates (products times p) come to at most
+    ``CHUNK_TUPLES``, unless it is a single group."""
     expected = np.ceil(grouped.products * (p / GRID)).astype(np.int64)
-    return chunk_starts(before + 4 * offsets(expected), CHUNK_TUPLES << 4)
+    before = grouped.left_offsets + grouped.right_offsets + 4 * offsets(expected)
+    return chunk_starts(before, CHUNK_TUPLES)
 
 
 @dataclass(frozen=True)
@@ -130,7 +111,7 @@ class SortedChunk:
     ``offsets[g]`` to ``offsets[g + 1]`` (chunk-relative).  ``probes``
     counts the probes the scan makes whatever it offers: one per column of
     the chunk and one per pair below the floor.  ``sorted_tuples`` counts
-    the tuples that reached the sort, those the occupancy pass kept.
+    the chunk's tuples, all of which are sorted.
     """
 
     pairs: memoryview
@@ -178,71 +159,57 @@ def _reachable(x_hashes: np.ndarray, left_sizes: np.ndarray, y_hashes: np.ndarra
             np.diff(np.searchsorted(cols, offsets(right_sizes))))
 
 
-def _survivors(pair_hash: PairHash, xs: np.ndarray, left_sizes: np.ndarray, ys: np.ndarray,
-               right_sizes: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
-    """The rows and columns of consecutive groups that the occupancy pass
-    at ``p`` keeps: their values, their hashes and their counts per group,
-    as ``xs, x_hashes, left_sizes, ys, y_hashes, right_sizes``.
+def prune(grouped: GroupedInput, pair_hash: PairHash, p: int) -> GroupedInput:
+    """The rows and columns of ``grouped`` that the occupancy pass at ``p``
+    keeps, in the same groups: a group keeps rows iff it keeps columns, so
+    a group may be empty on both sides.  Sorting the result at a threshold
+    of at most ``p`` lists what sorting ``grouped`` lists; only its probes
+    leave out the dropped columns, one each.
 
-    The groups are hashed and pruned in slices of at most
-    ``CHUNK_TUPLES << 2`` tuples (a larger group is a slice of its own),
-    so the pass's temporaries scale with a slice, not with the chunk.  The
-    cells depend on the group alone, so slicing changes no survivor.
+    The input is hashed and pruned in slices of at most ``CHUNK_TUPLES``
+    tuples (a larger group is a slice of its own), so the pass's
+    temporaries scale with a slice.  The cells depend on the group alone,
+    so slicing changes no survivor.
     """
+    left_sizes = np.diff(grouped.left_offsets)
+    right_sizes = np.diff(grouped.right_offsets)
     # Cell bits of each group: the least of _cell_cap(p) and
     # floor(log2(16 t)) for its t tuples, exact for t below 2**49, so the
     # cells depend on the group alone and a table holds at most 16 slots a
     # tuple.
     bits = np.minimum(np.frexp(16 * (left_sizes + right_sizes))[1] - 1, _cell_cap(p))
     bits = bits.astype(np.int64)
-    left_offsets, right_offsets = offsets(left_sizes), offsets(right_sizes)
-    bounds = chunk_starts(left_offsets + right_offsets, CHUNK_TUPLES << 2)
+    bounds = chunk_starts(grouped.left_offsets + grouped.right_offsets, CHUNK_TUPLES)
     parts = []
     for s, e in zip(bounds, bounds[1:]):
-        part_xs = xs[left_offsets[s]:left_offsets[e]]
-        part_ys = ys[right_offsets[s]:right_offsets[e]]
-        x_hashes = pair_hash.h1.values(part_xs)
-        y_hashes = pair_hash.h2.values(part_ys)
+        xs = grouped.left_values[grouped.left_offsets[s]:grouped.left_offsets[e]]
+        ys = grouped.right_values[grouped.right_offsets[s]:grouped.right_offsets[e]]
         rows, cols, kept_left, kept_right = _reachable(
-            x_hashes, left_sizes[s:e], y_hashes, right_sizes[s:e], bits[s:e])
-        parts.append((part_xs[rows], x_hashes[rows], kept_left,
-                      part_ys[cols], y_hashes[cols], kept_right))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+            pair_hash.h1.values(xs), left_sizes[s:e], pair_hash.h2.values(ys),
+            right_sizes[s:e], bits[s:e])
+        parts.append((xs[rows], kept_left, ys[cols], kept_right))
+    xs, kept_left, ys, kept_right = (np.concatenate(arrays) for arrays in zip(*parts))
+    return GroupedInput(grouped.join_values, offsets(kept_left), xs, offsets(kept_right), ys)
 
 
 def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
-               p: int, floor: int = 0, ceiling: int | None = None) -> SortedChunk:
+               p: int, floor: int = 0) -> SortedChunk:
     """Sort groups ``lo`` to ``hi - 1`` and list their pairs whose hash lies
     in [``floor``, ``p``).
 
-    The occupancy pass prunes at ``ceiling`` (default ``p``), the threshold
-    the run's pass began at, which ``p`` may have fallen below since.  What
-    reaches the sort then depends on the input and the pass alone, not on
-    the chunks' sizes, the pass's slices or when the sketch tightened.  A
-    ceiling below ``p`` would prune rows of windows at ``p`` and is
-    refused.  Where the pass runs, it hashes and prunes the groups slice by
-    slice (``_survivors``) and the survivors are sorted together;
-    otherwise the whole chunk is hashed and sorted.
+    Every tuple of the groups is hashed and sorted; a pass that prunes
+    hands in what ``prune`` kept at its threshold, which ``p`` may have
+    fallen below since.
     """
-    ceiling = p if ceiling is None else ceiling
-    if ceiling < p:
-        raise ValueError(f"ceiling {ceiling} lies below the threshold {p}")
     lb, le = grouped.left_offsets[[lo, hi]].tolist()
     rb, re = grouped.right_offsets[[lo, hi]].tolist()
     left_sizes = np.diff(grouped.left_offsets[lo:hi + 1])
     right_sizes = np.diff(grouped.right_offsets[lo:hi + 1])
     xs = grouped.left_values[lb:le]
     ys = grouped.right_values[rb:re]
-    probes = ys.size
+    x_hashes = pair_hash.h1.values(xs)
+    y_hashes = pair_hash.h2.values(ys)
     groups = hi - lo
-    if prunes(grouped, ceiling):
-        xs, x_hashes, left_sizes, ys, y_hashes, right_sizes = _survivors(
-            pair_hash, xs, left_sizes, ys, right_sizes, ceiling)
-    else:
-        x_hashes = pair_hash.h1.values(xs)
-        y_hashes = pair_hash.h2.values(ys)
     left_offsets = offsets(left_sizes)
     nr = ys.size
 
@@ -257,7 +224,6 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     # of its group whose hash is >= its own.
     hashes = np.concatenate((y_hashes, x_hashes))
     del x_hashes, y_hashes
-    sorted_tuples = hashes.size
     b = max(1, (groups - 1).bit_length())
     ib = (hashes.size - 1).bit_length()
     key = hashes >> np.uint64(b + ib) << np.uint64(ib)
@@ -340,8 +306,8 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
         pairs=memoryview(pairs),
         hashes=memoryview(cand_hashes),
         offsets=group_offsets.tolist(),
-        probes=probes + int(below.sum()),
-        sorted_tuples=sorted_tuples,
+        probes=nr + int(below.sum()),
+        sorted_tuples=hashes.size,
     )
 
 

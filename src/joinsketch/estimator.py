@@ -36,12 +36,12 @@ import numbers
 import operator
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import hashing, oracle
-from .enumerator import chunk_bounds, scan_group, sort_group
+from .enumerator import chunk_bounds, prune, prunes, scan_group, sort_group
 from .kmin import KMinState
 from .relation import GroupedInput, run_starts
 
@@ -70,16 +70,17 @@ class EstimatorConfig:
     Give either ``epsilon`` (target relative error, 0 < epsilon < 1/4, which
     sets k = ceil(9 / epsilon^2)) or ``k`` directly; k must lie in
     [1, 2**64).  ``runs`` must be odd so the median is well defined.  All
-    randomness derives from ``seed``.  ``family`` names the hash family and
-    must be ``wrapping64``, the only one.
+    randomness derives from ``seed``.  ``family`` names the one hash
+    family, ``wrapping64``, and is not a parameter.
     """
+
+    family: ClassVar[str] = hashing.WRAPPING64
 
     epsilon: float | None = None
     k: int | None = None
     threshold_mode: str = MODE_LINEAR
     runs: int = 1
     seed: int = 0
-    family: str = hashing.WRAPPING64
 
     def __post_init__(self):
         # Integers of any type (numpy ones too) become Python ints, so that
@@ -102,8 +103,6 @@ class EstimatorConfig:
             raise ConfigError(f"runs must be odd and positive, got {self.runs}")
         if not 0 <= self.seed < hashing.GRID:
             raise ConfigError("seed must fit in 64 bits")
-        if self.family != hashing.WRAPPING64:
-            raise ConfigError(f"unknown hash family: {self.family!r}")
         # The grid holds 2**64 hash values.  A tiny epsilon is rejected
         # before 9 / epsilon**2 can divide by zero or overflow.
         if self.epsilon is not None and self.epsilon**2 * hashing.GRID < 9.0:
@@ -123,12 +122,11 @@ class WorkCounters:
     """Per-run work tally.
 
     ``passes`` counts passes over the chunks, ``sorted_elements`` tuples
-    sorted (at most every tuple once per pass: the tuples the occupancy pass
-    of ``sort_group`` keeps), ``inner_iterations`` probes of the
-    pair hash: one per pair below the floor or emitted, plus one per column
-    per pass, the probe that skips or stops it.  A column whose pairs all
-    lie below the threshold pays that probe too, though nothing is left to
-    stop it.
+    sorted (at most every tuple once per pass: the tuples ``prune`` keeps
+    where the pass prunes), ``inner_iterations`` probes of the pair hash:
+    one per pair below the floor or emitted, plus one per column per pass,
+    the probe that skips or stops it.  A column whose pairs all lie below
+    the threshold pays that probe too, though nothing is left to stop it.
     """
 
     passes: int = 0
@@ -292,7 +290,9 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
              pilot: Pilot | None = None) -> Estimate:
     """One full estimation run with hash parameters drawn from (seed, key).
 
-    Each pass sorts and scans every chunk at a threshold no higher than p0.
+    Each pass prunes the input at its threshold where ``prunes`` says so,
+    then sorts and scans every chunk of what is left at a threshold no
+    higher than p0.
     Linear mode makes one pass at p0.  Start-at-one mode first passes at
     ``first_threshold`` for ``pilot``, drawn from the seed when not given;
     while a pass ends with count < k distinct pairs, it passes again at
@@ -301,7 +301,7 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
     does not depend on the pilot.
     """
     rng = hashing.run_rng(cfg.seed, key)
-    pair_hash = hashing.draw_pair_hash(rng, cfg.family)
+    pair_hash = hashing.draw_pair_hash(rng)
     k = cfg.resolved_k
     p0 = choose_threshold(grouped, k, cfg.threshold_mode)
     p = p0
@@ -318,10 +318,13 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
     floor = passes = probes = sorted_tuples = 0
     while True:
         passes += 1
-        ceiling = state.p
-        bounds = chunk_bounds(grouped, ceiling)
+        # What a pass sorts depends on the input and its threshold alone,
+        # not on the chunks or on when the sketch tightened.
+        source = prune(grouped, pair_hash, state.p) if prunes(grouped, state.p) else grouped
+        probes += grouped.right_values.size - source.right_values.size
+        bounds = chunk_bounds(source, state.p)
         for lo, hi in zip(bounds, bounds[1:]):
-            chunk = sort_group(grouped, lo, hi, pair_hash, state.p, floor, ceiling)
+            chunk = sort_group(source, lo, hi, pair_hash, state.p, floor)
             probes += chunk.probes
             sorted_tuples += chunk.sorted_tuples
             for g in range(hi - lo):

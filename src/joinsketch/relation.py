@@ -545,9 +545,11 @@ class GroupedInput:
     Group i has join value ``join_values[i]`` (ascending), left values
     ``left_values[left_offsets[i]:left_offsets[i + 1]]`` and right values
     ``right_values[right_offsets[i]:right_offsets[i + 1]]``.  Value arrays
-    are read-only uint64, sorted and duplicate-free within each group, and
-    no group is empty on either side.  The join-project result is the union
-    over groups of left x right.
+    are read-only uint64, sorted and duplicate-free within each group.
+    ``group_and_prune`` leaves no group empty on either side; the part of
+    such an input that ``enumerator.prune`` keeps may hold groups empty on
+    both sides.  The join-project result is the union over groups of
+    left x right.
     """
 
     join_values: np.ndarray

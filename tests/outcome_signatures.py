@@ -23,16 +23,21 @@ which moves every work counter but no outcome.  Apart from ``--candidates``,
 the script uses only the public estimator API, so it runs against older
 checkouts too.
 
-``--candidates`` prints, instead, what ``sort_group`` lists for each
-workload, seed and run key at three thresholds: linear mode's p0, p0 >> 2
-and start-at-one's first threshold.  A line holds the sha256 of the
-candidate stream in group order (each group's candidate count, then its
-``pairs`` and ``hashes`` bytes) over the chunks of ``chunk_bounds`` at that
-threshold, and the summed ``sorted_tuples`` and ``probes``.  The stream
-does not depend on how the groups are chunked, so a change to the chunking
-or to the occupancy pass leaves these lines as they were.  It needs the
-``sort_group(grouped, lo, hi, h, p, floor, ceiling)`` and
-``chunk_bounds(grouped, p)`` signatures.
+``--candidates`` prints, instead, what one pass lists for each workload,
+seed and run key at three thresholds: linear mode's p0, p0 >> 2 and
+start-at-one's first threshold.  The pass prunes the input with ``prune``
+where ``prunes`` says it does, then sorts the chunks of ``chunk_bounds``
+at that threshold.  A line holds the sha256 of the candidate stream in
+group order (each group's candidate count, then its ``pairs`` and
+``hashes`` bytes), the summed ``sorted_tuples`` and the ``probes``, which
+count every column of the input, pruned or not.  The stream does not
+depend on how the groups are chunked, so a change to the chunking or to
+the occupancy pass leaves these lines as they were.  This mode calls the
+enumerator directly, so compare two checkouts with each checkout's own
+copy of the script: this one needs ``prune(grouped, h, p)``,
+``sort_group(grouped, lo, hi, h, p, floor)`` and
+``chunk_bounds(grouped, p)``, while checkouts whose ``sort_group`` pruned
+each chunk itself took a ``ceiling`` argument instead of ``prune``.
 """
 
 from __future__ import annotations
@@ -102,16 +107,18 @@ def workload_signatures(seeds, keys=1, scale=1.0, drop=()):
 
 
 def candidate_stream(grouped, pair_hash, p) -> dict:
-    """The digest of every group's candidates below ``p`` in one pass that
-    prunes at ``p``, and the pass's sorted tuples and probes."""
+    """The digest of every group's candidates below ``p`` in one pass at
+    ``p``, and the pass's sorted tuples and probes."""
     # Imported here: only --candidates needs these, and older checkouts lack them.
-    from joinsketch.enumerator import chunk_bounds, sort_group
+    from joinsketch.enumerator import chunk_bounds, prune, prunes, sort_group
 
+    source = prune(grouped, pair_hash, p) if prunes(grouped, p) else grouped
     digest = hashlib.sha256()
-    sorted_tuples = probes = 0
-    bounds = chunk_bounds(grouped, p)
+    sorted_tuples = 0
+    probes = grouped.right_values.size - source.right_values.size
+    bounds = chunk_bounds(source, p)
     for lo, hi in zip(bounds, bounds[1:]):
-        chunk = sort_group(grouped, lo, hi, pair_hash, p, 0, p)
+        chunk = sort_group(source, lo, hi, pair_hash, p)
         sorted_tuples += chunk.sorted_tuples
         probes += chunk.probes
         for first, last in zip(chunk.offsets, chunk.offsets[1:]):
@@ -134,7 +141,7 @@ def candidate_signatures(seeds, scale=1.0):
         thresholds = {"p0": p0, "p0>>2": p0 >> 2,
                       "first": first_threshold(grouped, k, draw_pilot(grouped, cfg.seed))}
         for run in range(cfg.runs):
-            pair_hash = hashing.draw_pair_hash(hashing.run_rng(cfg.seed, (run,)), cfg.family)
+            pair_hash = hashing.draw_pair_hash(hashing.run_rng(cfg.seed, (run,)))
             for label, p in thresholds.items():
                 yield {"workload": name, "seed": seed, "key": run, "threshold": label, "p": p,
                        **candidate_stream(grouped, pair_hash, p)}

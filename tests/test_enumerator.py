@@ -9,7 +9,7 @@ from joinsketch import (MODE_START_AT_ONE, EstimatorConfig, PairwiseHash, Relati
 from joinsketch.enumerator import chunk_bounds, scan_group, sort_group
 from joinsketch.estimator import run_once
 from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, run_rng, spawn_rng
-from joinsketch.relation import chunk_starts, offsets
+from joinsketch.relation import chunk_starts, offsets, pack, sorted_distinct
 
 from conftest import (FixedThreshold, a_run_pairs, greedy_chunks, group_values, random_instance,
                       reachable_tuples, single_group)
@@ -208,9 +208,10 @@ def test_chunk_bounds_cover_every_group_once(monkeypatch):
         pairs = a_run_pairs(grouped)
         for tuples in (1, 16, 64):
             monkeypatch.setattr(enumerator, "CHUNK_TUPLES", tuples)
-            bounds = chunk_bounds(grouped)
-            # One splitter serves the estimator's groups and the oracle's
-            # a-runs, with the greedy rule.
+            # At threshold 0 no candidate is expected, so a chunk is cut by
+            # its tuples.  One splitter serves the estimator's groups and
+            # the oracle's a-runs, with the greedy rule.
+            bounds = chunk_bounds(grouped, 0)
             assert bounds == chunk_starts(np.array(starts), tuples) == greedy_chunks(sizes, tuples)
             assert chunk_starts(offsets(np.array(pairs)), tuples) == greedy_chunks(pairs, tuples)
             assert bounds[0] == 0 and bounds[-1] == len(grouped)
@@ -222,18 +223,15 @@ def test_chunk_bounds_cover_every_group_once(monkeypatch):
                 assert hi - lo == 1 or size - (starts[hi] - starts[hi - 1]) < tuples
                 assert hi - lo == 1 or max(
                     starts[g + 1] - starts[g] for g in range(lo, hi)) < tuples
-        # A pass that prunes weighs each group's tuples plus four times its
-        # expected candidates, products times p, against 16 times the
-        # budget.  Powers of two keep the expectations exact in floating
-        # point.
-        for p in (GRID >> 40, GRID >> 8, GRID >> 4):
-            if not enumerator.prunes(grouped, p):
-                continue
+        # Every pass weighs each group's tuples plus four times its expected
+        # candidates, products times p, against the budget.  Powers of two
+        # keep the expectations exact in floating point.
+        for p in (GRID >> 40, GRID >> 8, GRID >> 4, GRID):
             weights = [size + 4 * -(-int(product) * p // GRID)
                        for size, product in zip(sizes, grouped.products)]
-            for tuples in (1, 16, 64):
+            for tuples in (1, 16, 64, 1024):
                 monkeypatch.setattr(enumerator, "CHUNK_TUPLES", tuples)
-                assert chunk_bounds(grouped, p) == greedy_chunks(weights, 16 * tuples), (trial, p)
+                assert chunk_bounds(grouped, p) == greedy_chunks(weights, tuples), (trial, p)
         monkeypatch.setattr(enumerator, "CHUNK_TUPLES", 1)
         assert chunk_bounds(grouped) == list(range(len(grouped) + 1))
 
@@ -378,26 +376,40 @@ def tiny_groups_instance(rng, groups, big=None):
     return group_and_prune(Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2))
 
 
+def pass_source(grouped, h, p):
+    """What a pass at threshold ``p`` sorts: the tuples ``prune`` keeps
+    where the pass prunes, otherwise every tuple."""
+    return enumerator.prune(grouped, h, p) if enumerator.prunes(grouped, p) else grouped
+
+
+def pruned_listing(grouped, source, h, p, floor):
+    """``listing`` of ``source`` sorted as one chunk, with a probe for each
+    column of ``grouped`` that ``source`` lacks."""
+    triples, group_offsets, probes = listing(sort_group(source, 0, len(source), h, p, floor))
+    return triples, group_offsets, probes + grouped.right_values.size - source.right_values.size
+
+
 def assert_the_pass_keeps_every_candidate(grouped, h, p, floor, monkeypatch):
-    """``sort_group`` over the whole instance, pruning at ``p`` and at a
-    ceiling above it, lists what ``reference_chunk`` lists, and at least
-    the tuples of a pair below ``p`` reach the sort.  Where the pass
+    """The instance pruned at ``p`` and at a threshold above it, then
+    sorted as one chunk at ``p``, lists what ``reference_chunk`` lists, and
+    at least the tuples of a pair below ``p`` survive.  Where the pass
     prunes, it runs over many slices of the instance with ``CHUNK_TUPLES``
-    at 1 and 16, and must list and sort the same; it does not read the
-    floor, so this is checked at floor 0 only.  Returns the tuples that
-    reached the sort."""
+    at 1 and 16, and must keep the same tuples.  Returns the tuples that
+    survive at ``p``."""
     want = reference_chunk(grouped, 0, len(grouped), h, p, floor)
     kept = []
     for ceiling in (p, min(GRID, 2 * p + 1)):
-        chunk = sort_group(grouped, 0, len(grouped), h, p, floor, ceiling)
-        assert listing(chunk) == want, (p, floor, ceiling)
+        source = pass_source(grouped, h, ceiling)
+        assert len(source) == len(grouped)
+        assert ((np.diff(source.left_offsets) > 0) == (np.diff(source.right_offsets) > 0)).all()
+        assert pruned_listing(grouped, source, h, p, floor) == want, (p, floor, ceiling)
         for tuples in (1, 16) if not floor and enumerator.prunes(grouped, ceiling) else ():
             with monkeypatch.context() as patch:
                 patch.setattr(enumerator, "CHUNK_TUPLES", tuples)
-                sliced = sort_group(grouped, 0, len(grouped), h, p, floor, ceiling)
-            assert listing(sliced) == want, (p, floor, ceiling, tuples)
-            assert sliced.sorted_tuples == chunk.sorted_tuples, (p, floor, ceiling, tuples)
-        kept.append(chunk.sorted_tuples)
+                sliced = enumerator.prune(grouped, h, ceiling)
+            for name in ("left_offsets", "left_values", "right_offsets", "right_values"):
+                assert (getattr(sliced, name) == getattr(source, name)).all(), (p, ceiling, tuples)
+        kept.append(source.tuple_count)
     assert reachable_tuples(grouped, h, p) <= kept[0] <= kept[1] <= grouped.tuple_count
     return kept[0]
 
@@ -458,10 +470,12 @@ def test_the_occupancy_pass_prunes_most_of_a_zipf_instance(monkeypatch):
 
 
 def traced_sort_group(grouped, h, p):
-    """``sort_group`` over the whole instance and its traced peak."""
+    """``sort_group`` over what a pass at ``p`` sorts of the whole
+    instance, and the traced peak of pruning and sorting it."""
     tracemalloc.start()
     try:
-        chunk = sort_group(grouped, 0, len(grouped), h, p)
+        source = pass_source(grouped, h, p)
+        chunk = sort_group(source, 0, len(source), h, p)
         return chunk, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -483,9 +497,9 @@ def test_one_sort_group_call_holds_its_tuples_and_candidates():
         assert (chunk.sorted_tuples < grouped.tuple_count) == pruned
         bound = 96 * grouped.tuple_count + 2 * 16 * len(chunk.hashes)
         assert peak <= bound, (p, peak, bound)
-    # A chunk of more than four slices: the occupancy pass holds one
+    # An input of more than four slices: the occupancy pass holds one
     # slice's temporaries at a time, and the sort those of the survivors.
-    slice_tuples = enumerator.CHUNK_TUPLES << 2
+    slice_tuples = enumerator.CHUNK_TUPLES
     sliced = zipf_instance(rng, groups=9000, cap=60)
     assert sliced.tuple_count > 4 * slice_tuples
     for p in (GRID >> 10, GRID >> 8):
@@ -495,12 +509,26 @@ def test_one_sort_group_call_holds_its_tuples_and_candidates():
         assert peak <= bound, (p, peak, bound)
 
 
+def recorded_passes(monkeypatch):
+    """A list that collects what each pass of ``run_once`` chunks, its
+    threshold and its chunk bounds, from here on."""
+    passes = []
+
+    def recording(source, p):
+        bounds = chunk_bounds(source, p)
+        passes.append((source, p, bounds))
+        return bounds
+
+    monkeypatch.setattr(estimator, "chunk_bounds", recording)
+    return passes
+
+
 def test_chunks_of_a_pass_that_prunes_hold_few_candidates_unless_one_group(monkeypatch):
     # 20,000 tiny groups make the passes prune; between them, 40 groups
     # join the same 400 left values to the same 400 right values, so a
     # widening start-at-one pass lists thousands of candidates per group.
     # Cut by tuples alone, 2**15-tuple chunks of those groups would list
-    # several times more than chunks of 2**13 tuples.
+    # more than four times the budget.
     rng = random.Random(27)
     A, C = rng.sample(range(2**32), 400), rng.sample(range(2**32), 400)
     t1 = [(rng.randrange(2**32), b) for b in range(20_000)]
@@ -509,14 +537,7 @@ def test_chunks_of_a_pass_that_prunes_hold_few_candidates_unless_one_group(monke
     t2 += [(b, c) for b in range(10_000, 10_040) for c in C]
     grouped = group_and_prune(Relation.from_pairs(Side.LEFT, t1),
                               Relation.from_pairs(Side.RIGHT, t2))
-    passes = []
-
-    def recording(grouped, p):
-        bounds = chunk_bounds(grouped, p)
-        passes.append((p, bounds))
-        return bounds
-
-    monkeypatch.setattr(estimator, "chunk_bounds", recording)
+    passes = recorded_passes(monkeypatch)
     cfg = EstimatorConfig(k=4096, threshold_mode=MODE_START_AT_ONE, seed=3)
     tracemalloc.start()
     try:
@@ -526,43 +547,41 @@ def test_chunks_of_a_pass_that_prunes_hold_few_candidates_unless_one_group(monke
         tracemalloc.stop()
     assert est.work.passes == len(passes) == 2
     h = draw_pair_hash(run_rng(cfg.seed, (0,)))
-    budget = enumerator.CHUNK_TUPLES << 2
+    budget = enumerator.CHUNK_TUPLES
     by_tuples = chunk_starts(grouped.left_offsets + grouped.right_offsets, budget)
 
-    def candidates(bounds, p):
+    def candidates(source, bounds, p):
         """Each chunk's candidates below p and its group count."""
-        return [(len(sort_group(grouped, lo, hi, h, p).hashes), hi - lo)
+        return [(len(sort_group(source, lo, hi, h, p).hashes), hi - lo)
                 for lo, hi in zip(bounds, bounds[1:])]
 
     most = 0
-    for p, bounds in passes:
-        assert enumerator.prunes(grouped, p)
-        listed = candidates(bounds, p)
+    for source, p, bounds in passes:
+        assert enumerator.prunes(grouped, p) and source.tuple_count < grouped.tuple_count
+        listed = candidates(source, bounds, p)
         assert all(n <= 2 * budget for n, groups in listed if groups > 1), (p, listed)
         most = max(most, max(n for n, _ in listed))
-    assert max(n for n, _ in candidates(by_tuples, passes[-1][0])) > 4 * budget
+    assert max(n for n, _ in candidates(grouped, by_tuples, passes[-1][1])) > 4 * budget
     # The input, the sketch and one chunk's candidates, twice over while
     # the chunk gathers them.
     bound = 64 * grouped.tuple_count + 64 * cfg.k + 2 * 16 * most
     assert peak <= bound, (peak, bound)
 
 
-def test_sort_group_refuses_a_ceiling_below_the_threshold():
-    grouped = single_group([1, 2, 3], [4, 5])
-    h = draw_pair_hash(spawn_rng(6700))
-    with pytest.raises(ValueError):
-        sort_group(grouped, 0, 1, h, GRID >> 4, 0, GRID >> 5)
+def same_pairs_instance():
+    """100 groups that join the same 40 left values to the same 40 right
+    values: 160k pair occurrences of 1,600 distinct pairs."""
+    rng = random.Random(22)
+    A, C = rng.sample(range(2**31, 2**32), 40), rng.sample(range(2**31, 2**32), 40)
+    return group_and_prune(
+        Relation.from_pairs(Side.LEFT, [(a, b) for b in range(100) for a in A]),
+        Relation.from_pairs(Side.RIGHT, [(b, c) for b in range(100) for c in C]))
 
 
 def test_a_run_holds_one_chunk_of_candidates_at_a_time():
-    # 100 groups join the same 40 left values to the same 40 right values:
-    # 160k pair occurrences of 1,600 distinct pairs.  With k above that, a
-    # start-at-one run widens to threshold 1 and offers every occurrence.
-    rng = random.Random(22)
-    A, C = rng.sample(range(2**31, 2**32), 40), rng.sample(range(2**31, 2**32), 40)
-    grouped = group_and_prune(
-        Relation.from_pairs(Side.LEFT, [(a, b) for b in range(100) for a in A]),
-        Relation.from_pairs(Side.RIGHT, [(b, c) for b in range(100) for c in C]))
+    # With k above 1,600, a start-at-one run widens to threshold 1 and
+    # offers every occurrence.
+    grouped = same_pairs_instance()
     cfg = EstimatorConfig(k=2048, threshold_mode=MODE_START_AT_ONE, seed=1)
     bounds = chunk_bounds(grouped)
     # A chunk lists at most its groups' products in one pass.
@@ -577,4 +596,49 @@ def test_a_run_holds_one_chunk_of_candidates_at_a_time():
     # A candidate takes 24 B in numpy, twice over while the chunk gathers
     # its arrays; as three Python ints in lists it took about 150 B.
     bound = 256 * grouped.tuple_count + 64 * cfg.k + 2 * 24 * int(chunk_products.max())
+    assert peak <= bound, (peak, bound)
+
+
+def test_chunks_of_every_pass_hold_few_candidates_unless_one_group(monkeypatch):
+    # A chunk weighs its tuples plus four times its expected candidates
+    # against CHUNK_TUPLES in every pass, also in the widening passes that
+    # do not prune, up to the last one at threshold 1.
+    grouped = same_pairs_instance()
+    passes = recorded_passes(monkeypatch)
+    run_once(grouped, EstimatorConfig(k=2048, threshold_mode=MODE_START_AT_ONE, seed=1))
+    assert passes[-1][1] == GRID
+    for source, p, bounds in passes:
+        expected = np.add.reduceat(np.ceil(source.products * (p / GRID)), bounds[:-1])
+        shared = np.diff(bounds) > 1
+        assert (expected[shared] <= enumerator.CHUNK_TUPLES // 4).all(), (p, expected)
+    assert shared.any()
+
+
+def test_a_pass_whose_tuples_all_survive_holds_one_chunk_at_a_time():
+    # 6,000 groups join 30 values to the same 30 values, and h1 = h2, so
+    # every column meets its own row at hash 0: the occupancy pass runs and
+    # keeps all 360k tuples.
+    groups, side = 6000, 30
+    values = np.arange(groups * side, dtype=np.uint64) * np.uint64(0x9E3779B1)
+    values &= np.uint64(MASK64 >> 32)
+    b = np.repeat(np.arange(groups, dtype=np.uint64), side)
+    grouped = group_and_prune(Relation(Side.LEFT, sorted_distinct(pack(values, b))),
+                              Relation(Side.RIGHT, sorted_distinct(pack(b, values))))
+    one = PairwiseHash(0x9E3779B97F4A7C15, 12345)
+    h, p = PairHash(one, one), GRID >> 20
+    assert enumerator.prunes(grouped, p)
+    tracemalloc.start()
+    try:
+        source = enumerator.prune(grouped, h, p)
+        bounds = chunk_bounds(source, p)
+        listed = sum(len(sort_group(source, lo, hi, h, p).hashes)
+                     for lo, hi in zip(bounds, bounds[1:]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert source.tuple_count == grouped.tuple_count and listed == groups * side
+    # The survivors, 8 B a tuple and twice that while they are joined, and
+    # the temporaries of one slice of the occupancy pass or of one chunk's
+    # sort and gather, at most CHUNK_TUPLES tuples and expected candidates.
+    bound = 16 * grouped.tuple_count + 96 * enumerator.CHUNK_TUPLES
     assert peak <= bound, (peak, bound)

@@ -91,10 +91,11 @@ def test_runs_must_be_odd():
 def test_bad_mode_family_seed_rejected():
     with pytest.raises(ConfigError):
         EstimatorConfig(k=4, threshold_mode="always")
-    with pytest.raises(ConfigError):
-        EstimatorConfig(k=4, family="sha1")
-    with pytest.raises(ConfigError, match="unknown hash family"):
-        EstimatorConfig(k=4, family="mersenne61")
+    # wrapping64 is the one hash family: a read-only name, not a parameter.
+    assert EstimatorConfig(k=4).family == "wrapping64"
+    for family in ("sha1", "mersenne61", "wrapping64"):
+        with pytest.raises(TypeError, match="family"):
+            EstimatorConfig(k=4, family=family)
     with pytest.raises(ConfigError):
         EstimatorConfig(k=4, seed=-1)
     with pytest.raises(ConfigError):
@@ -398,16 +399,15 @@ def test_outcomes_and_sketch_work_match_the_recorded_values():
     assert got == GOLDEN
 
 
-@pytest.mark.parametrize("family", ["wrapping64"])
 @pytest.mark.parametrize("mode", [MODE_LINEAR, MODE_START_AT_ONE])
-def test_chunk_size_changes_no_outcome_or_counter(monkeypatch, mode, family):
+def test_chunk_size_changes_no_outcome_or_counter(monkeypatch, mode):
     rng = random.Random(8300)
     for trial in range(25):
         r1, r2 = random_instance(rng, max_each=400, a_range=rng.choice([50, 2**31]),
                                  b_range=rng.choice([2, 10, 50]), c_range=rng.choice([50, 2**31]))
         g = group_and_prune(r1, r2)
         cfg = EstimatorConfig(k=rng.choice([1, 4, 16, 64]), threshold_mode=mode, runs=3,
-                              seed=trial, family=family)
+                              seed=trial)
         outcomes = []
         for tuples in (1, 16, enumerator.CHUNK_TUPLES):
             monkeypatch.setattr(enumerator, "CHUNK_TUPLES", tuples)
@@ -443,8 +443,7 @@ def _schedule_instances():
 OVERESTIMATE = Pilot(1, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("family", ["wrapping64"])
-def test_start_at_one_passes_give_the_outcome_of_one_pass_at_one(family):
+def test_start_at_one_passes_give_the_outcome_of_one_pass_at_one():
     ratios, passes = [], []
     for i, (r1, r2) in enumerate(_schedule_instances()):
         g = group_and_prune(r1, r2)
@@ -453,9 +452,8 @@ def test_start_at_one_passes_give_the_outcome_of_one_pass_at_one(family):
         z = exact_size(g).z
         ratios.append(z / g.total_product)
         for k in (1, 5, 32, 200):
-            cfg = EstimatorConfig(k=k, threshold_mode=MODE_START_AT_ONE, seed=8500 + i,
-                                  family=family)
-            want = exact_kth_hash(g, draw_pair_hash(run_rng(cfg.seed, (0,)), family), k)
+            cfg = EstimatorConfig(k=k, threshold_mode=MODE_START_AT_ONE, seed=8500 + i)
+            want = exact_kth_hash(g, draw_pair_hash(run_rng(cfg.seed, (0,))), k)
             assert single_pass_at_one(g, cfg) == want, (i, k)
             # The pilot's share, then one too high, which makes the run
             # widen in passes.
