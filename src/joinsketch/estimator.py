@@ -35,7 +35,6 @@ import math
 import numbers
 import operator
 from dataclasses import asdict, dataclass, fields, replace
-from fractions import Fraction
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -276,14 +275,17 @@ def draw_pilot(grouped: GroupedInput, seed: int) -> Pilot:
 
 def first_threshold(grouped: GroupedInput, k: int, pilot: Pilot) -> int:
     """Start-at-one's first threshold, min(GRID, max(1, ceil(c k GRID /
-    (r_hat total_product)))) in exact arithmetic, for the pilot's share
-    r_hat (1 when it sampled nothing) and c = 1 + 3 / sqrt(k) + 3 se /
-    r_hat."""
+    (r_hat total_product)))) in exact integer arithmetic on the integer
+    ratios of the floats c and r_hat, for the pilot's share r_hat (1 when
+    it sampled nothing) and c = 1 + 3 / sqrt(k) + 3 se / r_hat."""
     share = 1.0 if pilot.distinct_share is None else pilot.distinct_share
     error = pilot.standard_error or 0.0
     margin = 1 + 3 / math.sqrt(k) + 3 * error / share
-    p = Fraction(margin) * k * hashing.GRID / (Fraction(share) * grouped.total_product)
-    return min(hashing.GRID, max(1, math.ceil(p)))
+    margin_num, margin_den = margin.as_integer_ratio()
+    share_num, share_den = share.as_integer_ratio()
+    p = -(-margin_num * share_den * k * hashing.GRID
+          // (margin_den * share_num * grouped.total_product))
+    return min(hashing.GRID, max(1, p))
 
 
 def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] = (0,),

@@ -733,3 +733,42 @@ def test_library_calls_write_nothing_to_stdout(capsys, tmp_path, mini_fimi_path)
         estimate_from_samples(*samples, EstimatorConfig(k=16, seed=2))
         estimate_from_samples(*samples, EstimatorConfig(k=16, seed=2), exact_cutoff=0)
     assert capsys.readouterr().out == ""
+
+
+_FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+
+names = ("numpy.random", "fractions", "decimal", "secrets")
+import numpy
+preloaded = [name for name in names if name in sys.modules]
+from joinsketch.cli import main
+
+fimi, out_dir = sys.argv[1:]
+inputs = ["--self", fimi, "--format", "fimi", "-k", "4"]
+left, right = out_dir + "/left.sample", out_dir + "/right.sample"
+commands = [
+    ["estimate", *inputs, "--threshold-mode", "linear"],
+    ["estimate", *inputs, "--threshold-mode", "start-at-one"],
+    ["exact", "--self", fimi, "--format", "fimi"],
+    ["sample", "--input", fimi, "--format", "fimi", "--side", "left", "--prob", "0.5", "--out", left],
+    ["sample", "--input", fimi, "--format", "fimi", "--side", "right", "--prob", "0.5", "--out", right],
+    ["sample-estimate", left, right, "-k", "4", "--exact-cutoff", "0"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+loaded = [name for name in names if name in sys.modules]
+print(json.dumps({"codes": codes, "preloaded": preloaded, "loaded": loaded}))
+"""
+
+
+def test_cli_operations_import_neither_numpy_random_nor_fractions(tmp_path, mini_fimi_path):
+    # Hash draws come from hashing.Pcg64Stream and first_threshold works in
+    # integers, so none of these modules loads.  numpy 1.x imports
+    # numpy.random, and with it secrets, on `import numpy`; only the names
+    # `import numpy` loads are skipped.
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(mini_fimi_path),
+                           str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 6
+    assert [name for name in result["loaded"] if name not in result["preloaded"]] == []

@@ -1,5 +1,8 @@
+import math
 import random
 from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -495,6 +498,38 @@ def test_estimate_records_the_pilot_and_first_threshold_its_runs_share():
     assert linear.pilot is None and linear.first_p == linear.p0
     empty = estimate_median(grouped_from({(1, 1)}, {(2, 5)}), cfg)
     assert (empty.pilot, empty.first_p) == (Pilot(0), 0)
+
+
+def _fraction_first_threshold(total_product, k, pilot):
+    share = 1.0 if pilot.distinct_share is None else pilot.distinct_share
+    error = pilot.standard_error or 0.0
+    margin = 1 + 3 / math.sqrt(k) + 3 * error / share
+    p = Fraction(margin) * k * GRID / (Fraction(share) * total_product)
+    return min(GRID, max(1, math.ceil(p)))
+
+
+def test_first_threshold_equals_the_fraction_formula():
+    rng = random.Random(8615)
+    shares = [1e-12, 1e-9, 2**-20, 0.1, 1 / 3, 0.5, 0.999999, 1.0]
+    shares += [10 ** rng.uniform(-12, 0) for _ in range(12)]
+    ks = [1, 2, 3, 64, 1000, 2**20, 2**40 + 3, 2**62, 2**63] + [rng.randint(1, 2**63) for _ in range(6)]
+    # Beyond 2**62 only to reach the lower clip: p >= 2**64 / total_product.
+    totals = [1, 2, 7, 15_000, 2**31 - 1, 2**40, 2**62] + [rng.randint(1, 2**62) for _ in range(6)]
+    totals += [2**66, 2**90 + 1]
+    clipped_low = clipped_high = 0
+    for share in shares:
+        pilots = [Pilot(9, share, 0.0), Pilot(9, share, None), Pilot(9, share, share / 7)]
+        if share == 1.0:
+            pilots.append(Pilot(0))
+        for pilot in pilots:
+            for k in ks:
+                for total in totals:
+                    want = _fraction_first_threshold(total, k, pilot)
+                    got = first_threshold(SimpleNamespace(total_product=total), k, pilot)
+                    assert got == want, (total, k, pilot)
+                    clipped_low += want == 1
+                    clipped_high += want == GRID
+    assert clipped_low and clipped_high
 
 
 def _pilot_input(kind):

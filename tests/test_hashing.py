@@ -1,12 +1,14 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from joinsketch import WRAPPING64, PairwiseHash
-from joinsketch.hashing import (GRID, MASK64, PairHash, draw_pair_hash, draw_single, run_rng,
-                               spawn_rng)
+from joinsketch.hashing import (GRID, MASK64, PairHash, draw_pair_hash, draw_single, pilot_rng,
+                               run_rng, selector_rng, spawn_rng)
 
-from reference_hashing import hash_value, pair_value
+from reference_hashing import generator_after_pair_hash, hash_value, numpy_generator, pair_value
 
 
 def raw(fraction: float) -> int:
@@ -45,8 +47,8 @@ def test_pair_cancellation():
 
 
 def test_pair_matches_wrapping_subtraction():
-    rng = spawn_rng(7)
-    h = draw_pair_hash(rng)
+    h = draw_pair_hash(spawn_rng(7))
+    rng = generator_after_pair_hash(7)
     x_arr = rng.integers(0, 2**32, size=50, dtype=np.uint64)
     y_arr = rng.integers(0, 2**32, size=50, dtype=np.uint64)
     xs, ys = x_arr.tolist(), y_arr.tolist()
@@ -74,8 +76,8 @@ def test_unknown_family_rejected():
 def test_pair_hash_no_collisions_at_scale(family):
     # 15k distinct pairs give ~1.1e8 value comparisons; any repeated hash
     # would blow the pairwise collision budget by orders of magnitude.
-    rng = spawn_rng(2024)
-    h = draw_pair_hash(rng, family)
+    h = draw_pair_hash(spawn_rng(2024), family)
+    rng = generator_after_pair_hash(2024)
     n = 15_000
     xs = rng.integers(0, 2**32, size=n, dtype=np.uint64)
     ys = rng.integers(0, 2**32, size=n, dtype=np.uint64)
@@ -136,8 +138,8 @@ def test_pair_uniformity_smoke(family, t):
     per_seed = 5000
     below = 0
     for s in range(seeds):
-        rng = spawn_rng(4242, 0, s)
-        h = draw_pair_hash(rng, family)
+        h = draw_pair_hash(spawn_rng(4242, 0, s), family)
+        rng = generator_after_pair_hash(4242, 0, s)
         xs = rng.integers(0, 2**32, size=per_seed, dtype=np.uint64)
         ys = rng.integers(0, 2**32, size=per_seed, dtype=np.uint64)
         values = h.h1.values(xs) - h.h2.values(ys)
@@ -161,8 +163,60 @@ def test_wrapping_values_match_the_scalar_formula():
 
 
 def test_spawned_streams_are_independent_and_stable():
-    a = run_rng(9, (0,)).integers(0, GRID, dtype=np.uint64)
-    b = run_rng(9, (1,)).integers(0, GRID, dtype=np.uint64)
-    again = run_rng(9, (0,)).integers(0, GRID, dtype=np.uint64)
+    a = run_rng(9, (0,)).next64()
+    b = run_rng(9, (1,)).next64()
+    again = run_rng(9, (0,)).next64()
     assert a == again
     assert a != b
+
+
+def _numpy_words(generator, n):
+    return [int(generator.integers(0, GRID, dtype=np.uint64)) for _ in range(n)]
+
+
+def _seed_and_key_cases():
+    rng = random.Random(6400)
+    elements = [0, 1, 2, 3, 17, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64,
+                2**64 + 5, 2**96 + 2**32]
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    seeds += [rng.getrandbits(rng.choice([8, 32, 33, 64, 65, 100])) for _ in range(95)]
+    for seed in seeds:
+        yield seed, ()
+        for length in range(1, 6):
+            for _ in range(4):
+                yield seed, tuple(rng.choice(elements) if rng.random() < 0.6
+                                  else rng.getrandbits(rng.choice([4, 32, 40, 64, 70]))
+                                  for _ in range(length))
+
+
+def test_stream_equals_numpys_seed_sequence_pcg64():
+    cases = 0
+    for seed, key in _seed_and_key_cases():
+        stream = spawn_rng(seed, *key)
+        assert [stream.next64() for _ in range(8)] == _numpy_words(numpy_generator(seed, *key), 8), \
+            (seed, key)
+        cases += 1
+    assert cases >= 2000
+
+
+def test_draws_equal_numpy_derived_parameters():
+    for seed, key in list(_seed_and_key_cases())[::20]:
+        m1, a1, m2, a2 = _numpy_words(numpy_generator(seed, *key), 4)
+        assert draw_pair_hash(spawn_rng(seed, *key)) == PairHash(PairwiseHash(m1 | 1, a1),
+                                                                 PairwiseHash(m2 | 1, a2))
+        assert draw_single(spawn_rng(seed, *key)) == PairwiseHash(m1 | 1, a1)
+    # The named streams live in disjoint key namespaces.
+    m, a = _numpy_words(numpy_generator(5, 0, 3, 1), 2)
+    assert draw_single(run_rng(5, (3, 1))) == PairwiseHash(m | 1, a)
+    m, a = _numpy_words(numpy_generator(5, 1, 0), 2)
+    assert draw_single(selector_rng(5, 0)) == PairwiseHash(m | 1, a)
+    m, a = _numpy_words(numpy_generator(5, 2), 2)
+    assert draw_single(pilot_rng(5)) == PairwiseHash(m | 1, a)
+
+
+@pytest.mark.parametrize("seed, key", [(-1, ()), (1, (-1,)), (0, (3, -2**40)), (-2**70, (1,))])
+def test_negative_seed_or_key_element_is_rejected_as_numpy_does(seed, key):
+    with pytest.raises(ValueError, match="non-negative"):
+        numpy_generator(seed, *key)
+    with pytest.raises(ValueError, match="non-negative"):
+        spawn_rng(seed, *key)
