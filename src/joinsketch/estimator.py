@@ -42,7 +42,7 @@ import numpy as np
 from . import hashing, oracle
 from .enumerator import chunk_bounds, prune, prunes, scan_group, sort_group
 from .kmin import KMinState
-from .relation import GroupedInput, run_starts
+from .relation import GroupedInput, run_starts, sorted_pairs
 
 MODE_LINEAR = "linear"
 MODE_START_AT_ONE = "start-at-one"
@@ -260,10 +260,9 @@ def draw_pilot(grouped: GroupedInput, seed: int) -> Pilot:
         kept = kept[below_top[kept] < np.uint64(hashing.GRID >> s)]
     if not occurrences:
         return Pilot(0)
-    a = grouped.left_values[kept]
-    order = np.argsort(a)
+    a, group = sorted_pairs(grouped.left_values[kept], group)
     distinct, fan = [], []
-    for keys in oracle._pair_chunks(grouped, a[order], group[order]):
+    for keys in oracle._pair_chunks(grouped, a, group, right_sizes[group]):
         fan.append(_run_lengths(keys >> np.uint64(32)))
         distinct.append(_run_lengths(keys[run_starts(keys)] >> np.uint64(32)))
     distinct, fan = np.concatenate(distinct), np.concatenate(fan)

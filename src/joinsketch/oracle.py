@@ -2,17 +2,19 @@
 
 The count uses z = sum over left values a of |union over groups g holding a
 of C_g|: pairs with different a never collide.  The left tuples are ordered
-by value once; a value held by one group adds its group's right size and is
-never expanded, because right values are distinct within a group.  The
-values held by two or more groups (the shared tuples) are counted a-major in
-chunks by one of two kernels, chosen from the input with no setting:
+by value once, by one sort of the packed keys ``a << 32 | group``; a value
+held by one group adds its group's right size and is never expanded,
+because right values are distinct within a group.  The values held by two
+or more groups (the shared tuples) are counted a-major in chunks by one of
+two kernels, chosen from the input with no setting:
 
 * the dense kernel, when the right domain is narrow: each group's right
   values become a bitset of W = ceil(D / 64) words over the D distinct right
   values, and each shared left value ORs its groups' bitsets and counts the
-  bits.  It runs iff ``shared x W <= expanded`` (no more words to OR than
-  pairs to expand) and ``groups x W <= right values`` (the bitset table is
-  no larger than the input);
+  bits with 64-bit word arithmetic (a SWAR popcount).  It runs iff
+  ``shared x W <= expanded`` (no more words to OR than pairs to expand) and
+  ``groups x W <= right values`` (the bitset table is no larger than the
+  input);
 * the sparse kernel otherwise: the shared tuples' candidate pairs are
   expanded as packed keys, sorted per chunk and their distinct keys counted.
 
@@ -38,14 +40,17 @@ import numpy as np
 
 from .hashing import PairHash
 from .kmin import SketchOutcome
-from .relation import GroupedInput, chunk_starts, offsets, pack, run_starts, tie_runs, unpack
+from .relation import (GroupedInput, chunk_starts, offsets, pack, run_starts, sorted_pairs,
+                       tie_runs, unpack)
 
 DEFAULT_CAP = 10_000_000
 # Pairs, or bitset words, per chunk: small enough that a chunk stays in cache.
 CHUNK_PAIRS = 1 << 15
-# Set bits of each byte value: np.bitwise_count needs numpy 2, and numpy 1.24
-# is supported.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+# The SWAR popcount's masks (np.bitwise_count needs numpy 2, and numpy 1.24
+# is supported): the low bit of every bit pair, the low half of every nibble
+# and of every byte, and the low bit of every byte.
+_PAIRS, _NIBBLES, _BYTES, _ONES = (np.uint64(0x5555555555555555), np.uint64(0x3333333333333333),
+                                   np.uint64(0x0F0F0F0F0F0F0F0F), np.uint64(0x0101010101010101))
 
 
 class SizeCapError(RuntimeError):
@@ -74,10 +79,10 @@ def _check_cap(pairs: int, cap: int) -> None:
 
 
 def _left_tuples(grouped: GroupedInput) -> tuple[np.ndarray, np.ndarray]:
-    """The left tuples ordered by value: each one's value and group."""
-    order = np.argsort(grouped.left_values)
-    group = np.repeat(np.arange(len(grouped)), np.diff(grouped.left_offsets))[order]
-    return grouped.left_values[order], group
+    """The left tuples ordered by value, ties by group: each one's value
+    and group."""
+    group = np.repeat(np.arange(len(grouped), dtype=np.uint64), np.diff(grouped.left_offsets))
+    return sorted_pairs(grouped.left_values, group)
 
 
 def _expand(right_values: np.ndarray, a: np.ndarray, fan: np.ndarray,
@@ -101,14 +106,15 @@ def _expand(right_values: np.ndarray, a: np.ndarray, fan: np.ndarray,
     return keys
 
 
-def _pair_chunks(grouped: GroupedInput, a: np.ndarray, group: np.ndarray) -> Iterator[np.ndarray]:
+def _pair_chunks(grouped: GroupedInput, a: np.ndarray, group: np.ndarray,
+                 fan: np.ndarray) -> Iterator[np.ndarray]:
     """Sorted pair keys of the left tuples ``a``, ``group`` (ordered by
-    ``a``), one array per chunk of whole a-runs.
+    ``a``), whose groups hold ``fan`` right values, one array per chunk of
+    whole a-runs.
 
     A chunk holds at most ``CHUNK_PAIRS`` pairs unless its single a-run holds
     more.  Chunks come in a order, so their keys never repeat across chunks.
     """
-    fan = np.diff(grouped.right_offsets)[group]
     edges = np.append(np.flatnonzero(run_starts(a)), a.size)
     bounds = chunk_starts(offsets(fan)[edges], CHUNK_PAIRS)  # pairs before each a-run
     for lo, hi in zip(bounds, bounds[1:]):
@@ -121,7 +127,8 @@ def _distinct_chunks(grouped: GroupedInput, cap: int) -> Iterator[np.ndarray]:
     """Sorted keys of the distinct result pairs, one array per a-ordered
     chunk; no key repeats across chunks."""
     _check_cap(grouped.total_product, cap)
-    for keys in _pair_chunks(grouped, *_left_tuples(grouped)):
+    a, group = _left_tuples(grouped)
+    for keys in _pair_chunks(grouped, a, group, np.diff(grouped.right_offsets)[group]):
         yield keys[run_starts(keys)]
 
 
@@ -142,19 +149,40 @@ def _dense_ranks(grouped: GroupedInput, shared: int, expanded: int) -> np.ndarra
     most = 64 * min(expanded // shared, values.size // len(grouped))
     offset = values - values.min()
     size = 1 << (values.size - 1).bit_length()
+    span = int(offset.max())
+    offset &= np.uint64(size - 1)  # in place: exact_size holds the fans meanwhile
     seen = np.zeros(size, dtype=bool)
-    seen[offset & np.uint64(size - 1)] = True
+    seen[offset] = True
     if np.count_nonzero(seen) > most:
         return None
-    if offset.max() < size:
+    if span < size:
         return (np.cumsum(seen) - 1)[offset]
-    order = np.argsort(values)  # a wide span with few distinct values
-    starts = run_starts(values[order])
+    ordered, order = sorted_pairs(values, np.arange(values.size))  # a wide span, few values
+    starts = run_starts(ordered)
     if np.count_nonzero(starts) > most:
         return None
     ranks = np.empty(values.size, dtype=np.int64)
     ranks[order] = np.cumsum(starts) - 1
     return ranks
+
+
+def _popcount(words: np.ndarray) -> int:
+    """The set bits of the uint64 array ``words``: each word's bits are
+    summed per pair, nibble and byte, and its bytes by one multiply (Warren,
+    Hacker's Delight, 2nd ed., 2012, section 5-1)."""
+    pairs = words >> np.uint64(1)
+    pairs &= _PAIRS
+    bits = words - pairs  # each bit pair holds its count
+    np.right_shift(bits, np.uint64(2), out=pairs)
+    pairs &= _NIBBLES
+    bits &= _NIBBLES
+    bits += pairs  # each nibble holds its count
+    np.right_shift(bits, np.uint64(4), out=pairs)
+    bits += pairs
+    bits &= _BYTES  # each byte holds its count
+    bits *= _ONES  # the top byte holds the word's count, wrapping mod 2**64
+    bits >>= np.uint64(56)
+    return int(bits.sum())
 
 
 def _dense_count(grouped: GroupedInput, ranks: np.ndarray, a: np.ndarray,
@@ -173,7 +201,7 @@ def _dense_count(grouped: GroupedInput, ranks: np.ndarray, a: np.ndarray,
     for lo, hi in zip(bounds, bounds[1:]):
         t0 = edges[lo]
         union = np.bitwise_or.reduceat(table[group[t0:edges[hi]]], edges[lo:hi] - t0, axis=0)
-        count += int(_POPCOUNT[union.view(np.uint8)].sum())
+        count += _popcount(union)
     return count
 
 
@@ -194,15 +222,17 @@ def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> ExactResult:
     a, group = _left_tuples(grouped)
     _, shared = tie_runs(a)  # tuples whose left value lies in two or more groups
     a, group = a[shared], group[shared]
-    expanded = int(np.diff(grouped.right_offsets)[group].sum())
+    fan = np.diff(grouped.right_offsets)[group]
+    expanded = int(fan.sum())
     _check_cap(expanded, cap)
     z = grouped.total_product - expanded
     if not expanded:
         return ExactResult(z, 0)
     ranks = _dense_ranks(grouped, a.size, expanded)
     if ranks is not None:
+        del fan  # the dense kernel needs no fans; free them before its peak
         return ExactResult(z + _dense_count(grouped, ranks, a, group), expanded)
-    for keys in _pair_chunks(grouped, a, group):
+    for keys in _pair_chunks(grouped, a, group, fan):
         z += int(np.count_nonzero(run_starts(keys)))
     return ExactResult(z, expanded)
 

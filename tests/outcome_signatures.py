@@ -23,6 +23,13 @@ which moves every work counter but no outcome.  Apart from ``--candidates``,
 the script uses only the public estimator API, so it runs against older
 checkouts too.
 
+``--exact`` prints, instead, what ``exact_size`` gives for each workload
+input and random instance: ``z``, ``expanded_pairs`` and the kernel that
+counts the shared left values, ``dense`` or ``sparse`` by the rule of the
+``oracle`` module's docstring, or ``none`` when no left value lies in two
+groups.  It uses only the public API, so it also runs against older
+checkouts.
+
 ``--candidates`` prints, instead, what one pass lists for each workload,
 seed and run key at three thresholds: linear mode's p0, p0 >> 2 and
 start-at-one's first threshold.  The pass prunes the input with ``prune``
@@ -51,8 +58,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from joinsketch import (MODE_LINEAR, MODE_START_AT_ONE, EstimatorConfig, Side, estimate_median,
-                        group_and_prune, hashing, load_relation)
+                        exact_size, group_and_prune, hashing, load_relation)
 
 from conftest import random_instance
 
@@ -147,21 +156,57 @@ def candidate_signatures(seeds, scale=1.0):
                        **candidate_stream(grouped, pair_hash, p)}
 
 
-def random_signatures(count, drop=()):
-    """``count`` random instances, each estimated in both modes with k and
-    the number of runs drawn per instance."""
+def random_inputs(count):
+    """``count`` seeded random instances: each one's index, grouped input,
+    k and number of runs."""
     rng = random.Random(0)
     for i in range(count):
         spread = rng.choice([3, 40, 300, 2**31])
         r1, r2 = random_instance(rng, max_each=rng.choice([20, 300]), a_range=spread,
                                  b_range=rng.choice([2, 8, 40]), c_range=spread)
         grouped = group_and_prune(r1, r2)
-        k = rng.choice([1, 4, 16, 64, 256])
-        runs = rng.choice([1, 3])
+        yield i, grouped, rng.choice([1, 4, 16, 64, 256]), rng.choice([1, 3])
+
+
+def random_signatures(count, drop=()):
+    """``count`` random instances, each estimated in both modes with k and
+    the number of runs drawn per instance."""
+    for i, grouped, k, runs in random_inputs(count):
         for mode in (MODE_LINEAR, MODE_START_AT_ONE):
             cfg = EstimatorConfig(k=k, threshold_mode=mode, runs=runs, seed=i)
             yield {"instance": i, "k": k, "runs": runs, "mode": mode, "family": cfg.family,
                    **signature(grouped, cfg, drop=drop)}
+
+
+def exact_kernel(grouped, expanded: int) -> str:
+    """The kernel that counts the shared left values (those held by two or
+    more groups), from the public input: ``dense`` iff ``shared x W <=
+    expanded`` and ``groups x W <= right values``, with W = ceil(D / 64)
+    words for the D distinct right values; ``none`` when nothing is
+    expanded."""
+    if not expanded:
+        return "none"
+    counts = np.unique(grouped.left_values, return_counts=True)[1]
+    shared = int(counts[counts > 1].sum())
+    words = -(-np.unique(grouped.right_values).size // 64)
+    dense = shared * words <= expanded and len(grouped) * words <= grouped.right_values.size
+    return "dense" if dense else "sparse"
+
+
+def exact_signature(grouped) -> dict:
+    """``exact_size``'s result and the kernel it counts with."""
+    result = exact_size(grouped)
+    return {"z": result.z, "expanded_pairs": result.expanded_pairs,
+            "kernel": exact_kernel(grouped, result.expanded_pairs)}
+
+
+def exact_signatures(seeds, count, scale=1.0):
+    """The exact size of each workload input at each seed, then of
+    ``count`` random instances."""
+    for name, seed, grouped, _ in workload_inputs(seeds, scale):
+        yield {"workload": name, "seed": seed, **exact_signature(grouped)}
+    for i, grouped, _, _ in random_inputs(count):
+        yield {"instance": i, **exact_signature(grouped)}
 
 
 def main(argv=None) -> int:
@@ -178,7 +223,13 @@ def main(argv=None) -> int:
                         help="print the outcomes without any work counter")
     parser.add_argument("--candidates", action="store_true",
                         help="print each workload's candidate stream digests instead")
+    parser.add_argument("--exact", action="store_true",
+                        help="print each input's exact size and kernel instead")
     args = parser.parse_args(argv)
+    if args.exact:
+        for line in exact_signatures(args.seeds, args.random, args.scale):
+            print(json.dumps(line, sort_keys=True))
+        return 0
     if args.candidates:
         for line in candidate_signatures(args.seeds, args.scale):
             print(json.dumps(line, sort_keys=True))

@@ -267,6 +267,49 @@ def test_wide_span_with_few_distinct_values_takes_the_dense_kernel():
     assert exact_size(g) == oracle.ExactResult(z=40, expanded_pairs=180)
 
 
+def test_popcount_counts_every_set_bit():
+    rng = random.Random(60)
+    edges = [0, (1 << 64) - 1, *(1 << i for i in range(64)), 0x5555555555555555,
+             0xAAAAAAAAAAAAAAAA, 0x3333333333333333, 0xF0F0F0F0F0F0F0F0, 0xFF00FF00FF00FF00]
+    for w in edges + [rng.getrandbits(64) for _ in range(10_000)]:
+        assert oracle._popcount(np.array([w], dtype=np.uint64)) == bin(w).count("1"), w
+    words = np.array(edges + [0], dtype=np.uint64).reshape(-1, 3)  # like a chunk's unions
+    assert oracle._popcount(words) == sum(bin(w).count("1") for w in edges)
+    assert oracle._popcount(np.empty((0, 2), dtype=np.uint64)) == 0
+
+
+def test_left_tuples_are_ordered_by_value_then_group():
+    rng = random.Random(61)
+    for trial in range(40):
+        g = group_and_prune(*random_instance(rng, max_each=200, a_range=rng.choice([5, 2**32]),
+                                             b_range=rng.choice([3, 50])))
+        a, group = oracle._left_tuples(g)
+        assert a.dtype == np.uint64 and group.dtype == np.int64
+        lo, left = g.left_offsets.tolist(), g.left_values.tolist()
+        expected = sorted((x, b) for b in range(len(g)) for x in left[lo[b]:lo[b + 1]])
+        assert list(zip(a.tolist(), group.tolist())) == expected, trial
+
+
+# Left and right values of 2**32 - 1 fill the high half of a packed key, more
+# than 2**16 groups the low half's upper bits; the right values of groups
+# holding left value 2**32 - 1 form a dense domain of D = 63, 64 or 65 values
+# (a partial, full or one-bit-over last word), or are all distinct.
+@pytest.mark.parametrize("domain, kernel", [(63, "dense"), (64, "dense"), (65, "dense"),
+                                            (None, "sparse")])
+def test_exact_size_at_the_packing_edges(domain, kernel):
+    groups = (1 << 16) + 3
+    t1 = {(MAX_ATTRIBUTE, b) for b in range(groups)} | {(b, b) for b in range(0, groups, 7)}
+    t1 |= {(MAX_ATTRIBUTE - 1, b) for b in range(groups - 5, groups)}
+    if domain is None:
+        t2 = {(b, MAX_ATTRIBUTE - b) for b in range(groups)}
+    else:
+        t2 = {(b, MAX_ATTRIBUTE - (b + j) % domain) for b in range(groups) for j in range(2)}
+    g = grouped_from(t1, t2)
+    assert len(g) == groups and int(g.right_values.max()) == MAX_ATTRIBUTE
+    assert expected_kernel(g) == kernel_of(g) == kernel
+    assert exact_size(g) == oracle.ExactResult(exact_size_bitsets(g), rule_terms(g)[1])
+
+
 def test_kth_undersupplied_carries_count():
     g = grouped_from({(1, 1), (2, 1)}, {(1, 5)})
     out = exact_kth_hash(g, draw_pair_hash(spawn_rng(2)), 5)
@@ -339,7 +382,8 @@ def test_chunks_hold_whole_a_runs(monkeypatch, chunk):
             g = group_and_prune(*mixed_instance(rng, 1))
         else:
             g = group_and_prune(*random_instance(rng, max_each=150, b_range=rng.choice([2, 12])))
-        chunks = list(oracle._pair_chunks(g, *oracle._left_tuples(g)))
+        a, group = oracle._left_tuples(g)
+        chunks = list(oracle._pair_chunks(g, a, group, np.diff(g.right_offsets)[group]))
         assert sum(keys.size for keys in chunks) == g.total_product
         highs = [np.unique(unpack(keys)[0]) for keys in chunks]
         for keys, a in zip(chunks, highs):

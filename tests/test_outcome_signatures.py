@@ -1,7 +1,7 @@
 import json
 
 import outcome_signatures
-from joinsketch import enumerator
+from joinsketch import enumerator, oracle
 
 
 def strict_json(line: str) -> dict:
@@ -57,3 +57,35 @@ def test_candidate_digests_do_not_depend_on_the_chunking(capsys, monkeypatch):
         monkeypatch.setattr(enumerator, "CHUNK_TUPLES", tuples)
         assert outcome_signatures.main(args) == 0
         assert capsys.readouterr().out.splitlines() == default, tuples
+
+
+def test_exact_lines_name_the_kernel_exact_size_takes(capsys, monkeypatch):
+    taken = []
+
+    def spy(name, kernel):
+        real = getattr(oracle, name)
+
+        def wrapper(*args):
+            taken[-1] = kernel
+            return real(*args)
+        monkeypatch.setattr(oracle, name, wrapper)
+
+    def exact_size(grouped):
+        taken.append("none")
+        return real_exact_size(grouped)
+
+    real_exact_size = outcome_signatures.exact_size
+    spy("_dense_count", "dense")
+    spy("_pair_chunks", "sparse")
+    monkeypatch.setattr(outcome_signatures, "exact_size", exact_size)
+    # At scale 0.1 uniform-ingest takes the sparse kernel, skewed-repeat
+    # neither and fimi-sketch the dense one.
+    args = ["--exact", "--seeds", "1", "--scale", "0.1", "--random", "30"]
+    assert outcome_signatures.main(args) == 0
+    lines = [strict_json(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line.get("workload") for line in lines[:3]] == ["uniform-ingest", "skewed-repeat",
+                                                            "fimi-sketch"]
+    assert [line.get("instance") for line in lines[3:]] == list(range(30))
+    assert all({"z", "expanded_pairs", "kernel"} <= line.keys() for line in lines)
+    assert [line["kernel"] for line in lines] == taken
+    assert taken[:3] == ["sparse", "none", "dense"]
