@@ -41,15 +41,11 @@ from .sampling import (
     DistinctSample,
     SampleEstimate,
     SampleFormatError,
-    SampleSizePlan,
     beta_bound,
     draw_sample,
     estimate_from_samples,
     load_sample,
-    plan_sample_size,
     save_sample,
-    sufficient_sample_size,
-    theoretical_epsilon,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +71,6 @@ __all__ = [
     "Relation",
     "SampleEstimate",
     "SampleFormatError",
-    "SampleSizePlan",
     "Side",
     "SizeCapError",
     "THRESHOLD_MODES",
@@ -91,8 +86,5 @@ __all__ = [
     "load_relation",
     "load_sample",
     "parse_relation",
-    "plan_sample_size",
     "save_sample",
-    "sufficient_sample_size",
-    "theoretical_epsilon",
 ]

@@ -35,14 +35,14 @@ import math
 import numbers
 import operator
 from dataclasses import asdict, dataclass, fields, replace
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
 from . import hashing, oracle
 from .enumerator import chunk_bounds, prune, prunes, scan_group, sort_group
 from .kmin import KMinState
-from .relation import GroupedInput, run_starts, sorted_pairs
+from .relation import GroupedInput, run_edges, run_starts, sorted_pairs
 
 MODE_LINEAR = "linear"
 MODE_START_AT_ONE = "start-at-one"
@@ -214,11 +214,6 @@ def choose_threshold(grouped: GroupedInput, k: int, mode: str = MODE_LINEAR) -> 
     return min(hashing.GRID // k, (k * hashing.GRID) // grouped.max_group_product)
 
 
-def _run_lengths(values: np.ndarray) -> np.ndarray:
-    """Lengths of the runs of equal values of a sorted array."""
-    return np.diff(np.append(np.flatnonzero(run_starts(values)), values.size))
-
-
 def pilot_below_top(seed: int, values: np.ndarray) -> np.ndarray:
     """How far the pilot hash drawn from ``seed`` of each uint64 value lies
     below 2**64 - 1: a value is in the top 2**-s of the range iff this is
@@ -263,8 +258,8 @@ def draw_pilot(grouped: GroupedInput, seed: int) -> Pilot:
     a, group = sorted_pairs(grouped.left_values[kept], group)
     distinct, fan = [], []
     for keys in oracle._pair_chunks(grouped, a, group, right_sizes[group]):
-        fan.append(_run_lengths(keys >> np.uint64(32)))
-        distinct.append(_run_lengths(keys[run_starts(keys)] >> np.uint64(32)))
+        fan.append(np.diff(run_edges(keys >> np.uint64(32))))
+        distinct.append(np.diff(run_edges(keys[run_starts(keys)] >> np.uint64(32))))
     distinct, fan = np.concatenate(distinct), np.concatenate(fan)
     share = int(distinct.sum()) / occurrences
     residuals = distinct - share * fan
@@ -353,12 +348,6 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
     return Estimate(UPPER_BOUND, float(k * k), **done)
 
 
-def median_by_value(estimates: Sequence[Estimate]) -> Estimate:
-    """Median element by numeric value (carries that element's kind and work)."""
-    ordered = sorted(estimates, key=lambda e: e.value)
-    return ordered[len(ordered) // 2]
-
-
 def estimate_median(
     grouped: GroupedInput,
     cfg: EstimatorConfig,
@@ -373,4 +362,5 @@ def estimate_median(
     estimates = [run_once(grouped, cfg, key=key_prefix + (i,), pilot=pilot)
                  for i in range(cfg.runs)]
     per_run = tuple(w for e in estimates for w in e.work_per_run)
-    return replace(median_by_value(estimates), work_per_run=per_run)
+    median = sorted(estimates, key=lambda e: e.value)[len(estimates) // 2]
+    return replace(median, work_per_run=per_run)

@@ -40,8 +40,8 @@ import numpy as np
 
 from .hashing import PairHash
 from .kmin import SketchOutcome
-from .relation import (GroupedInput, chunk_starts, offsets, pack, run_starts, sorted_pairs,
-                       tie_runs, unpack)
+from .relation import (GroupedInput, chunk_starts, offsets, pack, run_edges, run_starts,
+                       sorted_pairs, tie_runs, unpack)
 
 DEFAULT_CAP = 10_000_000
 # Pairs, or bitset words, per chunk: small enough that a chunk stays in cache.
@@ -115,7 +115,7 @@ def _pair_chunks(grouped: GroupedInput, a: np.ndarray, group: np.ndarray,
     A chunk holds at most ``CHUNK_PAIRS`` pairs unless its single a-run holds
     more.  Chunks come in a order, so their keys never repeat across chunks.
     """
-    edges = np.append(np.flatnonzero(run_starts(a)), a.size)
+    edges = run_edges(a)
     bounds = chunk_starts(offsets(fan)[edges], CHUNK_PAIRS)  # pairs before each a-run
     for lo, hi in zip(bounds, bounds[1:]):
         t0, t1 = edges[lo], edges[hi]
@@ -195,7 +195,7 @@ def _dense_count(grouped: GroupedInput, ranks: np.ndarray, a: np.ndarray,
     table = np.zeros((len(grouped), words), dtype=np.uint64)
     rows = np.repeat(np.arange(len(grouped)), np.diff(grouped.right_offsets))
     np.bitwise_or.at(table, (rows, ranks >> 6), np.uint64(1) << (ranks & 63).astype(np.uint64))
-    edges = np.append(np.flatnonzero(run_starts(a)), a.size)
+    edges = run_edges(a)
     bounds = chunk_starts(edges * words, CHUNK_PAIRS)  # words gathered before each a-run
     count = 0
     for lo, hi in zip(bounds, bounds[1:]):

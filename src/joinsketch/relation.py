@@ -128,6 +128,11 @@ def run_starts(a: np.ndarray) -> np.ndarray:
     return first
 
 
+def run_edges(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``a`` starts, then ``a.size``."""
+    return np.append(np.flatnonzero(run_starts(a)), a.size)
+
+
 def offsets(counts: np.ndarray) -> np.ndarray:
     """CSR offsets of consecutive runs of the given lengths: 0, then the
     running totals (int64)."""
@@ -240,9 +245,8 @@ class Relation:
 # first bad one.  A block of plain digits and gaps is converted by numpy's C
 # text reader, any other block digit by digit.  Each format then checks its
 # line rules (field counts, the mtx shape and entry count) on those arrays;
-# no parser walks its lines in Python.  edges and fimi pack each block's
-# tuples as it comes, so only the keys are joined; mtx-pattern joins the
-# fields of all blocks.
+# no parser walks its lines in Python.  Each parser packs a block's tuples
+# as it comes and drops its fields, so only the keys are joined.
 
 
 def _normalized(text: str | bytes) -> bytes:
@@ -274,34 +278,20 @@ def _first_error(*errors: ValueError | None) -> ValueError | None:
     return min((e for e in errors if e is not None), key=lambda e: e.line, default=None)
 
 
-def _tokenize(data: bytes, comment: int | None) -> tuple[np.ndarray, np.ndarray, ValueError | None]:
-    """Split ``data`` into fields at spaces, tabs and newlines, and convert
-    each field of the grammar to its value.
-
-    Returns the 0-based line and the value of each field, and the error of
-    the first field that breaks the token grammar or the 32-bit range (None
-    if none).  A line whose first field starts with the byte ``comment`` is
-    dropped whole, whatever bytes follow.  After an error the fields are
-    returned up to the end of its block, so at least every field of every
-    line up to the error's.  These are the blocks of :func:`_token_blocks`,
-    joined.
-    """
-    lines, values = [], []
-    for block_lines, block_values, error in _token_blocks(data, comment):
-        lines.append(block_lines)
-        values.append(block_values)
-    # The joins set the parse's memory peak, so the blocks' lines are freed
-    # before their values are joined.
-    del block_lines, block_values
-    lines = np.concatenate(lines)
-    return lines, np.concatenate(values), error
-
-
 def _token_blocks(data: bytes, comment: int | None
                   ) -> Iterator[tuple[np.ndarray, np.ndarray, ValueError | None]]:
-    """:func:`_tokenize` one block at a time: the lines, values and first
-    error of each block of :func:`_blocks`, ending with the block that
-    holds the first error.  Lines count from the start of ``data``."""
+    """Split ``data`` into fields at spaces, tabs and newlines, and convert
+    each field of the grammar to its value, one block of :func:`_blocks` at
+    a time.
+
+    Yields the 0-based line and the value of each field of a block, and the
+    error of the block's first field that breaks the token grammar or the
+    32-bit range (None if none).  Lines count from the start of ``data``.
+    A line whose first field starts with the byte ``comment`` is dropped
+    whole, whatever bytes follow.  The stream ends with the block that
+    holds the first error, so it yields the fields up to the end of that
+    block, at least every field of every line up to the error's.
+    """
     # Each step's temporaries are the size of a block, not of the input, and
     # the two byte masks are reused from block to block.
     scratch = np.empty((2, min(len(data), _BLOCK) + 2), dtype=bool)
@@ -336,8 +326,9 @@ def _blocks(data: bytes) -> Iterator[tuple[int, int]]:
 
 def _tokenize_block(data: bytes, start: int, end: int, line: int, comment: int | None,
                     scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, ValueError | None, int]:
-    """:func:`_tokenize` on ``data[start:end]``, which holds whole lines
-    from line ``line`` on; also returns the number of newlines in it.
+    """The lines, values and first error of the block ``data[start:end]``,
+    which holds whole lines from line ``line`` on (see
+    :func:`_token_blocks`), and the number of newlines in it.
 
     A block of only ASCII digits and gaps, with at least one field and no
     field longer than ``_FAST_DIGITS``, is converted by one
@@ -492,40 +483,50 @@ def _parse_mtx(text: str | bytes) -> np.ndarray:
         raise ParseError("only general symmetry is supported", 1)
 
     # The header is a comment line.  The first used line holds the
-    # dimensions, every later one an entry.
-    lines, values, error = _tokenize(data, _PERCENT)
-    counts = np.bincount(lines)
-    expected = np.full(counts.size, 2)
-    expected[lines[:1]] = 3
-    wrong = np.flatnonzero((counts != 0) & (counts != expected))[:1].tolist()
-    error = _first_error(*(
-        ParseError("dimension line must be 'rows cols entries'" if i == lines[0]
-                   else f"expected 'row col', got {counts[i]} fields", i + 1)
-        for i in wrong), error)
+    # dimensions, every later one an entry.  A block holds whole lines, so
+    # it checks its own: the field counts and the token error first, the
+    # earliest line winning; then the entries before that line in line
+    # order, the shape before the count, counted across blocks.
+    keys, shape, found = [], None, 0
+    for lines, values, error in _token_blocks(data, _PERCENT):
+        first = int(lines[0]) if lines.size else 0
+        counts = np.bincount(lines - first)
+        expected = np.full(counts.size, 2)
+        if shape is None:
+            expected[:1] = 3
+        wrong = np.flatnonzero((counts != 0) & (counts != expected))[:1].tolist()
+        error = _first_error(*(
+            ParseError("dimension line must be 'rows cols entries'" if shape is None and i == 0
+                       else f"expected 'row col', got {counts[i]} fields", first + i + 1)
+            for i in wrong), error)
 
-    # Lines before the first error are well formed; check the entries among
-    # them in line order, the shape before the count.
-    used = int(np.searchsorted(lines, error.line - 1)) if error else lines.size
-    rows, cols = values[3:used:2], values[4:used:2]
-    if used:
-        shape_rows, shape_cols, declared = values[:3].tolist()
-        outside = (rows < 1) | (rows > shape_rows) | (cols < 1) | (cols > shape_cols)
-        i = int(np.argmax(outside)) if outside.any() else rows.size
-        if i < rows.size and i <= declared:
-            raise ParseError(
-                f"entry ({rows[i]}, {cols[i]}) outside declared {shape_rows}x{shape_cols} shape",
-                int(lines[3 + 2 * i]) + 1)
-        if rows.size > declared:
-            raise ParseError(f"more entries than the declared {declared}",
-                             int(lines[3 + 2 * declared]) + 1)
-    if error:
-        raise error
+        used = int(np.searchsorted(lines, error.line - 1)) if error else lines.size
+        start = 0
+        if used and shape is None:
+            shape, start = values[:3].tolist(), 3
+        rows, cols = values[start:used:2], values[start + 1:used:2]
+        if used:
+            shape_rows, shape_cols, declared = shape
+            outside = np.flatnonzero(
+                (rows < 1) | (rows > shape_rows) | (cols < 1) | (cols > shape_cols))
+            i = int(outside[0]) if outside.size else rows.size
+            if i < rows.size and found + i <= declared:
+                raise ParseError(f"entry ({rows[i]}, {cols[i]}) outside declared "
+                                 f"{shape_rows}x{shape_cols} shape", int(lines[start + 2 * i]) + 1)
+            if found + rows.size > declared:
+                raise ParseError(f"more entries than the declared {declared}",
+                                 int(lines[start + 2 * (declared - found)]) + 1)
+            found += rows.size
+        keys.append(pack(rows, cols))
+        del lines, values, rows, cols  # before the next block; see _token_blocks
+        if error:
+            raise error
     last = data.count(b"\n") + (not data.endswith(b"\n"))
-    if not used:
+    if shape is None:
         raise ParseError("missing dimension line", last + 1)
-    if rows.size < declared:
-        raise ParseError(f"declared {declared} entries, found {rows.size}", last + 1)
-    return pack(rows, cols)
+    if found < shape[2]:
+        raise ParseError(f"declared {shape[2]} entries, found {found}", last + 1)
+    return np.concatenate(keys)
 
 
 _PARSERS = {EDGES: _parse_edges, FIMI: _parse_fimi, MTX_PATTERN: _parse_mtx}
@@ -605,8 +606,8 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Runs of sorted keys sharing their high half: (high value, run length)
     per run and the low halves."""
     high, low = unpack(keys)
-    starts = np.flatnonzero(run_starts(high))
-    return high[starts], np.diff(starts, append=high.size), low
+    edges = run_edges(high)
+    return high[edges[:-1]], np.diff(edges), low
 
 
 def group_and_prune(r1: Relation, r2: Relation) -> GroupedInput:

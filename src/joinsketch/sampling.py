@@ -138,81 +138,6 @@ def beta_bound(n1: int, n2: int, n_a: int, n_c: int, s: float, epsilon: float) -
     return (14.0 / epsilon**2) * ((n_c * n1 + n_a * n2) / s)
 
 
-def theoretical_epsilon(n1: int, n2: int, n_a: int, n_c: int, s: float, z: float) -> float:
-    """Relative error at which the reliability scale equals z (beta inverted)."""
-    if z <= 0:
-        raise ValueError(f"output size must be positive, got {z}")
-    return math.sqrt(beta_bound(n1, n2, n_a, n_c, s, epsilon=1.0) / z)
-
-
-def sufficient_sample_size(
-    n1: int, n2: int, n_a: int, n_c: int, z_lower: float, epsilon: float, delta: float = 1 / 6
-) -> int:
-    """Smallest expected sample size for a 1 +/- epsilon estimate.
-
-    Given a lower bound ``z_lower`` on the true size, returns the smallest
-    integer s with
-
-        s > ((n_c * n1 + n_a * n2) / z) * (1 + 1/(2 sqrt(delta))) / (epsilon^2 * delta)
-
-    so that the failure probability is below delta.
-    """
-    if min(n1, n2, n_a, n_c) <= 0 or z_lower <= 0:
-        raise ValueError("counts and the size lower bound must be positive")
-    if not (isinstance(epsilon, numbers.Real) and 0 < epsilon < 1):
-        raise ValueError(f"epsilon must be a number in (0, 1), got {epsilon!r}")
-    if not (isinstance(delta, numbers.Real) and 0 < delta < 0.5):
-        raise ValueError(f"delta must be a number in (0, 1/2), got {delta!r}")
-    bound = ((n_c * n1 + n_a * n2) / z_lower) * (
-        (1.0 + 1.0 / (2.0 * math.sqrt(delta))) / (epsilon**2 * delta)
-    )
-    return math.floor(bound) + 1
-
-
-@dataclass(frozen=True)
-class SampleSizePlan:
-    """A sampling plan: expected sample size, per-side probabilities, and the
-    reliability scale beta they imply at the requested accuracy."""
-
-    s: int
-    p1: float
-    p2: float
-    beta: float
-    epsilon: float
-    delta: float
-
-
-def plan_sample_size(
-    n1: int,
-    n2: int,
-    n_a: int,
-    n_c: int,
-    epsilon: float,
-    delta: float = 1 / 6,
-    z_lower: float | None = None,
-    s: int | None = None,
-) -> SampleSizePlan:
-    """Solve the sample-size relation in either direction.
-
-    Give ``z_lower`` to derive the smallest sufficient sample size, or give
-    ``s`` directly to learn the beta scale that sample size buys.  Sampling
-    probabilities are capped at 1 for relations smaller than s.
-    """
-    if (z_lower is None) == (s is None):
-        raise ValueError("give exactly one of z_lower or s")
-    if s is None:
-        s = sufficient_sample_size(n1, n2, n_a, n_c, z_lower, epsilon, delta)
-    beta = beta_bound(n1, n2, n_a, n_c, s, epsilon)  # validates the counts and s
-    return SampleSizePlan(
-        s=s,
-        p1=min(1.0, s / n1),
-        p2=min(1.0, s / n2),
-        beta=beta,
-        epsilon=epsilon,
-        delta=delta,
-    )
-
-
 # Sample files: little-endian header + one (u32, u32) record per tuple.  The
 # membership cut needs 65 bits (prob = 1 means cut = 2**64), hence two words.
 # The family byte is 0, for the one hash family; 1 marked files drawn with

@@ -30,6 +30,13 @@ counts the shared left values, ``dense`` or ``sparse`` by the rule of the
 groups.  It uses only the public API, so it also runs against older
 checkouts.
 
+``--parse`` prints, instead, what ``parse_relation`` gives for each of a
+set of generated texts in each format: the sha256 of the parsed keys, or
+the error's type, line and message.  The texts are longer than one
+tokenizer block of 256 KiB, and some hold an error after the first block
+seam.  It uses only the public API, so it also runs against older
+checkouts.
+
 ``--candidates`` prints, instead, what one pass lists for each workload,
 seed and run key at three thresholds: linear mode's p0, p0 >> 2 and
 start-at-one's first threshold.  The pass prunes the input with ``prune``
@@ -60,8 +67,9 @@ from pathlib import Path
 
 import numpy as np
 
-from joinsketch import (MODE_LINEAR, MODE_START_AT_ONE, EstimatorConfig, Side, estimate_median,
-                        exact_size, group_and_prune, hashing, load_relation)
+from joinsketch import (FORMATS, MODE_LINEAR, MODE_START_AT_ONE, EstimatorConfig, ParseError,
+                        RangeError, Side, estimate_median, exact_size, group_and_prune, hashing,
+                        load_relation, parse_relation)
 
 from conftest import random_instance
 
@@ -209,6 +217,109 @@ def exact_signatures(seeds, count, scale=1.0):
         yield {"instance": i, **exact_signature(grouped)}
 
 
+# A text of --parse holds about this many bytes, more than one tokenizer
+# block of 256 KiB; a late error sits on the first line that starts past it.
+PARSE_BYTES = 300_000
+_SEAM = 1 << 18
+_MTX_HEADER = "%%MatrixMarket matrix coordinate pattern general"
+
+
+def _lines(rng, line, low=0, high=2**32 - 1):
+    """Lines from ``line(rng, low, high)`` until they hold PARSE_BYTES,
+    with comment lines, blank lines and CRLF endings mixed in."""
+    lines, size = [], 0
+    while size < PARSE_BYTES:
+        pick = rng.randrange(100)
+        text = "" if pick == 0 else "%" if pick == 1 else line(rng, low, high)
+        lines.append(text + ("\r\n" if pick == 2 else "\n"))
+        size += len(lines[-1])
+    return lines
+
+
+def _pair(rng, low, high):
+    gap = rng.choice([" ", "\t", "  "])
+    return f"{rng.randint(low, high)}{gap}{rng.randint(low, high)}"
+
+
+def _items(rng, low, high):
+    return " ".join(str(rng.randint(low, high)) for _ in range(rng.randrange(7)))
+
+
+def _seam(lines):
+    """The index of the first of ``lines`` that starts past the first block
+    seam."""
+    at, size = 0, 0
+    while size <= _SEAM:
+        size += len(lines[at])
+        at += 1
+    return at
+
+
+def _late(lines, *bad):
+    """``lines`` with the lines ``bad`` in place of the first lines that
+    start past the first block seam."""
+    at = _seam(lines)
+    return lines[:at] + [text + "\n" for text in bad] + lines[at + len(bad):]
+
+
+def _entries(lines):
+    """The number of entry lines among Matrix Market body ``lines``."""
+    return sum(1 for line in lines if line.strip() and not line.startswith("%"))
+
+
+def _mtx(entries, size, declared=None):
+    """Matrix Market text of ``entries`` lines in a ``size`` x ``size``
+    shape, declaring ``declared`` entries (by default the entry lines)."""
+    declared = _entries(entries) if declared is None else declared
+    return "".join([f"{_MTX_HEADER}\n% comment\n{size} {size} {declared}\n", *entries])
+
+
+def parse_texts():
+    """The generated texts of --parse, by name."""
+    rng = random.Random(0)
+    edges = [line.replace("%", "# note") for line in _lines(rng, _pair)]
+    fimi = [line.replace("%", "") for line in _lines(rng, _items)]
+    small = _lines(rng, _pair, 1, 1000)  # entries of a 1000 x 1000 matrix
+    before = _entries(small[:_seam(small)])  # entries before the seam
+    yield "edges", "".join(edges)
+    yield "edges-late-fields", "".join(_late(edges, "1 2 3"))
+    yield "edges-late-range", "".join(_late(edges, "1 4294967296"))
+    yield "fimi", "".join(fimi)
+    yield "fimi-late-token", "".join(_late(fimi, "1 2x 3"))
+    yield "mtx", _mtx(_lines(rng, _pair, 1), 2**32 - 1)
+    yield "mtx-small", _mtx(small, 1000)
+    yield "mtx-late-outside", _mtx(_late(small, "1001 5"), 1000)
+    yield "mtx-late-fields", _mtx(_late(small, "5"), 1000)
+    yield "mtx-late-token", _mtx(_late(small, "5 x"), 1000)
+    yield "mtx-outside-then-token", _mtx(_late(small, "5 0", "7 7", "5 x"), 1000)
+    yield "mtx-token-then-outside", _mtx(_late(small, "5 -1", "7 7", "0 5"), 1000)
+    # The first entry past the declared count is outside the shape, or is
+    # followed by one that is.
+    yield "mtx-late-extra-outside", _mtx(_late(small, "1001 1"), 1000, before)
+    yield "mtx-late-extra-then-outside", _mtx(_late(small, "7 7", "1001 1"), 1000, before)
+    yield "mtx-more", _mtx(small, 1000, _entries(small) - 1)
+    yield "mtx-fewer", _mtx(small, 1000, _entries(small) + 1)
+    # The dimension line in a later block than the header.
+    comments = _MTX_HEADER + "\n" + ("% " + "x" * 60 + "\n") * (PARSE_BYTES // 63)
+    yield "mtx-late-dimensions", comments + "3 3 2\n1 2\n3 1\n"
+    yield "mtx-late-short-dimensions", comments + "3 3\n1 2\n"
+    yield "mtx-late-missing-dimensions", comments
+
+
+def parse_signatures():
+    """Each generated text parsed in each format."""
+    for name, text in parse_texts():
+        data = text.encode("ascii")
+        for fmt in FORMATS:
+            line = {"text": name, "format": fmt, "bytes": len(data)}
+            try:
+                keys = parse_relation(data, fmt).keys
+            except (ParseError, RangeError) as exc:
+                yield {**line, "error": type(exc).__name__, "line": exc.line, "message": str(exc)}
+            else:
+                yield {**line, "tuples": int(keys.size), "keys": hashlib.sha256(keys).hexdigest()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3],
@@ -225,7 +336,13 @@ def main(argv=None) -> int:
                         help="print each workload's candidate stream digests instead")
     parser.add_argument("--exact", action="store_true",
                         help="print each input's exact size and kernel instead")
+    parser.add_argument("--parse", action="store_true",
+                        help="print each generated text's parse outcome instead")
     args = parser.parse_args(argv)
+    if args.parse:
+        for line in parse_signatures():
+            print(json.dumps(line, sort_keys=True))
+        return 0
     if args.exact:
         for line in exact_signatures(args.seeds, args.random, args.scale):
             print(json.dumps(line, sort_keys=True))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -19,14 +20,15 @@ from joinsketch import (
     EstimatorConfig,
     Relation,
     Side,
+    WorkCounters,
     estimate_median,
     exact_size,
     group_and_prune,
     parse_relation,
 )
-from joinsketch import enumerator
+from joinsketch import enumerator, estimator
 from joinsketch.estimator import (PILOT_OCCURRENCES, Pilot, choose_threshold, draw_pilot,
-                                  first_threshold, median_by_value, pilot_below_top, run_once)
+                                  first_threshold, pilot_below_top, run_once)
 from joinsketch.hashing import GRID, draw_pair_hash, run_rng
 from joinsketch.kmin import KMinState
 from joinsketch.oracle import exact_kth_hash
@@ -265,11 +267,6 @@ def _estimate(value):
     return Estimate(POINT, value, 4, GRID)
 
 
-def test_median_by_value():
-    assert median_by_value([_estimate(v) for v in (90.0, 100.0, 250.0)]).value == 100.0
-    assert median_by_value([_estimate(v) for v in (250.0, 90.0, 100.0)]).value == 100.0
-
-
 def test_single_run_median_equals_run_once():
     r1, r2 = random_instance(random.Random(61), max_each=100)
     g = group_and_prune(r1, r2)
@@ -288,14 +285,17 @@ def test_median_sums_the_work_of_all_runs():
     assert est.work.total == sum(w.total for w in runs) > max(w.total for w in runs)
 
 
-def test_median_mixes_kinds_by_value():
-    estimates = [
-        Estimate(UPPER_BOUND, 16.0, 4, GRID),
-        _estimate(9.0),
-        _estimate(30.0),
-    ]
-    med = median_by_value(estimates)
-    assert med.kind == UPPER_BOUND and med.value == 16.0
+def test_median_mixes_kinds_by_value(monkeypatch):
+    # The median is taken by value whatever the runs' kinds and order, and it
+    # carries the work of every run.
+    kinds = [Estimate(UPPER_BOUND, 16.0, 4, GRID), _estimate(9.0), _estimate(30.0)]
+    g = grouped_from({(1, 1)}, {(1, 2)})
+    for order in itertools.permutations(range(3)):
+        runs = [replace(kinds[i], work_per_run=(WorkCounters(passes=i + 1),)) for i in order]
+        monkeypatch.setattr(estimator, "run_once", lambda grouped, cfg, key, pilot: runs[key[-1]])
+        med = estimate_median(g, EstimatorConfig(k=4, runs=3))
+        assert med.kind == UPPER_BOUND and med.value == 16.0, order
+        assert med.work_per_run == tuple(run.work_per_run[0] for run in runs), order
 
 
 def test_work_counters_accumulate():

@@ -1,7 +1,7 @@
 import json
 
 import outcome_signatures
-from joinsketch import enumerator, oracle
+from joinsketch import FORMATS, enumerator, oracle, relation
 
 
 def strict_json(line: str) -> dict:
@@ -89,3 +89,19 @@ def test_exact_lines_name_the_kernel_exact_size_takes(capsys, monkeypatch):
     assert all({"z", "expanded_pairs", "kernel"} <= line.keys() for line in lines)
     assert [line["kernel"] for line in lines] == taken
     assert taken[:3] == ["sparse", "none", "dense"]
+
+
+def test_parse_lines_do_not_depend_on_the_block_size(capsys, monkeypatch):
+    assert outcome_signatures.main(["--parse"]) == 0
+    default = capsys.readouterr().out.splitlines()
+    lines = [strict_json(line) for line in default]
+    assert all(line["bytes"] > relation._BLOCK for line in lines)
+    for fmt in FORMATS:
+        outcomes = {line["text"]: line for line in lines if line["format"] == fmt}
+        assert outcomes[fmt.split("-")[0]]["tuples"] > 0, fmt  # its own clean text parses
+        # Some errors lie past the first block seam.
+        assert any(line.get("line", 0) > 4_000 for line in outcomes.values()), fmt
+    for block in (64, 4096):
+        monkeypatch.setattr(relation, "_BLOCK", block)
+        assert outcome_signatures.main(["--parse"]) == 0
+        assert capsys.readouterr().out.splitlines() == default, block

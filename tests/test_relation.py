@@ -15,6 +15,7 @@ from joinsketch import (
     parse_relation,
 )
 from joinsketch import relation
+from joinsketch.relation import MAX_ATTRIBUTE
 
 import reference_parsers
 from conftest import brute_force_pairs, group_values, random_instance
@@ -454,13 +455,17 @@ def test_blocks_join_into_the_relation_of_the_whole_text():
 
 
 def test_parse_peak_memory_is_a_small_multiple_of_the_input():
-    _, data = _scattered_edges(np.random.default_rng(13), 100_000)
+    pairs, data = _scattered_edges(np.random.default_rng(13), 100_000)
     assert len(data) >= 2 * 2**20
-    for fmt in ("edges", "fimi"):
+    # Matrix Market indices count from 1.
+    entries = "".join(f"{a} {b}\n" for a, b in np.maximum(pairs, 1).tolist())
+    mtx = (f"%%MatrixMarket matrix coordinate pattern general\n"
+           f"{MAX_ATTRIBUTE} {MAX_ATTRIBUTE} {len(pairs)}\n{entries}").encode("ascii")
+    for fmt, text in (("edges", data), ("fimi", data), ("mtx-pattern", mtx)):
         tracemalloc.start()
         try:
-            parse_relation(data, fmt)
+            parse_relation(text, fmt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * len(data), fmt
+        assert peak <= 2 * len(text), fmt

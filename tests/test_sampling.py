@@ -20,10 +20,7 @@ from joinsketch import (
     group_and_prune,
     load_sample,
     save_sample,
-    sufficient_sample_size,
-    theoretical_epsilon,
 )
-from joinsketch import plan_sample_size
 from joinsketch.estimator import run_once
 from joinsketch.hashing import GRID, draw_single, spawn_rng
 from joinsketch.sampling import membership_cut
@@ -112,41 +109,18 @@ def test_probability_that_is_not_a_real_number_rejected(prob):
         draw_sample(left_relation({(1, 1)}), prob, draw_single(spawn_rng(6)))
 
 
-def test_sufficient_sample_size_frozen_example():
-    s = sufficient_sample_size(10**6, 10**6, 10**3, 10**3, 10**8, epsilon=0.1, delta=1 / 6)
-    assert s == 26697
-
-
-def test_sufficient_sample_size_scales():
-    base = sufficient_sample_size(10**6, 10**6, 10**3, 10**3, 10**8, 0.1, 1 / 6)
-    halved = sufficient_sample_size(10**6, 10**6, 10**3, 10**3, 2 * 10**8, 0.1, 1 / 6)
-    assert abs(2 * halved - base) <= 2  # doubling z halves s
-    quartered = sufficient_sample_size(10**6, 10**6, 10**3, 10**3, 10**8, 0.05, 1 / 6)
-    assert abs(quartered - 4 * base) <= 4  # halving epsilon quadruples s
-
-
-def test_sufficient_sample_size_validation():
-    with pytest.raises(ValueError):
-        sufficient_sample_size(0, 1, 1, 1, 1, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        sufficient_sample_size(1, 1, 1, 1, 1, 1.5, 0.1)
-    with pytest.raises(ValueError):
-        sufficient_sample_size(1, 1, 1, 1, 1, 0.1, 0.5)
-
-
-@pytest.mark.parametrize("epsilon, delta", [("0.1", 0.1), (0.1, "0.1"), (None, 0.1),
-                                            (0.1, None), (0.1j, 0.1), (0.1, [0.1])])
-def test_sufficient_sample_size_rejects_a_non_number(epsilon, delta):
-    with pytest.raises(ValueError, match="must be a number"):
-        sufficient_sample_size(1, 1, 1, 1, 1, epsilon, delta)
-
-
 @pytest.mark.parametrize("s, epsilon", [(1, "0.1"), (1, None), (1, 0.1j), (1, [0.1]),
                                         (1, float("nan")), ("1", 0.1), (None, 0.1),
                                         (float("nan"), 0.1)])
 def test_beta_bound_rejects_a_non_number(s, epsilon):
     with pytest.raises(ValueError, match="must be a"):
         beta_bound(1, 1, 1, 1, s, epsilon)
+
+
+@pytest.mark.parametrize("s", [0, 0.5, -3])
+def test_beta_bound_rejects_an_expected_sample_size_below_one(s):
+    with pytest.raises(ValueError, match="sample size must be a number >= 1"):
+        beta_bound(1000, 2000, 50, 70, s, 0.5)
 
 
 def test_beta_bound_direct_value():
@@ -164,60 +138,24 @@ def test_beta_bound_direct_value():
     ],
 )
 def test_theoretical_epsilon_reference_table(z, n_distinct, eps_10pct, eps_1pct):
-    # Self-join style instances (n1 = n2, n_a = n_c); the relation size
-    # cancels so any positive n works.
+    # The theoretical epsilon, at which beta equals z, is
+    # sqrt(beta(epsilon = 1) / z).  Self-join style instances (n1 = n2,
+    # n_a = n_c); the relation size cancels so any positive n works.
     n = 10**5
     for prob, want in ((0.1, eps_10pct), (0.01, eps_1pct)):
-        got = theoretical_epsilon(n, n, n_distinct, n_distinct, prob * n, z)
+        got = math.sqrt(beta_bound(n, n, n_distinct, n_distinct, prob * n, 1.0) / z)
         assert round(got, 2) == want
 
 
 def test_theoretical_epsilon_inverts_beta():
-    eps = theoretical_epsilon(1000, 2000, 50, 70, 100, 12345.0)
+    eps = math.sqrt(beta_bound(1000, 2000, 50, 70, 100, 1.0) / 12345.0)
     assert beta_bound(1000, 2000, 50, 70, 100, eps) == pytest.approx(12345.0)
-
-
-@pytest.mark.parametrize("s, z", [(0, 100.0), (10, 0.0), (10, -4.0)])
-def test_theoretical_epsilon_rejects_non_positive_sample_or_output_size(s, z):
-    with pytest.raises(ValueError, match="must be"):
-        theoretical_epsilon(1000, 2000, 50, 70, s, z)
 
 
 @pytest.mark.parametrize("counts", [(0, 10, 5, 5), (10, 0, 5, 5), (10, 10, 0, 5), (10, 10, 5, -1)])
 def test_planners_reject_non_positive_counts(counts):
-    with pytest.raises(ValueError):
-        plan_sample_size(*counts, epsilon=0.5, s=5)
-    with pytest.raises(ValueError):
-        theoretical_epsilon(*counts, 5, 100.0)
-
-
-def test_plan_rejects_non_positive_sample_size():
-    with pytest.raises(ValueError):
-        plan_sample_size(10, 10, 5, 5, epsilon=0.5, s=0)
-
-
-def test_plan_from_size_lower_bound():
-    plan = plan_sample_size(10**6, 10**6, 10**3, 10**3, epsilon=0.1, z_lower=10**8)
-    assert plan.s == 26697
-    assert plan.p1 == pytest.approx(0.026697)
-    assert plan.p2 == plan.p1
-    assert plan.beta == pytest.approx(beta_bound(10**6, 10**6, 10**3, 10**3, 26697, 0.1))
-    assert plan.delta == pytest.approx(1 / 6)
-
-
-def test_plan_from_fixed_sample_size():
-    plan = plan_sample_size(2000, 2000, 500, 500, epsilon=0.5, s=1000)
-    assert plan.p1 == 0.5 and plan.p2 == 0.5
-    assert plan.beta == pytest.approx(beta_bound(2000, 2000, 500, 500, 1000, 0.5))
-    small = plan_sample_size(100, 5000, 10, 10, epsilon=0.5, s=400)
-    assert small.p1 == 1.0 and small.p2 == pytest.approx(0.08)
-
-
-def test_plan_needs_exactly_one_target():
-    with pytest.raises(ValueError):
-        plan_sample_size(10, 10, 5, 5, epsilon=0.5)
-    with pytest.raises(ValueError):
-        plan_sample_size(10, 10, 5, 5, epsilon=0.5, z_lower=10.0, s=5)
+    with pytest.raises(ValueError, match="must be positive"):
+        beta_bound(*counts, 5, 0.5)
 
 
 def _manual_sample(side, prob, tuples):
