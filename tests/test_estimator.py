@@ -285,15 +285,24 @@ def test_median_sums_the_work_of_all_runs():
     assert est.work.total == sum(w.total for w in runs) > max(w.total for w in runs)
 
 
+def _median_of(monkeypatch, runs):
+    """``estimate_median`` over ``runs`` returned in turn by a stubbed ``run_once``."""
+    monkeypatch.setattr(estimator, "run_once", lambda grouped, cfg, key, pilot: runs[key[-1]])
+    return estimate_median(grouped_from({(1, 1)}, {(1, 2)}), EstimatorConfig(k=4, runs=len(runs)))
+
+
+def test_median_by_value(monkeypatch):
+    for values in ((90.0, 100.0, 250.0), (250.0, 90.0, 100.0)):
+        assert _median_of(monkeypatch, [_estimate(v) for v in values]).value == 100.0
+
+
 def test_median_mixes_kinds_by_value(monkeypatch):
     # The median is taken by value whatever the runs' kinds and order, and it
     # carries the work of every run.
     kinds = [Estimate(UPPER_BOUND, 16.0, 4, GRID), _estimate(9.0), _estimate(30.0)]
-    g = grouped_from({(1, 1)}, {(1, 2)})
     for order in itertools.permutations(range(3)):
         runs = [replace(kinds[i], work_per_run=(WorkCounters(passes=i + 1),)) for i in order]
-        monkeypatch.setattr(estimator, "run_once", lambda grouped, cfg, key, pilot: runs[key[-1]])
-        med = estimate_median(g, EstimatorConfig(k=4, runs=3))
+        med = _median_of(monkeypatch, runs)
         assert med.kind == UPPER_BOUND and med.value == 16.0, order
         assert med.work_per_run == tuple(run.work_per_run[0] for run in runs), order
 
