@@ -137,15 +137,15 @@ def _shape(grouped: GroupedInput) -> dict:
 
 
 def _schedule(est: Estimate) -> dict:
-    """The first pass's threshold and the start-at-one pilot behind it,
-    which the runs of one call share; null where nothing was sampled."""
-    pilot = est.pilot
+    """The first pass's threshold and the pilot behind it, which the runs
+    of one call share in either threshold mode; the share and its standard
+    error are null where nothing was sampled."""
     return {
         "first_p": est.first_p / hashing.GRID,
         "first_p_raw": est.first_p,
-        "pilot_occurrences": None if pilot is None else pilot.occurrences,
-        "distinct_share": None if pilot is None else pilot.distinct_share,
-        "distinct_share_se": None if pilot is None else pilot.standard_error,
+        "pilot_occurrences": est.pilot.occurrences,
+        "distinct_share": est.pilot.distinct_share,
+        "distinct_share_se": est.pilot.standard_error,
     }
 
 

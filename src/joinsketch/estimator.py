@@ -9,21 +9,24 @@ by group to one k-minimum-values sketch and converts the outcome:
   pair, so the count is exact;
 * sketch not filled otherwise: the verdict "z <= k^2" reported as value k^2.
 
-Linear mode makes one pass over the chunks.  Start-at-one mode aims its
-first pass at the k-th smallest of the z distinct pair hashes, about k / z.
-A pilot, run once per call and shared by its runs, samples the pair
+Both threshold modes aim the first pass at the k-th smallest of the z
+distinct pair hashes, about k / z, and differ only in their ceiling p0:
+linear mode's is min(1/k, k / max_group_product), start-at-one's is 1.  A
+pilot, run once per call and shared by its runs, samples the pair
 occurrences of the left values whose pilot hash lies in the top 2**-s of
 its range and estimates the distinct share r = z / total_product from them.
-The first pass runs at p = c k / (r_hat total_product), with a margin c =
-1 + 3 / sqrt(k) + 3 se / r_hat for the spread of the k-th smallest hash and
-the pilot's standard error se, so it offers about c k / r_hat pair
-occurrences.  While a pass ends with fewer than k distinct pairs, the run
-widens p and makes another pass into the same sketch, offering only the
-pairs at or above the previous pass's threshold (the floor).  A pass that
-falls short never tightened its threshold and holds every distinct pair
-below it; a pass that fills has seen every pair below the true k-th
-smallest hash.  Either way the outcome is the one a single pass at p = 1
-gives, whatever the pilot estimated, for fewer offers.
+The first pass runs at p = min(p0, c k / (r_hat total_product)), with a
+margin c = 1 + 3 / sqrt(k) + 3 se / r_hat for the spread of the k-th
+smallest hash and the pilot's standard error se, so it offers about
+c k / r_hat pair occurrences.  While a pass below p0 ends with fewer than k
+distinct pairs, the run widens p, up to p0, and makes another pass into the
+same sketch, offering only the pairs at or above the previous pass's
+threshold (the floor).  A pass that falls short never tightened its
+threshold and holds every distinct pair below it; a pass that fills has
+seen every pair below the true k-th smallest hash.  Either way the outcome
+is the one a single pass at p0 gives, whatever the pilot estimated, for
+fewer offers: the k-th smallest distinct hash below p0 does not depend on
+the thresholds that found it.
 
 Repeating runs with independent hashes and taking the median drives the
 failure probability down exponentially in the number of runs.
@@ -40,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import hashing, oracle
-from .enumerator import chunk_bounds, prune, prunes, scan_group, sort_group
+from .enumerator import CHUNK_TUPLES, chunk_bounds, prune, prunes, scan_group, sort_group
 from .kmin import KMinState
 from .relation import GroupedInput, run_edges, run_starts, sorted_pairs
 
@@ -173,13 +176,12 @@ class Estimate:
     ``kind`` is one of ``point`` (value = k / v), ``exact_small`` (value is
     the exact distinct-pair count, also in ``count``) or ``upper_bound``
     (value = k^2, meaning the true size is at most that with probability
-    2/3).  ``p0`` is the mode's threshold ceiling in 2**-64 grid units (the
-    threshold of linear mode's one pass; GRID for start-at-one, whose passes
-    begin lower and widen up to it) and ``v`` the finalized k-th smallest
-    hash for point outcomes.  ``pilot`` is the start-at-one pilot (None in
-    linear mode) and ``first_p`` the threshold of the first pass; the runs
-    of one call share both.  ``work_per_run`` holds the counters of every
-    run behind the outcome.
+    2/3).  ``p0`` is the mode's threshold ceiling in 2**-64 grid units (GRID
+    for start-at-one), up to which the passes widen, and ``v`` the finalized
+    k-th smallest hash for point outcomes.  ``pilot`` is the pilot and
+    ``first_p`` the threshold of the first pass, at most ``p0``; the runs of
+    one call share both.  ``work_per_run`` holds the counters of every run
+    behind the outcome.
     """
 
     kind: str
@@ -189,7 +191,7 @@ class Estimate:
     v: int | None = None
     count: int | None = None
     work_per_run: tuple[WorkCounters, ...] = ()
-    pilot: Pilot | None = None
+    pilot: Pilot = Pilot(0)
     first_p: int | None = None
 
     @property
@@ -199,13 +201,16 @@ class Estimate:
 
 
 def choose_threshold(grouped: GroupedInput, k: int, mode: str = MODE_LINEAR) -> int:
-    """Initial threshold in grid units (GRID means 1.0, every pair passes).
+    """The mode's threshold ceiling p0 in grid units (GRID means 1.0, every
+    pair passes); 0 for an empty input.
 
-    Linear mode picks min(1/k, k / max_group_product), floored to the grid.
+    Linear mode's is min(1/k, k / max_group_product), floored to the grid.
     That caps the expected number of candidate emissions per group at
     max(|A|, |C|), so a whole run stays O(n) expected; the price is that the
     sketch only fills (and yields a point estimate) when z is roughly k^2 or
-    larger.  Start-at-one mode always produces an answer instead.
+    larger.  Start-at-one mode's is 1, so it always produces an answer
+    instead.  Either mode's first pass starts at ``first_threshold`` when
+    that is lower.
     """
     if grouped.tuple_count == 0:
         return 0
@@ -214,17 +219,16 @@ def choose_threshold(grouped: GroupedInput, k: int, mode: str = MODE_LINEAR) -> 
     return min(hashing.GRID // k, (k * hashing.GRID) // grouped.max_group_product)
 
 
-def pilot_below_top(seed: int, values: np.ndarray) -> np.ndarray:
-    """How far the pilot hash drawn from ``seed`` of each uint64 value lies
-    below 2**64 - 1: a value is in the top 2**-s of the range iff this is
-    below 2**(64 - s)."""
+def pilot_values(pilot_hash: hashing.PairwiseHash, values: np.ndarray) -> np.ndarray:
+    """The pilot hash of each uint64 value: ``pilot_hash`` mixed.  A value
+    is in the top 2**-s of the range iff this is at least 2**64 - 2**(64 - s)."""
     # A multiply-add hash of contiguous ids is a lattice whose top bits can
     # miss the sample altogether; one xor-shift-multiply round mixes them.
-    h = hashing.draw_single(hashing.pilot_rng(seed)).values(values)
+    h = pilot_hash.values(values)
     h ^= h >> np.uint64(32)
     h *= np.uint64(0xD6E8FEB86659FD93)
     h ^= h >> np.uint64(32)
-    return np.invert(h, out=h)
+    return h
 
 
 def draw_pilot(grouped: GroupedInput, seed: int) -> Pilot:
@@ -236,15 +240,23 @@ def draw_pilot(grouped: GroupedInput, seed: int) -> Pilot:
     raised while more than that are sampled.  The oracle's sparse kernel
     counts each sampled value's distinct pairs; the standard error is the
     ratio estimator's over the sampled values, with the finite population
-    correction 1 - 2**-s.  O(n + PILOT_OCCURRENCES) time and memory.
+    correction 1 - 2**-s.  O(n) time.  The left values are hashed in
+    slices of ``CHUNK_TUPLES`` and only the sampled ones are kept, so the
+    memory, beyond one array over the groups, is O(CHUNK_TUPLES +
+    PILOT_OCCURRENCES) expected and does not grow with the left tuples.
     """
     total = grouped.total_product
     if not total:
         return Pilot(0)
-    below_top = pilot_below_top(seed, grouped.left_values)
+    pilot_hash = hashing.draw_single(hashing.pilot_rng(seed))
     s = (-(-total // PILOT_OCCURRENCES) - 1).bit_length()
-    n = below_top.size
-    kept = np.arange(n) if s == 0 else np.flatnonzero(below_top < np.uint64(hashing.GRID >> s))
+    kept, mixed = [], []
+    for lo in range(0, grouped.left_values.size, CHUNK_TUPLES):
+        h = pilot_values(pilot_hash, grouped.left_values[lo:lo + CHUNK_TUPLES])
+        sampled = np.flatnonzero(h >= np.uint64(hashing.GRID - (hashing.GRID >> s)))
+        kept.append(lo + sampled)
+        mixed.append(h[sampled])
+    kept, mixed = np.concatenate(kept), np.concatenate(mixed)
     right_sizes = np.diff(grouped.right_offsets)
     while True:
         group = np.searchsorted(grouped.left_offsets, kept, side="right") - 1
@@ -252,7 +264,8 @@ def draw_pilot(grouped: GroupedInput, seed: int) -> Pilot:
         if occurrences <= PILOT_OCCURRENCES:
             break
         s += 1
-        kept = kept[below_top[kept] < np.uint64(hashing.GRID >> s)]
+        sampled = mixed >= np.uint64(hashing.GRID - (hashing.GRID >> s))
+        kept, mixed = kept[sampled], mixed[sampled]
     if not occurrences:
         return Pilot(0)
     a, group = sorted_pairs(grouped.left_values[kept], group)
@@ -268,10 +281,11 @@ def draw_pilot(grouped: GroupedInput, seed: int) -> Pilot:
 
 
 def first_threshold(grouped: GroupedInput, k: int, pilot: Pilot) -> int:
-    """Start-at-one's first threshold, min(GRID, max(1, ceil(c k GRID /
-    (r_hat total_product)))) in exact integer arithmetic on the integer
-    ratios of the floats c and r_hat, for the pilot's share r_hat (1 when
-    it sampled nothing) and c = 1 + 3 / sqrt(k) + 3 se / r_hat."""
+    """The first pass's threshold before the mode's ceiling p0 caps it:
+    min(GRID, max(1, ceil(c k GRID / (r_hat total_product)))) in exact
+    integer arithmetic on the integer ratios of the floats c and r_hat, for
+    the pilot's share r_hat (1 when it sampled nothing) and c = 1 + 3 /
+    sqrt(k) + 3 se / r_hat."""
     share = 1.0 if pilot.distinct_share is None else pilot.distinct_share
     error = pilot.standard_error or 0.0
     margin = 1 + 3 / math.sqrt(k) + 3 * error / share
@@ -287,25 +301,23 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
     """One full estimation run with hash parameters drawn from (seed, key).
 
     Each pass prunes the input at its threshold where ``prunes`` says so,
-    then sorts and scans every chunk of what is left at a threshold no
-    higher than p0.
-    Linear mode makes one pass at p0.  Start-at-one mode first passes at
-    ``first_threshold`` for ``pilot``, drawn from the seed when not given;
-    while a pass ends with count < k distinct pairs, it passes again at
-    min(p0, max(4p, 2k * p // count)) with the previous p as the floor, so
-    that each pair occurrence is offered at most once per run.  The outcome
-    does not depend on the pilot.
+    then sorts and scans every chunk of what is left.  The first pass runs
+    at min(p0, ``first_threshold``) for ``pilot``, drawn from the seed when
+    not given; while a pass below p0 ends with count < k distinct pairs,
+    the run passes again at min(p0, max(4p, 2k * p // count)) with the
+    previous p as the floor, so that each pair occurrence is offered at
+    most once per run.  A pass at p0 that falls short ends the run: with
+    the kind ``exact_small`` in start-at-one mode, whose p0 is 1, and
+    ``upper_bound`` in linear mode.  The outcome does not depend on the
+    pilot.
     """
     rng = hashing.run_rng(cfg.seed, key)
     pair_hash = hashing.draw_pair_hash(rng)
     k = cfg.resolved_k
     p0 = choose_threshold(grouped, k, cfg.threshold_mode)
-    p = p0
-    if cfg.threshold_mode == MODE_START_AT_ONE:
-        if pilot is None:
-            pilot = draw_pilot(grouped, cfg.seed)
-        if grouped.tuple_count:
-            p = first_threshold(grouped, k, pilot)
+    if pilot is None:
+        pilot = draw_pilot(grouped, cfg.seed)
+    p = min(p0, first_threshold(grouped, k, pilot)) if grouped.tuple_count else p0
     done = dict(k=k, p0=p0, pilot=pilot, first_p=p)
     if grouped.tuple_count == 0:
         return Estimate(EXACT_SMALL, 0.0, count=0, work_per_run=(WorkCounters(),), **done)
@@ -356,9 +368,9 @@ def estimate_median(
     """Median of ``cfg.runs`` independent runs (fresh hash draws per run).
 
     The result carries the median run's outcome and the work of all runs.
-    In start-at-one mode one pilot serves every run.
+    One pilot serves every run.
     """
-    pilot = draw_pilot(grouped, cfg.seed) if cfg.threshold_mode == MODE_START_AT_ONE else None
+    pilot = draw_pilot(grouped, cfg.seed)
     estimates = [run_once(grouped, cfg, key=key_prefix + (i,), pilot=pilot)
                  for i in range(cfg.runs)]
     per_run = tuple(w for e in estimates for w in e.work_per_run)

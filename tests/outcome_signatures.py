@@ -38,8 +38,9 @@ seam.  It uses only the public API, so it also runs against older
 checkouts.
 
 ``--candidates`` prints, instead, what one pass lists for each workload,
-seed and run key at three thresholds: linear mode's p0, p0 >> 2 and
-start-at-one's first threshold.  The pass prunes the input with ``prune``
+seed and run key at three thresholds: linear mode's ceiling p0, p0 >> 2
+and ``first_threshold`` for the call's pilot, where both modes' first pass
+runs unless linear mode's p0 lies lower.  The pass prunes the input with ``prune``
 where ``prunes`` says it does, then sorts the chunks of ``chunk_bounds``
 at that threshold.  A line holds the sha256 of the candidate stream in
 group order (each group's candidate count, then its ``pairs`` and
@@ -147,8 +148,8 @@ def candidate_stream(grouped, pair_hash, p) -> dict:
 
 def candidate_signatures(seeds, scale=1.0):
     """Each workload's candidate stream for each run key (0,) to
-    (runs - 1,) at linear mode's p0, at p0 >> 2 and at start-at-one's first
-    threshold."""
+    (runs - 1,) at linear mode's ceiling p0, at p0 >> 2 and at the first
+    threshold the pilot aims both modes' first pass at."""
     # Imported here: only --candidates needs these, and older checkouts lack them.
     from joinsketch.estimator import choose_threshold, draw_pilot, first_threshold
 

@@ -542,7 +542,9 @@ def test_estimate_json_reports_the_pilot_and_first_threshold(capsys, tiny_pair):
     code, out, err = run_cli(capsys, argv + ["--threshold-mode", "linear"])
     assert code == 0, err
     linear = strict_json(out)
-    assert [linear[key] for key in SCHEDULE] == [linear["p0"], linear["p0_raw"], None, None, None]
+    # Linear mode draws the same pilot and caps its first pass at p0 = 1 / k.
+    assert [linear[key] for key in SCHEDULE] == [1 / 16, 1 << 60, 3, 1.0, 0.0]
+    assert linear["first_p_raw"] <= linear["p0_raw"]
 
 
 def test_sample_estimate_json_nests_the_inner_estimate(capsys, tmp_path, tiny_pair):

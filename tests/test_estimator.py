@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from joinsketch import (
     MODE_LINEAR,
     MODE_START_AT_ONE,
     POINT,
+    THRESHOLD_MODES,
     UPPER_BOUND,
     ConfigError,
     Estimate,
@@ -28,10 +30,11 @@ from joinsketch import (
 )
 from joinsketch import enumerator, estimator
 from joinsketch.estimator import (PILOT_OCCURRENCES, Pilot, choose_threshold, draw_pilot,
-                                  first_threshold, pilot_below_top, run_once)
-from joinsketch.hashing import GRID, draw_pair_hash, run_rng
+                                  first_threshold, pilot_values, run_once)
+from joinsketch.hashing import GRID, draw_pair_hash, draw_single, pilot_rng, run_rng
 from joinsketch.kmin import KMinState
 from joinsketch.oracle import exact_kth_hash
+from joinsketch.relation import GroupedInput
 
 from conftest import disjoint_instance, random_instance, reachable_tuples, scattered_instance
 
@@ -337,8 +340,8 @@ def test_passes_that_cannot_prune_sort_every_tuple_once():
 
 
 def test_linear_runs_sort_at_least_the_tuples_of_a_pair_below_p():
-    # The one pass sorts every tuple that lies in a pair hashing below p0,
-    # and no more than every tuple.
+    # The first pass sorts every tuple that lies in a pair hashing below its
+    # threshold, and each pass sorts no more than every tuple.
     rng = random.Random(8700)
     pruned = 0
     for trial in range(60):
@@ -348,9 +351,11 @@ def test_linear_runs_sort_at_least_the_tuples_of_a_pair_below_p():
             continue
         cfg = EstimatorConfig(k=rng.choice([1, 4, 16, 64]), seed=trial)
         est = run_once(g, cfg)
-        reachable = reachable_tuples(g, draw_pair_hash(run_rng(cfg.seed, (0,))), est.p0)
-        assert reachable <= est.work.sorted_elements <= g.tuple_count, trial
-        pruned += est.work.sorted_elements < g.tuple_count
+        assert est.first_p <= est.p0
+        reachable = reachable_tuples(g, draw_pair_hash(run_rng(cfg.seed, (0,))), est.first_p)
+        work = est.work
+        assert reachable <= work.sorted_elements <= work.passes * g.tuple_count, trial
+        pruned += work.sorted_elements < g.tuple_count
     assert pruned >= 10
 
 
@@ -370,30 +375,33 @@ def _golden_instances():
 # columns of the start-at-one rows were recorded again when that mode began
 # at p = 2k / total_product and widened in passes, and again when a pilot's
 # distinct share aimed the first pass at c k / z; kind, v and count held.
+# The linear rows' work columns were recorded again when linear mode took
+# the same pilot-aimed first pass, capped at p0: each linear point row's
+# work is now its start-at-one row's, and kind, v and count held.
 GOLDEN = {
     (0, 'linear', 'wrapping64'): ('upper_bound', None, None, 1, 1, 3),
     (0, 'start-at-one', 'wrapping64'): ('exact_small', None, 3, 9, 9, 3),
-    (1, 'linear', 'wrapping64'): ('point', 192517619329331022, None, 183, 174, 13),
+    (1, 'linear', 'wrapping64'): ('point', 192517619329331022, None, 79, 72, 6),
     (1, 'start-at-one', 'wrapping64'): ('point', 192517619329331022, None, 79, 72, 6),
     (2, 'linear', 'wrapping64'): ('upper_bound', None, None, 12, 12, 3),
     (2, 'start-at-one', 'wrapping64'): ('point', 4404420784801294742, None, 253, 253, 6),
-    (3, 'linear', 'wrapping64'): ('point', 10128892843752452, None, 49, 49, 14),
+    (3, 'linear', 'wrapping64'): ('point', 10128892843752452, None, 22, 22, 7),
     (3, 'start-at-one', 'wrapping64'): ('point', 10128892843752452, None, 22, 22, 7),
     (4, 'linear', 'wrapping64'): ('exact_small', None, 0, 0, 0, 0),
     (4, 'start-at-one', 'wrapping64'): ('exact_small', None, 0, 0, 0, 0),
     (5, 'linear', 'wrapping64'): ('upper_bound', None, None, 33, 32, 3),
     (5, 'start-at-one', 'wrapping64'): ('point', 1250608086697260023, None, 294, 277, 6),
-    (6, 'linear', 'wrapping64'): ('point', 273650612673254683, None, 47, 47, 14),
+    (6, 'linear', 'wrapping64'): ('point', 273650612673254683, None, 20, 20, 7),
     (6, 'start-at-one', 'wrapping64'): ('point', 273650612673254683, None, 20, 20, 7),
-    (7, 'linear', 'wrapping64'): ('point', 312986188108408929, None, 114, 112, 9),
+    (7, 'linear', 'wrapping64'): ('point', 312986188108408929, None, 82, 80, 6),
     (7, 'start-at-one', 'wrapping64'): ('point', 312986188108408929, None, 82, 80, 6),
     (8, 'linear', 'wrapping64'): ('upper_bound', None, None, 0, 0, 3),
     (8, 'start-at-one', 'wrapping64'): ('exact_small', None, 1, 3, 3, 3),
     (9, 'linear', 'wrapping64'): ('point', 8272164375868444, None, 26, 26, 8),
     (9, 'start-at-one', 'wrapping64'): ('point', 8272164375868444, None, 26, 26, 8),
-    (10, 'linear', 'wrapping64'): ('point', 19629127703516613, None, 282, 282, 20),
+    (10, 'linear', 'wrapping64'): ('point', 19629127703516613, None, 82, 82, 6),
     (10, 'start-at-one', 'wrapping64'): ('point', 19629127703516613, None, 82, 82, 6),
-    (11, 'linear', 'wrapping64'): ('point', 95841950032781603, None, 461, 461, 9),
+    (11, 'linear', 'wrapping64'): ('point', 95841950032781603, None, 272, 272, 6),
     (11, 'start-at-one', 'wrapping64'): ('point', 95841950032781603, None, 272, 272, 6),
 }
 
@@ -489,6 +497,38 @@ def test_start_at_one_passes_give_the_outcome_of_one_pass_at_one():
     assert passes.count(1) and passes.count(2) and max(passes) >= 3
 
 
+def test_linear_passes_give_the_outcome_of_one_pass_at_p0(monkeypatch):
+    # With first_threshold stubbed to 1, min(p0, 1) makes every linear run
+    # one pass at p0, the schedule linear mode had before it took the pilot.
+    def one_pass_at_p0(g, cfg):
+        with monkeypatch.context() as m:
+            m.setattr(estimator, "first_threshold", lambda grouped, k, pilot: GRID)
+            return run_once(g, cfg)
+
+    inputs = [grouped_from({(1, 1)}, {(2, 5)})]  # empty
+    inputs += [group_and_prune(*r) for r in _schedule_instances()]
+    kinds, widened = set(), set()
+    for i, g in enumerate(inputs):
+        for k, seed in itertools.product((1, 4, 16, 64), (8640 + i, 8740 + i)):
+            cfg = EstimatorConfig(k=k, seed=seed)
+            want = one_pass_at_p0(g, cfg)
+            assert want.work.passes == (1 if g.tuple_count else 0)
+            # The pilot's share, then one too high, which makes the run
+            # widen in passes.
+            for pilot in (None, OVERESTIMATE):
+                est = run_once(g, cfg, pilot=pilot)
+                assert (est.kind, est.v, est.count) == (want.kind, want.v, want.count), (i, k, seed)
+                assert est.value == want.value and est.first_p <= est.p0 == want.p0
+                work = est.work
+                assert work.sorted_elements <= work.passes * g.tuple_count
+                assert work.emitted_pairs <= g.total_product
+                kinds.add(est.kind)
+                if work.passes >= 2:
+                    widened.add(est.kind)
+    assert kinds == {POINT, UPPER_BOUND, EXACT_SMALL}
+    assert widened == {POINT, UPPER_BOUND}
+
+
 def test_estimate_records_the_pilot_and_first_threshold_its_runs_share():
     r1, r2 = scattered_instance(30, 20, 25, seed=8610)  # 15,000 occurrences
     g = group_and_prune(r1, r2)
@@ -503,10 +543,13 @@ def test_estimate_records_the_pilot_and_first_threshold_its_runs_share():
     for i in range(3):
         run = run_once(g, cfg, key=(i,))
         assert (run.pilot, run.first_p) == (pilot, est.first_p)
+    # Linear mode draws the same pilot and caps its first pass at p0.
     linear = estimate_median(g, replace(cfg, threshold_mode=MODE_LINEAR))
-    assert linear.pilot is None and linear.first_p == linear.p0
-    empty = estimate_median(grouped_from({(1, 1)}, {(2, 5)}), cfg)
-    assert (empty.pilot, empty.first_p) == (Pilot(0), 0)
+    assert (linear.pilot, linear.first_p) == (pilot, est.first_p)
+    assert linear.first_p < linear.p0 == GRID // 64
+    for mode in THRESHOLD_MODES:
+        empty = estimate_median(grouped_from({(1, 1)}, {(2, 5)}), replace(cfg, threshold_mode=mode))
+        assert (empty.pilot, empty.first_p) == (Pilot(0), 0)
 
 
 def _fraction_first_threshold(total_product, k, pilot):
@@ -584,12 +627,32 @@ def test_pilot_samples_at_most_its_budget():
     assert max(sampled) <= PILOT_OCCURRENCES and min(sampled) > 0
 
 
+def test_pilot_memory_does_not_grow_with_the_left_tuples():
+    # 64 groups of n / 64 left values and two right values each: the pilot
+    # samples at most PILOT_OCCURRENCES of the 2n occurrences at any n, and
+    # hashes the left values a slice of CHUNK_TUPLES at a time.
+    groups = 64
+    for n in (1 << 16, 1 << 20):
+        g = GroupedInput(np.arange(groups, dtype=np.uint64), np.arange(0, n + 1, n // groups),
+                         np.arange(n, dtype=np.uint64), np.arange(0, 2 * groups + 1, 2),
+                         np.tile(np.array([7, 9], dtype=np.uint64), groups))
+        tracemalloc.start()
+        try:
+            pilot = draw_pilot(g, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < pilot.occurrences <= PILOT_OCCURRENCES and pilot.distinct_share == 1.0
+        bound = 64 * (enumerator.CHUNK_TUPLES + PILOT_OCCURRENCES)
+        assert peak <= bound, (n, peak, bound)
+
+
 def test_a_pilot_that_sees_no_repeats_still_gives_the_outcome_of_one_pass_at_one():
     seed = 8630
     values = np.arange(1000, dtype=np.uint64)
     # Outside the top half of the pilot hash's range a value is never
     # sampled once the input holds more than PILOT_OCCURRENCES occurrences.
-    in_top_half = pilot_below_top(seed, values) < np.uint64(GRID >> 1)
+    in_top_half = pilot_values(draw_single(pilot_rng(seed)), values) >= np.uint64(GRID >> 1)
     repeating, once = values[~in_top_half][:40].tolist(), values[in_top_half][:40].tolist()
     # The repeating values meet the same 40 right values in each of 100
     # groups; each other value meets 40 right values of its own.
