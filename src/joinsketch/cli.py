@@ -226,6 +226,8 @@ def cmd_experiment(args) -> int:
         for t, est in enumerate(estimates)
     ]
     ratios = sorted(item["ratio"] for item in trials)
+    if not all(map(math.isfinite, ratios)):
+        raise UsageError(f"exact size {exact!r} is too small: an estimate over it overflows")
     theoretical = math.sqrt(9.0 / cfg.resolved_k)
     observed = observed_epsilon(ratios)
 

@@ -14,11 +14,10 @@ Groups are processed in chunks of consecutive groups (``chunk_bounds``).
 them by (group, hash, side, value) with one sort of a uint64 key carrying
 its position, finds every column's minimum and drops each column whose
 minimum is not below the threshold, since the threshold never rises.  For
-every other column it counts the rows of its window at the threshold and
-at the floor and gathers the rows between the two into arrays of
-candidates.  ``scan_group`` then hands one group's candidates to the
-sketch, skipping those at or above its live threshold, which a merge may
-tighten mid-scan.  A column's candidates ascend from its minimum and the
+every other column it counts the rows of its window and gathers them into
+arrays of candidates.  ``scan_group`` then hands one group's candidates to
+the sketch, skipping those at or above its live threshold, which a merge
+may tighten mid-scan.  A column's candidates ascend from its minimum and the
 threshold only falls, so the pairs offered and their order are those of
 walking every column of every group and stopping each at its first miss.
 
@@ -38,10 +37,8 @@ input restricted to them, so the candidates, their order and the group
 offsets are those of sorting every tuple.
 
 A run may pass over the chunks more than once, sorting every group again
-at a wider threshold.  The previous pass's threshold is then the floor: a
-column's pairs below it come first from its minimum and are left out of
-its candidates, so each pair occurrence reaches the sketch at most once per
-run.
+at a wider threshold and listing every pair below it, those the sketch
+already holds too: the sketch's merge drops them.
 """
 
 from __future__ import annotations
@@ -106,19 +103,14 @@ class SortedChunk:
 
     ``pairs`` and ``hashes`` hold each candidate's pair ``x << 32 | y`` and
     its pair hash as uint64 memoryviews, in (group, h2, y, step) order:
-    column by column in (h2, y) order, each column from its first row at or
-    above the floor onward, cyclically.  Group g's candidates are
-    ``offsets[g]`` to ``offsets[g + 1]`` (chunk-relative).  ``probes``
-    counts the probes the scan makes whatever it offers: one per column of
-    the chunk and one per pair below the floor.  ``sorted_tuples`` counts
-    the chunk's tuples, all of which are sorted.
+    column by column in (h2, y) order, each column from its minimum onward,
+    cyclically.  Group g's candidates are ``offsets[g]`` to
+    ``offsets[g + 1]`` (chunk-relative).
     """
 
     pairs: memoryview
     hashes: memoryview
     offsets: list[int]
-    probes: int
-    sorted_tuples: int
 
 
 def _reachable(x_hashes: np.ndarray, left_sizes: np.ndarray, y_hashes: np.ndarray,
@@ -163,8 +155,7 @@ def prune(grouped: GroupedInput, pair_hash: PairHash, p: int) -> GroupedInput:
     """The rows and columns of ``grouped`` that the occupancy pass at ``p``
     keeps, in the same groups: a group keeps rows iff it keeps columns, so
     a group may be empty on both sides.  Sorting the result at a threshold
-    of at most ``p`` lists what sorting ``grouped`` lists; only its probes
-    leave out the dropped columns, one each.
+    of at most ``p`` lists what sorting ``grouped`` lists.
 
     The input is hashed and pruned in slices of at most ``CHUNK_TUPLES``
     tuples (a larger group is a slice of its own), so the pass's
@@ -193,9 +184,8 @@ def prune(grouped: GroupedInput, pair_hash: PairHash, p: int) -> GroupedInput:
 
 
 def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
-               p: int, floor: int = 0) -> SortedChunk:
-    """Sort groups ``lo`` to ``hi - 1`` and list their pairs whose hash lies
-    in [``floor``, ``p``).
+               p: int) -> SortedChunk:
+    """Sort groups ``lo`` to ``hi - 1`` and list their pairs below ``p``.
 
     Every tuple of the groups is hashed and sorted; a pass that prunes
     hands in what ``prune`` kept at its threshold, which ``p`` may have
@@ -260,21 +250,17 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
         cols, y_hashes = cols[kept], y_hashes[kept]
     size = end - begin
 
-    # The rows keyed like the sort, with the hash's top 64 - b bits, so a
-    # binary search finds a hash within its group up to the cut bits.
-    row_keys = np.repeat(group_base, left_sizes)
-    row_keys |= row_hashes >> np.uint64(b)
-    group_keys = group_base[group_of]
-
-    def window(t: int) -> np.ndarray:
-        """Rows of each column's group whose h1 lies in [h2, h2 + t),
-        cyclically."""
-        if t <= 0:
-            return np.zeros(cols.size, dtype=np.int64)
-        if t >= GRID:
-            return size
-        top = y_hashes + np.uint64(t)
-        at = np.searchsorted(row_keys, group_keys | top >> np.uint64(b))
+    # Each column's window: the rows of its group whose h1 lies in
+    # [h2, h2 + p), cyclically.
+    if p >= GRID:
+        counts = size
+    else:
+        # The rows keyed like the sort, with the hash's top 64 - b bits, so
+        # a binary search finds a hash within its group up to the cut bits.
+        row_keys = np.repeat(group_base, left_sizes)
+        row_keys |= row_hashes >> np.uint64(b)
+        top = y_hashes + np.uint64(p)
+        at = np.searchsorted(row_keys, group_base[group_of] | top >> np.uint64(b))
         # Rows whose key ties the target's may still hash below it.
         i = np.flatnonzero(at < end)
         while i.size:
@@ -282,15 +268,12 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
             at[i] += 1
             i = i[at[i] < end[i]]
         # A window past 2**64 wraps to the group's first rows.
-        return at - first + np.where(top < y_hashes, size, 0)
-
-    below = window(floor)
-    counts = window(p) - below
+        counts = at - first + np.where(top < y_hashes, size, 0)
     column_offsets = offsets(counts)
     n = int(column_offsets[-1])
-    # Each column's candidates, from its first row at or above the floor;
-    # those past its group's end wrap to the group's first rows.
-    at = np.repeat(first + below - column_offsets[:-1], counts)
+    # Each column's candidates, from its minimum; those past its group's end
+    # wrap to the group's first rows.
+    at = np.repeat(first - column_offsets[:-1], counts)
     at += np.arange(n)
     wrapped = np.flatnonzero(at >= np.repeat(end, counts))
     at[wrapped] -= np.repeat(size, counts)[wrapped]
@@ -306,8 +289,6 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
         pairs=memoryview(pairs),
         hashes=memoryview(cand_hashes),
         offsets=group_offsets.tolist(),
-        probes=nr + int(below.sum()),
-        sorted_tuples=hashes.size,
     )
 
 

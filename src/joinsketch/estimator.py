@@ -20,13 +20,13 @@ margin c = 1 + 3 / sqrt(k) + 3 se / r_hat for the spread of the k-th
 smallest hash and the pilot's standard error se, so it offers about
 c k / r_hat pair occurrences.  While a pass below p0 ends with fewer than k
 distinct pairs, the run widens p, up to p0, and makes another pass into the
-same sketch, offering only the pairs at or above the previous pass's
-threshold (the floor).  A pass that falls short never tightened its
-threshold and holds every distinct pair below it; a pass that fills has
-seen every pair below the true k-th smallest hash.  Either way the outcome
-is the one a single pass at p0 gives, whatever the pilot estimated, for
-fewer offers: the k-th smallest distinct hash below p0 does not depend on
-the thresholds that found it.
+same sketch, offering every pair below the new threshold; the merge drops
+those it holds.  A pass that falls short never tightened its threshold and
+holds every distinct pair below it; a pass that fills has seen every pair
+below the true k-th smallest hash.  Either way the outcome is the one a
+single pass at p0 gives, whatever the pilot estimated, for fewer offers:
+the k-th smallest distinct hash below p0 does not depend on the thresholds
+that found it.
 
 Repeating runs with independent hashes and taking the median drives the
 failure probability down exponentially in the number of runs.
@@ -126,9 +126,11 @@ class WorkCounters:
     ``passes`` counts passes over the chunks, ``sorted_elements`` tuples
     sorted (at most every tuple once per pass: the tuples ``prune`` keeps
     where the pass prunes), ``inner_iterations`` probes of the pair hash:
-    one per pair below the floor or emitted, plus one per column per pass,
-    the probe that skips or stops it.  A column whose pairs all lie below
-    the threshold pays that probe too, though nothing is left to stop it.
+    one per pair emitted, plus one per column of the input per pass, the
+    probe that skips or stops it.  A column whose pairs all lie below the
+    threshold pays that probe too, though nothing is left to stop it.
+    ``emitted_pairs`` counts the pairs offered to the sketch: each pair
+    occurrence below a pass's threshold, once per pass that lists it.
     """
 
     passes: int = 0
@@ -304,12 +306,11 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
     then sorts and scans every chunk of what is left.  The first pass runs
     at min(p0, ``first_threshold``) for ``pilot``, drawn from the seed when
     not given; while a pass below p0 ends with count < k distinct pairs,
-    the run passes again at min(p0, max(4p, 2k * p // count)) with the
-    previous p as the floor, so that each pair occurrence is offered at
-    most once per run.  A pass at p0 that falls short ends the run: with
-    the kind ``exact_small`` in start-at-one mode, whose p0 is 1, and
-    ``upper_bound`` in linear mode.  The outcome does not depend on the
-    pilot.
+    the run passes again at min(p0, max(4p, 2k * p // count)) into the
+    same sketch, whose merge drops the pairs it already holds.  A pass at
+    p0 that falls short ends the run: with the kind ``exact_small`` in
+    start-at-one mode, whose p0 is 1, and ``upper_bound`` in linear mode.
+    The outcome does not depend on the pilot.
     """
     rng = hashing.run_rng(cfg.seed, key)
     pair_hash = hashing.draw_pair_hash(rng)
@@ -323,18 +324,16 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
         return Estimate(EXACT_SMALL, 0.0, count=0, work_per_run=(WorkCounters(),), **done)
 
     state = KMinState(k, p)
-    floor = passes = probes = sorted_tuples = 0
+    passes = sorted_tuples = 0
     while True:
         passes += 1
         # What a pass sorts depends on the input and its threshold alone,
         # not on the chunks or on when the sketch tightened.
         source = prune(grouped, pair_hash, state.p) if prunes(grouped, state.p) else grouped
-        probes += grouped.right_values.size - source.right_values.size
+        sorted_tuples += source.tuple_count
         bounds = chunk_bounds(source, state.p)
         for lo, hi in zip(bounds, bounds[1:]):
-            chunk = sort_group(source, lo, hi, pair_hash, state.p, floor)
-            probes += chunk.probes
-            sorted_tuples += chunk.sorted_tuples
+            chunk = sort_group(source, lo, hi, pair_hash, state.p)
             for g in range(hi - lo):
                 scan_group(chunk, g, state)
             # Free the candidates before the next chunk gathers its own.
@@ -343,12 +342,13 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
         if outcome.filled or state.p >= p0:
             break
         # Short of k: the threshold never tightened and the sketch holds
-        # every distinct pair below it.  Widen and offer the pairs above.
-        floor = state.p
-        state.p = min(p0, max(4 * floor, 2 * k * floor // max(outcome.count, 1)))
+        # every distinct pair below it.  Widen and offer every pair below
+        # the new threshold; the merge drops those already held.
+        state.p = min(p0, max(4 * state.p, 2 * k * state.p // max(outcome.count, 1)))
     work = WorkCounters(passes=passes, sorted_elements=sorted_tuples,
-                        inner_iterations=probes + state.offers, emitted_pairs=state.offers,
-                        accepted_offers=state.accepted, combine_calls=state.combines)
+                        inner_iterations=passes * grouped.right_values.size + state.offers,
+                        emitted_pairs=state.offers, accepted_offers=state.accepted,
+                        combine_calls=state.combines)
 
     done["work_per_run"] = (work,)
     if outcome.filled:

@@ -44,15 +44,17 @@ runs unless linear mode's p0 lies lower.  The pass prunes the input with ``prune
 where ``prunes`` says it does, then sorts the chunks of ``chunk_bounds``
 at that threshold.  A line holds the sha256 of the candidate stream in
 group order (each group's candidate count, then its ``pairs`` and
-``hashes`` bytes), the summed ``sorted_tuples`` and the ``probes``, which
-count every column of the input, pruned or not.  The stream does not
-depend on how the groups are chunked, so a change to the chunking or to
-the occupancy pass leaves these lines as they were.  This mode calls the
-enumerator directly, so compare two checkouts with each checkout's own
-copy of the script: this one needs ``prune(grouped, h, p)``,
-``sort_group(grouped, lo, hi, h, p, floor)`` and
-``chunk_bounds(grouped, p)``, while checkouts whose ``sort_group`` pruned
-each chunk itself took a ``ceiling`` argument instead of ``prune``.
+``hashes`` bytes), the pass's ``sorted_tuples``, the tuples ``prune``
+keeps, and its ``probes``, one for every column of the input, pruned or
+not.  The stream does not depend on how the groups are chunked, so a
+change to the chunking or to the occupancy pass leaves these lines as they
+were.  This mode calls the enumerator directly, so compare two checkouts
+with each checkout's own copy of the script: this one needs
+``prune(grouped, h, p)``, ``sort_group(grouped, lo, hi, h, p)`` and
+``chunk_bounds(grouped, p)``.  Checkouts whose ``sort_group`` took a
+``floor`` argument counted the tuples and probes in its result, and
+checkouts whose ``sort_group`` pruned each chunk itself took a ``ceiling``
+argument instead of ``prune``.
 """
 
 from __future__ import annotations
@@ -132,18 +134,16 @@ def candidate_stream(grouped, pair_hash, p) -> dict:
 
     source = prune(grouped, pair_hash, p) if prunes(grouped, p) else grouped
     digest = hashlib.sha256()
-    sorted_tuples = 0
-    probes = grouped.right_values.size - source.right_values.size
     bounds = chunk_bounds(source, p)
     for lo, hi in zip(bounds, bounds[1:]):
         chunk = sort_group(source, lo, hi, pair_hash, p)
-        sorted_tuples += chunk.sorted_tuples
-        probes += chunk.probes
         for first, last in zip(chunk.offsets, chunk.offsets[1:]):
             digest.update((last - first).to_bytes(8, "little"))
             digest.update(chunk.pairs[first:last])
             digest.update(chunk.hashes[first:last])
-    return {"digest": digest.hexdigest(), "sorted_tuples": sorted_tuples, "probes": probes}
+    # A pass sorts every tuple it keeps and probes every column of the input.
+    return {"digest": digest.hexdigest(), "sorted_tuples": source.tuple_count,
+            "probes": grouped.right_values.size}
 
 
 def candidate_signatures(seeds, scale=1.0):

@@ -128,8 +128,9 @@ def test_criterion_3_enumeration_completeness():
         sketch = FixedThreshold(p)
         scan_group(chunk, 0, sketch)
         got = sketch.pairs
-        # One probe per column, plus one per emitted pair.
-        assert chunk.probes + len(got) <= nc + len(got), trial
+        # A pass probes each column once and each pair it lists once: the
+        # chunk lists no pair beyond those the scan emits.
+        assert len(chunk.pairs) == len(got), trial
         assert len(got) == len(set(got)), trial
         hx = pair_hash.h1.values(np.asarray(A, dtype=np.uint64))
         hy = pair_hash.h2.values(np.asarray(C, dtype=np.uint64))

@@ -392,8 +392,9 @@ def test_experiment_exact_value_override(capsys, tmp_path, tiny_pair):
     assert report["trial_estimates"][0]["ratio"] == report["trial_estimates"][0]["estimate"] / 6.0
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "0"])
-def test_experiment_rejects_exact_value_that_is_not_positive_and_finite(
+# 1e-310 is positive and finite, but an estimate over it overflows to inf.
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "1e-310"])
+def test_experiment_rejects_exact_value_that_gives_no_finite_ratio(
     capsys, tmp_path, tiny_pair, value
 ):
     left, right = tiny_pair
@@ -407,6 +408,7 @@ def test_experiment_rejects_exact_value_that_is_not_positive_and_finite(
     )
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", ".", ".."])

@@ -15,24 +15,24 @@ from conftest import (FixedThreshold, a_run_pairs, greedy_chunks, group_values, 
                       reachable_tuples, single_group)
 
 
-def sort_one(A, C, pair_hash, p=GRID, floor=0):
-    return sort_group(single_group(A, C), 0, 1, pair_hash, p, floor)
+def sort_one(A, C, pair_hash, p=GRID):
+    return sort_group(single_group(A, C), 0, 1, pair_hash, p)
 
 
 def listing(chunk):
-    """A chunk's candidates as (x, y, hash) triples, its group offsets and
-    its probes."""
+    """A chunk's candidates as (x, y, hash) triples and its group offsets."""
     triples = [(pair >> 32, pair & 0xFFFFFFFF, hv) for pair, hv in zip(chunk.pairs, chunk.hashes)]
-    return triples, chunk.offsets, chunk.probes
+    return triples, chunk.offsets
 
 
 def collect(A, C, pair_hash, p):
-    """Pairs offered for one group at fixed threshold p, its probes (one per
-    column and one per emitted pair) and the chunk."""
+    """Pairs offered for one group at fixed threshold p and the chunk.  At
+    a fixed threshold every candidate is offered."""
     chunk = sort_one(A, C, pair_hash, p)
     sketch = FixedThreshold(p)
     scan_group(chunk, 0, sketch)
-    return sketch.pairs, chunk.probes + len(sketch.pairs), chunk
+    assert len(sketch.pairs) == len(chunk.pairs)
+    return sketch.pairs, chunk
 
 
 def brute(pair_hash, A, C, p):
@@ -48,9 +48,9 @@ def random_group(rng, max_side=100, value_range=5000):
 
 
 def assert_columns_start_at_minima(chunk, grouped, lo, pair_hash):
-    """Each column's candidates at floor 0 start at its smallest pair hash
-    and ascend."""
-    triples, group_offsets, _ = listing(chunk)
+    """Each column's candidates start at its smallest pair hash and
+    ascend."""
+    triples, group_offsets = listing(chunk)
     for g in range(len(group_offsets) - 1):
         A, _ = group_values(grouped, lo + g)
         hx = pair_hash.h1.values(A)
@@ -66,7 +66,7 @@ def test_sort_group_singleton():
     h = draw_pair_hash(spawn_rng(1))
     g = sort_one([7], [3], h)
     hv = h.h1.values(np.array([7], dtype=np.uint64)) - h.h2.values(np.array([3], dtype=np.uint64))
-    assert listing(g) == ([(7, 3, int(hv[0]))], [0, 1], 1)
+    assert listing(g) == ([(7, 3, int(hv[0]))], [0, 1])
 
 
 def test_sort_group_orders_by_hash():
@@ -97,14 +97,12 @@ def test_sort_group_ties_break_by_value():
 
 def test_single_row_group_degenerate_wrap():
     h = PairHash(PairwiseHash(0, int(0.4 * GRID)), PairwiseHash(0, 0))
-    got, probes, chunk = collect([5], [1, 2], h, int(0.5 * GRID))
+    got, chunk = collect([5], [1, 2], h, int(0.5 * GRID))
     assert got == [(5, 1), (5, 2)]
-    # One probe per column, also for a column walked all the way round, and
-    # one per emitted pair.
-    assert probes == 4 and chunk.offsets == [0, 2]
-    got, probes, chunk = collect([5], [1, 2], h, int(0.3 * GRID))
+    assert chunk.offsets == [0, 2]
+    got, chunk = collect([5], [1, 2], h, int(0.3 * GRID))
     assert got == []
-    assert probes == 2 and chunk.offsets == [0, 0]
+    assert chunk.offsets == [0, 0]
 
 
 def test_threshold_one_emits_every_pair_from_each_column_minimum():
@@ -112,7 +110,7 @@ def test_threshold_one_emits_every_pair_from_each_column_minimum():
     for trial in range(40):
         A, C = random_group(rng, max_side=30, value_range=500)
         h = draw_pair_hash(spawn_rng(1000 + trial))
-        got, _, _ = collect(A, C, h, GRID)
+        got, _ = collect(A, C, h, GRID)
         hx = dict(zip(A, h.h1.values(np.array(A, dtype=np.uint64)).tolist()))
         hy = dict(zip(C, h.h2.values(np.array(C, dtype=np.uint64)).tolist()))
         rows = sorted(A, key=lambda x: (hx[x], x))
@@ -129,9 +127,8 @@ def test_threshold_zero_emits_nothing():
     rng = random.Random(14)
     for trial in range(30):
         A, C = random_group(rng, max_side=40)
-        got, probes, chunk = collect(A, C, draw_pair_hash(spawn_rng(2000 + trial)), 0)
+        got, chunk = collect(A, C, draw_pair_hash(spawn_rng(2000 + trial)), 0)
         assert got == []
-        assert probes == len(C)
         assert chunk.offsets == [0, 0] and len(chunk.pairs) == len(chunk.hashes) == 0
 
 
@@ -142,12 +139,10 @@ def test_fixed_threshold_matches_brute_force():
         A, C = random_group(rng, max_side=60)
         h = draw_pair_hash(spawn_rng(3000 + trial))
         p = grid[trial % 4]
-        got, probes, chunk = collect(A, C, h, p)
+        got, chunk = collect(A, C, h, p)
         assert len(got) == len(set(got))
         assert set(got) == brute(h, A, C, p)
         assert_columns_start_at_minima(chunk, single_group(A, C), 0, h)
-        # One probe per column, plus one per emitted pair.
-        assert probes == len(got) + len(C)
 
 
 class TighteningThreshold(FixedThreshold):
@@ -180,7 +175,8 @@ def test_decreasing_threshold_keeps_everything_below_final_value():
 
 
 def test_inner_iterations_concentrate_near_expectation():
-    # Expected probes per group is about p * |A| * |C| + |C| for fixed p.
+    # Expected probes per group, one per column and one per emitted pair,
+    # is about p * |A| * |C| + |C| for fixed p.
     na = nc = 40
     p = GRID // 8
     expected = (p / GRID) * na * nc + nc
@@ -190,8 +186,8 @@ def test_inner_iterations_concentrate_near_expectation():
     for s in range(seeds):
         A = rng.sample(range(10**6), na)
         C = rng.sample(range(10**6), nc)
-        _, probes, _ = collect(A, C, draw_pair_hash(spawn_rng(5000 + s)), p)
-        total += probes
+        got, _ = collect(A, C, draw_pair_hash(spawn_rng(5000 + s)), p)
+        total += nc + len(got)
     mean = total / seeds
     assert expected / 2 <= mean <= expected * 2
 
@@ -236,13 +232,12 @@ def test_chunk_bounds_cover_every_group_once(monkeypatch):
         assert chunk_bounds(grouped) == list(range(len(grouped) + 1))
 
 
-def reference_chunk(grouped, lo, hi, pair_hash, p, floor=0):
+def reference_chunk(grouped, lo, hi, pair_hash, p):
     """``listing(sort_group(...))`` in plain Python.  Each group's sides go
     in sorted (hash, side, value) order, side 0 for columns.  Every column
     is walked once round its group's rows, from the first row sorted after
-    it; its pairs in [floor, p) are its candidates in walk order.  A column
-    costs one probe, and so does each of its pairs below the floor."""
-    triples, group_offsets, probes = [], [0], 0
+    it; its pairs below p are its candidates in walk order."""
+    triples, group_offsets = [], [0]
     for g in range(lo, hi):
         A, C = group_values(grouped, g)
         merged = sorted([(h, 1, x) for h, x in zip(pair_hash.h1.values(A).tolist(), A.tolist())]
@@ -253,16 +248,13 @@ def reference_chunk(grouped, lo, hi, pair_hash, p, floor=0):
             if side:
                 before += 1
                 continue
-            probes += 1
             for i in range(len(rows)):
                 hx, x = rows[(before + i) % len(rows)]
                 hv = (hx - h) & MASK64
-                if hv < floor:
-                    probes += 1
-                elif hv < p:
+                if hv < p:
                     triples.append((x, y, hv))
         group_offsets.append(len(triples))
-    return triples, group_offsets, probes
+    return triples, group_offsets
 
 
 def tie_prone_hashes(rng, trial):
@@ -279,16 +271,15 @@ def tie_prone_hashes(rng, trial):
             PairHash(top(), top())]
 
 
-def assert_chunks_match_the_reference(grouped, h, p, floor):
+def assert_chunks_match_the_reference(grouped, h, p):
     """The whole instance as one chunk lists what ``reference_chunk`` lists,
     and each group sorted alone offers what it offers inside the chunk."""
-    whole = sort_group(grouped, 0, len(grouped), h, p, floor)
-    assert listing(whole) == reference_chunk(grouped, 0, len(grouped), h, p, floor)
-    if not floor:
-        assert_columns_start_at_minima(whole, grouped, 0, h)
+    whole = sort_group(grouped, 0, len(grouped), h, p)
+    assert listing(whole) == reference_chunk(grouped, 0, len(grouped), h, p)
+    assert_columns_start_at_minima(whole, grouped, 0, h)
     for g in range(len(grouped)):
         alone, together = FixedThreshold(p), FixedThreshold(p)
-        scan_group(sort_group(grouped, g, g + 1, h, p, floor), 0, alone)
+        scan_group(sort_group(grouped, g, g + 1, h, p), 0, alone)
         scan_group(whole, g, together)
         assert alone.pairs == together.pairs
     return whole
@@ -302,10 +293,10 @@ def test_a_chunk_offers_what_its_groups_offer_one_by_one():
             continue
         for h in tie_prone_hashes(rng, trial):
             p = rng.choice([0, 1 << 60, 1 << 62, 1 << 63, GRID])
-            assert_chunks_match_the_reference(grouped, h, p, rng.choice([0, p // 4]))
+            assert_chunks_match_the_reference(grouped, h, p)
 
 
-def test_candidates_match_the_reference_at_every_threshold_and_floor():
+def test_candidates_match_the_reference_at_every_threshold():
     rng = random.Random(21)
     for trial in range(12):
         # Half the instances give every join value one left value, so every
@@ -321,8 +312,7 @@ def test_candidates_match_the_reference_at_every_threshold_and_floor():
             assert (np.diff(grouped.left_offsets) == 1).all()
         for h in tie_prone_hashes(rng, 100 + trial):
             for p in (0, 1, 1 << 60, 1 << 63, GRID - 1, GRID):
-                for floor in (0, p // 4):
-                    assert_chunks_match_the_reference(grouped, h, p, floor)
+                assert_chunks_match_the_reference(grouped, h, p)
 
 
 def test_windows_wrap_past_two_to_the_64():
@@ -331,14 +321,12 @@ def test_windows_wrap_past_two_to_the_64():
     # with x < 100 lie above h2 and rows with x >= 100 below it.
     h = PairHash(PairwiseHash(1, GRID - 100), PairwiseHash(0, GRID - 50))
     A = [10, 49, 50, 60, 99, 120, 149, 150, 200]
-    for p, floor, want in ((1, 0, [50]), (100, 0, [50, 60, 99, 120, 149]),
-                           (100, 20, [99, 120, 149]),
-                           # x = 49 hashes to GRID - 1 itself.
-                           (GRID - 1, 60, [120, 149, 150, 200, 10])):
-        triples, _, probes = listing(sort_one(A, [7], h, p, floor))
-        assert triples == [(x, 7, (x - 50) & MASK64) for x in want], (p, floor)
-        assert probes == 1 + sum((x - 50) & MASK64 < floor for x in A)
-        assert triples == reference_chunk(single_group(A, [7]), 0, 1, h, p, floor)[0]
+    for p, want in ((1, [50]), (100, [50, 60, 99, 120, 149]),
+                    # x = 49 hashes to GRID - 1 itself.
+                    (GRID - 1, [50, 60, 99, 120, 149, 150, 200, 10])):
+        triples, _ = listing(sort_one(A, [7], h, p))
+        assert triples == [(x, 7, (x - 50) & MASK64) for x in want], p
+        assert triples == reference_chunk(single_group(A, [7]), 0, 1, h, p)[0]
 
 
 def test_groups_that_keep_no_column_get_no_rows():
@@ -357,7 +345,7 @@ def test_groups_that_keep_no_column_get_no_rows():
         if lowest[0] == lowest[-1]:
             continue
         p = rng.choice([x for x in lowest if x > lowest[0]])
-        chunk = assert_chunks_match_the_reference(grouped, h, p, 0)
+        chunk = assert_chunks_match_the_reference(grouped, h, p)
         idle = [g for g in range(len(grouped)) if chunk.offsets[g] == chunk.offsets[g + 1]]
         assert 0 < len(idle) < len(grouped)
         for g, (A, C) in enumerate(sides):
@@ -382,28 +370,21 @@ def pass_source(grouped, h, p):
     return enumerator.prune(grouped, h, p) if enumerator.prunes(grouped, p) else grouped
 
 
-def pruned_listing(grouped, source, h, p, floor):
-    """``listing`` of ``source`` sorted as one chunk, with a probe for each
-    column of ``grouped`` that ``source`` lacks."""
-    triples, group_offsets, probes = listing(sort_group(source, 0, len(source), h, p, floor))
-    return triples, group_offsets, probes + grouped.right_values.size - source.right_values.size
-
-
-def assert_the_pass_keeps_every_candidate(grouped, h, p, floor, monkeypatch):
+def assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch):
     """The instance pruned at ``p`` and at a threshold above it, then
     sorted as one chunk at ``p``, lists what ``reference_chunk`` lists, and
     at least the tuples of a pair below ``p`` survive.  Where the pass
     prunes, it runs over many slices of the instance with ``CHUNK_TUPLES``
     at 1 and 16, and must keep the same tuples.  Returns the tuples that
     survive at ``p``."""
-    want = reference_chunk(grouped, 0, len(grouped), h, p, floor)
+    want = reference_chunk(grouped, 0, len(grouped), h, p)
     kept = []
     for ceiling in (p, min(GRID, 2 * p + 1)):
         source = pass_source(grouped, h, ceiling)
         assert len(source) == len(grouped)
         assert ((np.diff(source.left_offsets) > 0) == (np.diff(source.right_offsets) > 0)).all()
-        assert pruned_listing(grouped, source, h, p, floor) == want, (p, floor, ceiling)
-        for tuples in (1, 16) if not floor and enumerator.prunes(grouped, ceiling) else ():
+        assert listing(sort_group(source, 0, len(source), h, p)) == want, (p, ceiling)
+        for tuples in (1, 16) if enumerator.prunes(grouped, ceiling) else ():
             with monkeypatch.context() as patch:
                 patch.setattr(enumerator, "CHUNK_TUPLES", tuples)
                 sliced = enumerator.prune(grouped, h, ceiling)
@@ -426,11 +407,9 @@ def test_the_occupancy_pass_keeps_every_candidate_at_every_threshold(monkeypatch
         for h in tie_prone_hashes(rng, 200 + trial):
             for s in range(64):
                 for p in (1 << s, (1 << s) + 1):
-                    for floor in (0, p // 4):
-                        kept = assert_the_pass_keeps_every_candidate(grouped, h, p, floor,
-                                                                     monkeypatch)
-                        pruned += kept < grouped.tuple_count
-                        assert (kept < grouped.tuple_count) <= enumerator.prunes(grouped, p)
+                    kept = assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch)
+                    pruned += kept < grouped.tuple_count
+                    assert (kept < grouped.tuple_count) <= enumerator.prunes(grouped, p)
         assert pruned > 0, trial
 
 
@@ -444,8 +423,7 @@ def test_the_occupancy_pass_follows_windows_past_two_to_the_64(monkeypatch):
                               Relation.from_pairs(Side.RIGHT, [(b, 7) for b in range(40)]))
     for p in (1, 50, 51, 100, 1 << 20, 1 << 40):
         assert enumerator.prunes(grouped, p)
-        for floor in (0, p // 4):
-            assert_the_pass_keeps_every_candidate(grouped, h, p, floor, monkeypatch)
+        assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch)
 
 
 def zipf_instance(rng, groups=300, cap=200):
@@ -465,18 +443,18 @@ def test_the_occupancy_pass_prunes_most_of_a_zipf_instance(monkeypatch):
     assert enumerator.prunes(grouped, p)
     for trial in range(3):
         h = draw_pair_hash(spawn_rng(6500 + trial))
-        kept = assert_the_pass_keeps_every_candidate(grouped, h, p, 0, monkeypatch)
+        kept = assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch)
         assert kept < 0.2 * grouped.tuple_count, (kept, grouped.tuple_count)
 
 
 def traced_sort_group(grouped, h, p):
-    """``sort_group`` over what a pass at ``p`` sorts of the whole
-    instance, and the traced peak of pruning and sorting it."""
+    """What a pass at ``p`` sorts of the whole instance, ``sort_group``
+    over it, and the traced peak of pruning and sorting it."""
     tracemalloc.start()
     try:
         source = pass_source(grouped, h, p)
         chunk = sort_group(source, 0, len(source), h, p)
-        return chunk, tracemalloc.get_traced_memory()[1]
+        return source, chunk, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -493,8 +471,8 @@ def test_one_sort_group_call_holds_its_tuples_and_candidates():
     for grouped, p, pruned in ((dense, GRID, False), (dense, GRID // 3, False),
                                (sparse, GRID >> 10, True), (sparse, GRID >> 8, True)):
         assert enumerator.prunes(grouped, p) == pruned
-        chunk, peak = traced_sort_group(grouped, h, p)
-        assert (chunk.sorted_tuples < grouped.tuple_count) == pruned
+        source, chunk, peak = traced_sort_group(grouped, h, p)
+        assert (source.tuple_count < grouped.tuple_count) == pruned
         bound = 96 * grouped.tuple_count + 2 * 16 * len(chunk.hashes)
         assert peak <= bound, (p, peak, bound)
     # An input of more than four slices: the occupancy pass holds one
@@ -504,8 +482,8 @@ def test_one_sort_group_call_holds_its_tuples_and_candidates():
     assert sliced.tuple_count > 4 * slice_tuples
     for p in (GRID >> 10, GRID >> 8):
         assert enumerator.prunes(sliced, p)
-        chunk, peak = traced_sort_group(sliced, h, p)
-        bound = 96 * slice_tuples + 96 * chunk.sorted_tuples + 2 * 16 * len(chunk.hashes)
+        source, chunk, peak = traced_sort_group(sliced, h, p)
+        bound = 96 * slice_tuples + 96 * source.tuple_count + 2 * 16 * len(chunk.hashes)
         assert peak <= bound, (p, peak, bound)
 
 

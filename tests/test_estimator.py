@@ -36,7 +36,8 @@ from joinsketch.kmin import KMinState
 from joinsketch.oracle import exact_kth_hash
 from joinsketch.relation import GroupedInput
 
-from conftest import disjoint_instance, random_instance, reachable_tuples, scattered_instance
+from conftest import (disjoint_instance, group_values, random_instance, reachable_tuples,
+                      scattered_instance)
 
 
 def grouped_from(t1, t2):
@@ -487,11 +488,16 @@ def test_start_at_one_passes_give_the_outcome_of_one_pass_at_one():
                     assert est.value == z
                 work = est.work
                 assert work.sorted_elements <= work.passes * g.tuple_count
-                assert work.emitted_pairs <= g.total_product
                 assert work.accepted_offers <= z
-                if not want.filled:
-                    # Every pair occurrence was offered exactly once.
-                    assert work.emitted_pairs == g.total_product
+                if work.passes == 1:
+                    # One pass offers each pair occurrence at most once,
+                    assert work.emitted_pairs <= g.total_product
+                    if not want.filled:
+                        # and every one of them when it runs at 1.
+                        assert work.emitted_pairs == g.total_product
+                elif not want.filled:
+                    # The last pass ran at 1 and offered every occurrence.
+                    assert work.emitted_pairs >= g.total_product
             passes.append(work.passes)
     assert min(ratios) <= 0.02 and max(ratios) == 1
     assert passes.count(1) and passes.count(2) and max(passes) >= 3
@@ -521,12 +527,58 @@ def test_linear_passes_give_the_outcome_of_one_pass_at_p0(monkeypatch):
                 assert est.value == want.value and est.first_p <= est.p0 == want.p0
                 work = est.work
                 assert work.sorted_elements <= work.passes * g.tuple_count
-                assert work.emitted_pairs <= g.total_product
+                if work.passes == 1:
+                    assert work.emitted_pairs <= g.total_product
                 kinds.add(est.kind)
                 if work.passes >= 2:
                     widened.add(est.kind)
     assert kinds == {POINT, UPPER_BOUND, EXACT_SMALL}
     assert widened == {POINT, UPPER_BOUND}
+
+
+def occurrences_below(grouped, pair_hash, p):
+    """The pair occurrences of ``grouped`` whose hash lies below ``p``, by
+    brute force over every group."""
+    return sum(int((pair_hash.h1.values(A)[:, None] - pair_hash.h2.values(C)[None, :]
+                    < np.uint64(p)).sum())
+               for A, C in (group_values(grouped, g) for g in range(len(grouped))))
+
+
+def test_a_pass_probes_every_column_and_each_pair_it_offers(monkeypatch):
+    # Each pass probes every column of the input once, whether it prunes or
+    # not, and each pair it offers once; offers and passes are counted
+    # where they happen.
+    offers = []
+    real_offer = KMinState.offer
+
+    def counting_offer(self, pair, hv):
+        offers[-1] += 1
+        real_offer(self, pair, hv)
+
+    sources = []
+    real_chunk_bounds = estimator.chunk_bounds
+
+    def recording(source, p):
+        sources[-1].append(source.tuple_count)
+        return real_chunk_bounds(source, p)
+
+    monkeypatch.setattr(KMinState, "offer", counting_offer)
+    monkeypatch.setattr(estimator, "chunk_bounds", recording)
+    seen = set()
+    for i, (r1, r2) in enumerate(_schedule_instances()):
+        g = group_and_prune(r1, r2)
+        for mode, k, pilot in itertools.product(THRESHOLD_MODES, (1, 16, 200),
+                                                (None, OVERESTIMATE)):
+            offers.append(0)
+            sources.append([])
+            work = run_once(g, EstimatorConfig(k=k, threshold_mode=mode, seed=8800 + i),
+                            pilot=pilot).work
+            assert work.passes == len(sources[-1])
+            assert work.sorted_elements == sum(sources[-1])
+            assert work.emitted_pairs == offers[-1]
+            assert work.inner_iterations == work.passes * g.right_values.size + work.emitted_pairs
+            seen.add(work.passes)
+    assert {1, 2, 3, 4} <= seen
 
 
 def test_estimate_records_the_pilot_and_first_threshold_its_runs_share():
@@ -671,5 +723,8 @@ def test_a_pilot_that_sees_no_repeats_still_gives_the_outcome_of_one_pass_at_one
         if want.filled:
             assert (est.kind, est.v) == (POINT, want.v)
         else:
-            assert (est.kind, est.count) == (EXACT_SMALL, 3200)
-            assert est.work.emitted_pairs == g.total_product
+            # The first pass offered every occurrence below its threshold,
+            # the second, at 1, every occurrence.
+            assert (est.kind, est.count, est.work.passes) == (EXACT_SMALL, 3200, 2)
+            below = occurrences_below(g, draw_pair_hash(run_rng(seed, (0,))), est.first_p)
+            assert est.work.emitted_pairs == g.total_product + below == 167_549
