@@ -21,10 +21,10 @@ may tighten mid-scan.  A column's candidates ascend from its minimum and the
 threshold only falls, so the pairs offered and their order are those of
 walking every column of every group and stopping each at its first miss.
 
-When the threshold is small against the input's groups (``prunes``), a
-pass first drops the tuples no window can reach (``prune``), once over the
-whole input, and chunks and sorts what survives.  This occupancy pass
-splits each group's hash range into 2**c cells, each at least p wide, so a
+A pass first hands the whole input to ``prune`` and chunks and sorts what
+it returns.  Where the groups, split into cells at least p wide, would hold
+at least 4 cells per tuple, its occupancy pass drops the tuples no window
+can reach.  It splits each group's hash range into 2**c such cells, so a
 column's window lies in its own cell and the next one, wrapping past 2**64
 to the group's first cell.  It marks the cells that hold a row, keeps the
 columns with a row in one of their two cells, and keeps the rows in a kept
@@ -53,38 +53,19 @@ from .relation import GroupedInput, chunk_starts, offsets, pack, tie_runs
 
 # The one chunk budget, in tuples.  A chunk's tuples plus four times its
 # expected candidates (16 bytes each) come to at most this, so large groups
-# do not share a chunk at any threshold, and the occupancy pass runs over
-# slices of at most this many tuples.  Each chunk and slice pays a fixed
-# numpy per-call cost; the price of larger ones is their temporaries.  In
-# process (seed 1, minimum of 25 estimates, numpy 2.4.6, 2-vCPU VM),
-# budgets of 2**13, 2**14, 2**15, 2**16 and 2**17 took 8.6, 7.5, 7.7, 7.7
-# and 7.5 ms on uniform-ingest, 36.5, 31.6, 30.8, 30.4 and 30.3 ms on
-# skewed-repeat and 35.3, 33.5, 31.8, 31.7 and 31.8 ms on fimi-sketch,
+# do not share a chunk at any threshold, and the occupancy pass and the
+# pilot take slices of at most this many tuples; the exact oracle's chunks
+# hold at most this many pairs or bitset words.  Each chunk and slice pays a
+# fixed numpy per-call cost; the price of larger ones is their
+# temporaries.  In process (seed 1, minimum of 25 estimates, numpy 2.4.6,
+# 2-vCPU VM), budgets of 2**13, 2**14, 2**15, 2**16 and 2**17 took 8.6, 7.5,
+# 7.7, 7.7 and 7.5 ms on uniform-ingest, 36.5, 31.6, 30.8, 30.4 and 30.3 ms
+# on skewed-repeat and 35.3, 33.5, 31.8, 31.7 and 31.8 ms on fimi-sketch,
 # while the estimate's traced peak went 1.53, 1.53, 1.53, 2.35 and 4.01 MiB
 # on uniform-ingest and 0.46, 0.75, 0.79, 1.45 and 2.70 MiB on
 # skewed-repeat.  A pass whose 360k tuples all survive the occupancy pass
 # peaked at 6.2 MiB, the survivors and one chunk.
 CHUNK_TUPLES = 1 << 15
-
-
-def _cell_cap(p: int) -> int:
-    """The most cell bits c for which a cell, 2**(64 - c) of the hash
-    range, is at least ``p`` wide."""
-    return 64 - (p - 1).bit_length()
-
-
-def prunes(grouped: GroupedInput, p: int) -> bool:
-    """Whether a pass at threshold ``p`` runs the occupancy pass (``prune``).
-
-    It does when the input's groups, split into cells at least p wide and
-    at most 16 per tuple on average, would hold at least 4 cells per tuple,
-    so that most cells hold no tuple.
-    """
-    groups, tuples = len(grouped), grouped.tuple_count
-    if not groups:
-        return False
-    c = min(_cell_cap(p), (16 * tuples // groups).bit_length() - 1)
-    return groups << c >= 4 * tuples
 
 
 def chunk_bounds(grouped: GroupedInput, p: int = GRID) -> list[int]:
@@ -157,18 +138,22 @@ def prune(grouped: GroupedInput, pair_hash: PairHash, p: int) -> GroupedInput:
     a group may be empty on both sides.  Sorting the result at a threshold
     of at most ``p`` lists what sorting ``grouped`` lists.
 
-    The input is hashed and pruned in slices of at most ``CHUNK_TUPLES``
-    tuples (a larger group is a slice of its own), so the pass's
-    temporaries scale with a slice.  The cells depend on the group alone,
-    so slicing changes no survivor.
+    The pass runs only where the groups, split into cells at least p wide,
+    would hold at least 4 cells per tuple, so that most cells hold no tuple;
+    elsewhere ``grouped`` itself is returned.  It hashes and prunes in
+    slices of at most ``CHUNK_TUPLES`` tuples (a larger group is a slice of
+    its own), so its temporaries scale with a slice.  The cells depend on
+    the group alone, so slicing changes no survivor.
     """
+    cap = 64 - (p - 1).bit_length()  # the most cell bits: cells 2**(64 - c) wide
+    if not len(grouped) or len(grouped) << cap < 4 * grouped.tuple_count:
+        return grouped
     left_sizes = np.diff(grouped.left_offsets)
     right_sizes = np.diff(grouped.right_offsets)
-    # Cell bits of each group: the least of _cell_cap(p) and
-    # floor(log2(16 t)) for its t tuples, exact for t below 2**49, so the
-    # cells depend on the group alone and a table holds at most 16 slots a
-    # tuple.
-    bits = np.minimum(np.frexp(16 * (left_sizes + right_sizes))[1] - 1, _cell_cap(p))
+    # Cell bits of each group: the least of cap and floor(log2(16 t)) for
+    # its t tuples, exact for t below 2**49, so the cells depend on the
+    # group alone and a table holds at most 16 slots a tuple.
+    bits = np.minimum(np.frexp(16 * (left_sizes + right_sizes))[1] - 1, cap)
     bits = bits.astype(np.int64)
     bounds = chunk_starts(grouped.left_offsets + grouped.right_offsets, CHUNK_TUPLES)
     parts = []

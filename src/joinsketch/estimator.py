@@ -43,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import hashing, oracle
-from .enumerator import CHUNK_TUPLES, chunk_bounds, prune, prunes, scan_group, sort_group
+from .enumerator import CHUNK_TUPLES, chunk_bounds, prune, scan_group, sort_group
 from .kmin import KMinState
 from .relation import GroupedInput, run_edges, run_starts, sorted_pairs
 
@@ -124,8 +124,8 @@ class WorkCounters:
     """Per-run work tally.
 
     ``passes`` counts passes over the chunks, ``sorted_elements`` tuples
-    sorted (at most every tuple once per pass: the tuples ``prune`` keeps
-    where the pass prunes), ``inner_iterations`` probes of the pair hash:
+    sorted (at most every tuple once per pass: the tuples ``prune``
+    returns), ``inner_iterations`` probes of the pair hash:
     one per pair emitted, plus one per column of the input per pass, the
     probe that skips or stops it.  A column whose pairs all lie below the
     threshold pays that probe too, though nothing is left to stop it.
@@ -302,8 +302,8 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
              pilot: Pilot | None = None) -> Estimate:
     """One full estimation run with hash parameters drawn from (seed, key).
 
-    Each pass prunes the input at its threshold where ``prunes`` says so,
-    then sorts and scans every chunk of what is left.  The first pass runs
+    Each pass sorts and scans every chunk of what ``prune`` returns for the
+    input at its threshold.  The first pass runs
     at min(p0, ``first_threshold``) for ``pilot``, drawn from the seed when
     not given; while a pass below p0 ends with count < k distinct pairs,
     the run passes again at min(p0, max(4p, 2k * p // count)) into the
@@ -329,7 +329,7 @@ def run_once(grouped: GroupedInput, cfg: EstimatorConfig, key: tuple[int, ...] =
         passes += 1
         # What a pass sorts depends on the input and its threshold alone,
         # not on the chunks or on when the sketch tightened.
-        source = prune(grouped, pair_hash, state.p) if prunes(grouped, state.p) else grouped
+        source = prune(grouped, pair_hash, state.p)
         sorted_tuples += source.tuple_count
         bounds = chunk_bounds(source, state.p)
         for lo, hi in zip(bounds, bounds[1:]):

@@ -71,32 +71,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _powers(init: int, mult: int, count: int) -> list[int]:
-    """init * mult**j mod 2**32 for j = 0 .. count."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
-# SeedSequence's hashmix xors its j-th input with init * mult**j and
-# multiplies it by init * mult**(j + 1).  So the first 16 calls, which fill
-# the pool and cross-mix it, and generate_state's 8 use fixed constants:
-# _FILL holds (xor, multiplier) per pool word and _CROSS (source word,
-# destination word, xor, multiplier) per mix, in mix_entropy's order.
-_A = _powers(_INIT_A, _MULT_A, 16)
-_B = _powers(_INIT_B, _MULT_B, 8)
-_FILL = tuple(zip(_A[:4], _A[1:5]))
-_CROSS = tuple((src, dst, x, m) for (src, dst), x, m in zip(
-    [(src, dst) for src in range(4) for dst in range(4) if src != dst], _A[4:16], _A[5:17]))
-# generate_state(4, uint64) hashes pool word i & 3 into 32-bit word i.
-# Read as four little-endian uint64 words s0, s1, i0, i1, they give the
-# state seed s0 << 64 | s1 and the stream selector i0 << 64 | i1, so word i
-# goes to half i >> 2 at bit 32 * (i & 3 ^ 2): (pool word, half, xor,
-# multiplier, shift).
-_EXPAND = tuple((i & 3, i >> 2, x, m, 32 * (i & 3 ^ 2)) for i, x, m in zip(range(8), _B, _B[1:]))
-
-
 def _words32(n: int) -> list[int]:
     """The 32-bit words of a non-negative integer, least significant first
     (one word for 0)."""
@@ -129,31 +103,42 @@ class Pcg64Stream:
         entropy += [0] * (4 - len(entropy))
         for element in key:
             entropy += _words32(element)
-        # mix_entropy, with hashmix and mix inlined.
+        # mix_entropy.  hashmix(word) xors the word with a running constant
+        # h, steps h and multiplies by it; mix(x, y) is L*x - R*y.  Both end
+        # in a xor-shift by 16, all mod 2**32.
+        h = _INIT_A
         pool = []
-        for e, (x, m) in zip(entropy, _FILL):
-            v = (e ^ x) * m & _MASK32
-            pool.append(v ^ v >> 16)
-        for src, dst, x, m in _CROSS:
-            v = (pool[src] ^ x) * m & _MASK32
-            v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK32
-            pool[dst] = v ^ v >> 16
-        h = _A[16]  # the words past the pool's 4 mix into every pool word
-        for e in entropy[4:]:
+        for word in entropy[:4]:  # the pool's words: hashmix of the first 4
+            word ^= h
+            h = h * _MULT_A & _MASK32
+            word = word * h & _MASK32
+            pool.append(word ^ word >> 16)
+        # pool[dst] = mix(pool[dst], hashmix(word)): each pool word into
+        # every other, then each word past the first 4 into every pool word.
+        for src in range(len(entropy)):
+            word = pool[src] if src < 4 else entropy[src]
             for dst in range(4):
-                v = e ^ h
-                h = h * _MULT_A & _MASK32
-                v = v * h & _MASK32
-                v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK32
-                pool[dst] = v ^ v >> 16
-        halves = [0, 0]
-        for src, half, x, m, shift in _EXPAND:
-            v = (pool[src] ^ x) * m & _MASK32
-            halves[half] |= (v ^ v >> 16) << shift
-        initstate, initseq = halves
-        # PCG's srandom: step from state 0, add initstate, step again.
-        self._inc = inc = (initseq << 1 | 1) & _MASK128
-        self._state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+                if dst != src:
+                    v = word ^ h
+                    h = h * _MULT_A & _MASK32
+                    v = v * h & _MASK32
+                    v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK32
+                    pool[dst] = v ^ v >> 16
+        # generate_state(4, uint64): the pool, cycled, hashed into 8 words
+        # like hashmix with a second running constant, then read as the
+        # little-endian uint64 words s0, s1, i0, i1.
+        h = _INIT_B
+        words = []
+        for i in range(8):
+            v = pool[i & 3] ^ h
+            h = h * _MULT_B & _MASK32
+            v = v * h & _MASK32
+            words.append(v ^ v >> 16)
+        s0, s1, i0, i1 = (lo | hi << 32 for lo, hi in zip(words[::2], words[1::2]))
+        # PCG's srandom(s0 << 64 | s1, i0 << 64 | i1): step from state 0,
+        # add the initial state, step again.
+        self._inc = inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        self._state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
 
     def next64(self) -> int:
         """The next word: an LCG step, then the high half xor the low half
@@ -186,22 +171,16 @@ _SELECTOR_SPACE = 1
 _PILOT_SPACE = 2
 
 
-def spawn_rng(seed: int, *key: int) -> Pcg64Stream:
-    """Deterministic, independent stream for (seed, key): the words numpy's
-    ``PCG64(SeedSequence(seed, spawn_key=key))`` gives."""
-    return Pcg64Stream(seed, key)
-
-
 def run_rng(seed: int, key: tuple[int, ...]) -> Pcg64Stream:
     """Stream for one estimator run identified by ``key``."""
-    return spawn_rng(seed, _RUN_SPACE, *key)
+    return Pcg64Stream(seed, (_RUN_SPACE, *key))
 
 
 def selector_rng(seed: int, side_index: int) -> Pcg64Stream:
     """Stream for a sampling selector on the given side (0=left, 1=right)."""
-    return spawn_rng(seed, _SELECTOR_SPACE, side_index)
+    return Pcg64Stream(seed, (_SELECTOR_SPACE, side_index))
 
 
 def pilot_rng(seed: int) -> Pcg64Stream:
     """Stream for the estimator's pilot sample."""
-    return spawn_rng(seed, _PILOT_SPACE)
+    return Pcg64Stream(seed, (_PILOT_SPACE,))

@@ -20,14 +20,14 @@ two kernels, chosen from the input with no setting:
 
 Time is O(n log n + shared x W) on the dense kernel and O(n log n +
 expanded) on the sparse one, so never more than the latter, and memory is
-O(n + chunk), where a chunk holds at most ``CHUNK_PAIRS`` pairs or bitset
-words, or one left value's.  ``exact_kth_hash`` walks the sparse kernel's
-chunks with every left value expanded and keeps only the k smallest
-distinct-pair hashes, in O(n + k + chunk) memory.  Time still grows with
-the pairs expanded, so a cap refuses inputs that would expand more than
-roughly 10^7 candidate pairs: the expanded pairs of ``exact_size``
-(whichever kernel counts them, since shared x W <= expanded on the dense
-one), ``total_product`` for the paths that expand every pair.
+O(n + chunk), where a chunk holds at most ``CHUNK_TUPLES``, the one chunk
+budget, of pairs or bitset words, or one left value's.  ``exact_kth_hash``
+walks the sparse kernel's chunks with every left value expanded and keeps
+only the k smallest distinct-pair hashes, in O(n + k + chunk) memory.  Time
+still grows with the pairs expanded, so a cap refuses inputs that would
+expand more than roughly 10^7 candidate pairs: the expanded pairs of
+``exact_size`` (whichever kernel counts them, since shared x W <= expanded
+on the dense one), ``total_product`` for the paths that expand every pair.
 """
 
 from __future__ import annotations
@@ -38,14 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .enumerator import CHUNK_TUPLES
 from .hashing import PairHash
 from .kmin import SketchOutcome
 from .relation import (GroupedInput, chunk_starts, offsets, pack, run_edges, run_starts,
                        sorted_pairs, tie_runs, unpack)
 
 DEFAULT_CAP = 10_000_000
-# Pairs, or bitset words, per chunk: small enough that a chunk stays in cache.
-CHUNK_PAIRS = 1 << 15
 # The SWAR popcount's masks (np.bitwise_count needs numpy 2, and numpy 1.24
 # is supported): the low bit of every bit pair, the low half of every nibble
 # and of every byte, and the low bit of every byte.
@@ -112,11 +111,11 @@ def _pair_chunks(grouped: GroupedInput, a: np.ndarray, group: np.ndarray,
     ``a``), whose groups hold ``fan`` right values, one array per chunk of
     whole a-runs.
 
-    A chunk holds at most ``CHUNK_PAIRS`` pairs unless its single a-run holds
+    A chunk holds at most ``CHUNK_TUPLES`` pairs unless its single a-run holds
     more.  Chunks come in a order, so their keys never repeat across chunks.
     """
     edges = run_edges(a)
-    bounds = chunk_starts(offsets(fan)[edges], CHUNK_PAIRS)  # pairs before each a-run
+    bounds = chunk_starts(offsets(fan)[edges], CHUNK_TUPLES)  # pairs before each a-run
     for lo, hi in zip(bounds, bounds[1:]):
         t0, t1 = edges[lo], edges[hi]
         first = grouped.right_offsets[group[t0:t1]]
@@ -189,14 +188,14 @@ def _dense_count(grouped: GroupedInput, ranks: np.ndarray, a: np.ndarray,
                  group: np.ndarray) -> int:
     """Distinct pairs of the left tuples ``a``, ``group`` (ordered by ``a``):
     per a-run, the set bits of the OR of its groups' bitsets over the right
-    domain, in chunks of whole a-runs of at most ``CHUNK_PAIRS`` gathered
+    domain, in chunks of whole a-runs of at most ``CHUNK_TUPLES`` gathered
     words unless a single a-run gathers more."""
     words = int(ranks.max()) // 64 + 1
     table = np.zeros((len(grouped), words), dtype=np.uint64)
     rows = np.repeat(np.arange(len(grouped)), np.diff(grouped.right_offsets))
     np.bitwise_or.at(table, (rows, ranks >> 6), np.uint64(1) << (ranks & 63).astype(np.uint64))
     edges = run_edges(a)
-    bounds = chunk_starts(edges * words, CHUNK_PAIRS)  # words gathered before each a-run
+    bounds = chunk_starts(edges * words, CHUNK_TUPLES)  # words gathered before each a-run
     count = 0
     for lo, hi in zip(bounds, bounds[1:]):
         t0 = edges[lo]

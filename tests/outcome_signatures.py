@@ -40,19 +40,20 @@ checkouts.
 ``--candidates`` prints, instead, what one pass lists for each workload,
 seed and run key at three thresholds: linear mode's ceiling p0, p0 >> 2
 and ``first_threshold`` for the call's pilot, where both modes' first pass
-runs unless linear mode's p0 lies lower.  The pass prunes the input with ``prune``
-where ``prunes`` says it does, then sorts the chunks of ``chunk_bounds``
-at that threshold.  A line holds the sha256 of the candidate stream in
-group order (each group's candidate count, then its ``pairs`` and
-``hashes`` bytes), the pass's ``sorted_tuples``, the tuples ``prune``
-keeps, and its ``probes``, one for every column of the input, pruned or
-not.  The stream does not depend on how the groups are chunked, so a
-change to the chunking or to the occupancy pass leaves these lines as they
-were.  This mode calls the enumerator directly, so compare two checkouts
-with each checkout's own copy of the script: this one needs
+runs unless linear mode's p0 lies lower.  The pass hands the input to
+``prune``, which prunes it or returns it as it is, then sorts the chunks
+of ``chunk_bounds`` at that threshold.  A line holds the sha256 of the
+candidate stream in group order (each group's candidate count, then its
+``pairs`` and ``hashes`` bytes), the pass's ``sorted_tuples``, the tuples
+``prune`` keeps, and its ``probes``, one for every column of the input,
+pruned or not.  The stream does not depend on how the groups are chunked,
+so a change to the chunking or to the occupancy pass leaves these lines as
+they were.  This mode calls the enumerator directly, so compare two
+checkouts with each checkout's own copy of the script: this one needs
 ``prune(grouped, h, p)``, ``sort_group(grouped, lo, hi, h, p)`` and
-``chunk_bounds(grouped, p)``.  Checkouts whose ``sort_group`` took a
-``floor`` argument counted the tuples and probes in its result, and
+``chunk_bounds(grouped, p)``.  Checkouts with a separate ``prunes`` gate
+called ``prune`` only where it said so; checkouts whose ``sort_group``
+took a ``floor`` argument counted the tuples and probes in its result, and
 checkouts whose ``sort_group`` pruned each chunk itself took a ``ceiling``
 argument instead of ``prune``.
 """
@@ -130,9 +131,9 @@ def candidate_stream(grouped, pair_hash, p) -> dict:
     """The digest of every group's candidates below ``p`` in one pass at
     ``p``, and the pass's sorted tuples and probes."""
     # Imported here: only --candidates needs these, and older checkouts lack them.
-    from joinsketch.enumerator import chunk_bounds, prune, prunes, sort_group
+    from joinsketch.enumerator import chunk_bounds, prune, sort_group
 
-    source = prune(grouped, pair_hash, p) if prunes(grouped, p) else grouped
+    source = prune(grouped, pair_hash, p)
     digest = hashlib.sha256()
     bounds = chunk_bounds(source, p)
     for lo, hi in zip(bounds, bounds[1:]):

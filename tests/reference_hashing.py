@@ -5,7 +5,7 @@ The hash is the textbook formula that joinsketch's vectorized
 ``PairwiseHash.values`` computes in uint64 numpy arithmetic: the tests
 check ``values`` against it and use it to hash single values.
 ``numpy_generator`` is the numpy generator whose raw words
-``hashing.spawn_rng`` reproduces in pure Python.  ``distinct_pair_keys``
+``hashing.Pcg64Stream`` reproduces in pure Python.  ``distinct_pair_keys``
 joins the oracle's chunks into one array, for tests that compare whole pair
 sets.
 """
@@ -31,14 +31,14 @@ def pair_value(h: PairHash, x: int, y: int) -> int:
 
 def numpy_generator(seed: int, *key: int) -> np.random.Generator:
     """numpy's generator for (seed, key); ``integers(0, 2**64,
-    dtype=np.uint64)`` returns the words ``spawn_rng(seed, *key).next64()``
+    dtype=np.uint64)`` returns the words ``Pcg64Stream(seed, key).next64()``
     does."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def generator_after_pair_hash(seed: int, *key: int) -> np.random.Generator:
     """numpy's generator for (seed, key), advanced past the four words
-    ``draw_pair_hash(spawn_rng(seed, *key))`` takes: test data drawn from
+    ``draw_pair_hash(Pcg64Stream(seed, key))`` takes: test data drawn from
     it continue the hash's stream."""
     generator = numpy_generator(seed, *key)
     generator.bit_generator.advance(4)

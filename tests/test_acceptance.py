@@ -31,7 +31,7 @@ from joinsketch import (
 from joinsketch.cli import main as cli_main, observed_epsilon
 from joinsketch.enumerator import scan_group, sort_group
 from joinsketch.estimator import choose_threshold, run_once
-from joinsketch.hashing import GRID, draw_pair_hash, draw_single, run_rng, spawn_rng
+from joinsketch.hashing import GRID, Pcg64Stream, draw_pair_hash, draw_single, run_rng
 from joinsketch.oracle import exact_kth_hash
 from joinsketch.relation import load_relation
 from conftest import (FixedThreshold, disjoint_instance, random_instance, scattered_instance,
@@ -122,7 +122,7 @@ def test_criterion_3_enumeration_completeness():
         na, nc = rng.randint(1, 100), rng.randint(1, 100)
         A = rng.sample(range(100_000), na)
         C = rng.sample(range(100_000), nc)
-        pair_hash = draw_pair_hash(spawn_rng(61500, trial))
+        pair_hash = draw_pair_hash(Pcg64Stream(61500, (trial,)))
         p = thresholds[trial % 4]
         chunk = sort_group(single_group(A, C), 0, 1, pair_hash, p)
         sketch = FixedThreshold(p)
@@ -269,8 +269,8 @@ def test_criterion_8_sampling_unbiased_and_reliable(sampling_instance):
     # are tiny, so |Z'| is counted exactly and only sampling noise remains.
     values = []
     for t in range(500):
-        s1 = draw_sample(r1, 0.1, draw_single(spawn_rng(8100, t, 0)))
-        s2 = draw_sample(r2, 0.1, draw_single(spawn_rng(8100, t, 1)))
+        s1 = draw_sample(r1, 0.1, draw_single(Pcg64Stream(8100, (t, 0))))
+        s2 = draw_sample(r2, 0.1, draw_single(Pcg64Stream(8100, (t, 1))))
         res = estimate_from_samples(s1, s2, EstimatorConfig(k=1024, seed=t), exact_cutoff=10**6)
         values.append(res.value)
     mean = statistics.mean(values)
@@ -289,8 +289,8 @@ def test_criterion_8_sampling_unbiased_and_reliable(sampling_instance):
     trials = 200
     within = 0
     for t in range(trials):
-        s1 = draw_sample(r1, prob, draw_single(spawn_rng(8200, t, 0)))
-        s2 = draw_sample(r2, prob, draw_single(spawn_rng(8200, t, 1)))
+        s1 = draw_sample(r1, prob, draw_single(Pcg64Stream(8200, (t, 0))))
+        s2 = draw_sample(r2, prob, draw_single(Pcg64Stream(8200, (t, 1))))
         res = estimate_from_samples(s1, s2, EstimatorConfig(k=1024, seed=t))
         assert res.method == "sketch"
         within += abs(res.value / z - 1.0) <= epsilon

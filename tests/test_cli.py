@@ -21,7 +21,7 @@ from joinsketch import (
     save_sample,
 )
 from joinsketch.cli import main, observed_epsilon
-from joinsketch.hashing import draw_single, spawn_rng
+from joinsketch.hashing import Pcg64Stream, draw_single
 
 from conftest import break_the_cut
 
@@ -731,7 +731,7 @@ def test_library_calls_write_nothing_to_stdout(capsys, tmp_path, mini_fimi_path)
         exact_size(grouped)
         samples = []
         for side_index, rel in enumerate((left, right)):
-            sample = draw_sample(rel, 0.5, draw_single(spawn_rng(side_index)))
+            sample = draw_sample(rel, 0.5, draw_single(Pcg64Stream(side_index)))
             save_sample(sample, str(tmp_path / f"{side_index}.sample"))
             samples.append(load_sample(str(tmp_path / f"{side_index}.sample")))
         estimate_from_samples(*samples, EstimatorConfig(k=16, seed=2))

@@ -8,7 +8,7 @@ from joinsketch import (MODE_START_AT_ONE, EstimatorConfig, PairwiseHash, Relati
                         enumerator, estimator, group_and_prune)
 from joinsketch.enumerator import chunk_bounds, scan_group, sort_group
 from joinsketch.estimator import run_once
-from joinsketch.hashing import GRID, MASK64, PairHash, draw_pair_hash, run_rng, spawn_rng
+from joinsketch.hashing import GRID, MASK64, PairHash, Pcg64Stream, draw_pair_hash, run_rng
 from joinsketch.relation import chunk_starts, offsets, pack, sorted_distinct
 
 from conftest import (FixedThreshold, a_run_pairs, greedy_chunks, group_values, random_instance,
@@ -63,7 +63,7 @@ def assert_columns_start_at_minima(chunk, grouped, lo, pair_hash):
 
 
 def test_sort_group_singleton():
-    h = draw_pair_hash(spawn_rng(1))
+    h = draw_pair_hash(Pcg64Stream(1))
     g = sort_one([7], [3], h)
     hv = h.h1.values(np.array([7], dtype=np.uint64)) - h.h2.values(np.array([3], dtype=np.uint64))
     assert listing(g) == ([(7, 3, int(hv[0]))], [0, 1])
@@ -109,7 +109,7 @@ def test_threshold_one_emits_every_pair_from_each_column_minimum():
     rng = random.Random(13)
     for trial in range(40):
         A, C = random_group(rng, max_side=30, value_range=500)
-        h = draw_pair_hash(spawn_rng(1000 + trial))
+        h = draw_pair_hash(Pcg64Stream(1000 + trial))
         got, _ = collect(A, C, h, GRID)
         hx = dict(zip(A, h.h1.values(np.array(A, dtype=np.uint64)).tolist()))
         hy = dict(zip(C, h.h2.values(np.array(C, dtype=np.uint64)).tolist()))
@@ -127,7 +127,7 @@ def test_threshold_zero_emits_nothing():
     rng = random.Random(14)
     for trial in range(30):
         A, C = random_group(rng, max_side=40)
-        got, chunk = collect(A, C, draw_pair_hash(spawn_rng(2000 + trial)), 0)
+        got, chunk = collect(A, C, draw_pair_hash(Pcg64Stream(2000 + trial)), 0)
         assert got == []
         assert chunk.offsets == [0, 0] and len(chunk.pairs) == len(chunk.hashes) == 0
 
@@ -137,7 +137,7 @@ def test_fixed_threshold_matches_brute_force():
     grid = [0, 1 << 62, 1 << 63, GRID - 1]
     for trial in range(200):
         A, C = random_group(rng, max_side=60)
-        h = draw_pair_hash(spawn_rng(3000 + trial))
+        h = draw_pair_hash(Pcg64Stream(3000 + trial))
         p = grid[trial % 4]
         got, chunk = collect(A, C, h, p)
         assert len(got) == len(set(got))
@@ -165,7 +165,7 @@ def test_decreasing_threshold_keeps_everything_below_final_value():
     rng = random.Random(16)
     for trial in range(100):
         A, C = random_group(rng, max_side=50)
-        h = draw_pair_hash(spawn_rng(4000 + trial))
+        h = draw_pair_hash(Pcg64Stream(4000 + trial))
         schedule = sorted((rng.randrange(GRID) for _ in range(4)), reverse=True)
         sketch = TighteningThreshold(schedule, rng.randint(3, 20))
         scan_group(sort_one(A, C, h, schedule[0]), 0, sketch)
@@ -186,7 +186,7 @@ def test_inner_iterations_concentrate_near_expectation():
     for s in range(seeds):
         A = rng.sample(range(10**6), na)
         C = rng.sample(range(10**6), nc)
-        got, _ = collect(A, C, draw_pair_hash(spawn_rng(5000 + s)), p)
+        got, _ = collect(A, C, draw_pair_hash(Pcg64Stream(5000 + s)), p)
         total += nc + len(got)
     mean = total / seeds
     assert expected / 2 <= mean <= expected * 2
@@ -267,8 +267,8 @@ def tie_prone_hashes(rng, trial):
         return PairwiseHash(rng.randrange(1, 1 << bits) << (64 - bits),
                             rng.randrange(1 << bits) << (64 - bits))
 
-    return [draw_pair_hash(spawn_rng(6000 + trial)), PairHash(PairwiseHash(1, 0), PairwiseHash(1, 0)),
-            PairHash(top(), top())]
+    return [draw_pair_hash(Pcg64Stream(6000 + trial)),
+            PairHash(PairwiseHash(1, 0), PairwiseHash(1, 0)), PairHash(top(), top())]
 
 
 def assert_chunks_match_the_reference(grouped, h, p):
@@ -336,7 +336,7 @@ def test_groups_that_keep_no_column_get_no_rows():
                                                    c_range=10**6))
         if len(grouped) < 2:
             continue
-        h = draw_pair_hash(spawn_rng(7000 + trial))
+        h = draw_pair_hash(Pcg64Stream(7000 + trial))
         # Each group's smallest pair hash; a threshold between two of them
         # keeps the columns of some groups and none of the others.
         sides = [group_values(grouped, g) for g in range(len(grouped))]
@@ -364,35 +364,30 @@ def tiny_groups_instance(rng, groups, big=None):
     return group_and_prune(Relation.from_pairs(Side.LEFT, t1), Relation.from_pairs(Side.RIGHT, t2))
 
 
-def pass_source(grouped, h, p):
-    """What a pass at threshold ``p`` sorts: the tuples ``prune`` keeps
-    where the pass prunes, otherwise every tuple."""
-    return enumerator.prune(grouped, h, p) if enumerator.prunes(grouped, p) else grouped
-
-
 def assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch):
     """The instance pruned at ``p`` and at a threshold above it, then
     sorted as one chunk at ``p``, lists what ``reference_chunk`` lists, and
     at least the tuples of a pair below ``p`` survive.  Where the pass
     prunes, it runs over many slices of the instance with ``CHUNK_TUPLES``
-    at 1 and 16, and must keep the same tuples.  Returns the tuples that
-    survive at ``p``."""
+    at 1 and 16, and must keep the same tuples.  Returns what ``prune``
+    returns at ``p``."""
     want = reference_chunk(grouped, 0, len(grouped), h, p)
-    kept = []
+    sources = []
     for ceiling in (p, min(GRID, 2 * p + 1)):
-        source = pass_source(grouped, h, ceiling)
+        source = enumerator.prune(grouped, h, ceiling)
         assert len(source) == len(grouped)
         assert ((np.diff(source.left_offsets) > 0) == (np.diff(source.right_offsets) > 0)).all()
         assert listing(sort_group(source, 0, len(source), h, p)) == want, (p, ceiling)
-        for tuples in (1, 16) if enumerator.prunes(grouped, ceiling) else ():
+        for tuples in (1, 16) if source is not grouped else ():
             with monkeypatch.context() as patch:
                 patch.setattr(enumerator, "CHUNK_TUPLES", tuples)
                 sliced = enumerator.prune(grouped, h, ceiling)
             for name in ("left_offsets", "left_values", "right_offsets", "right_values"):
                 assert (getattr(sliced, name) == getattr(source, name)).all(), (p, ceiling, tuples)
-        kept.append(source.tuple_count)
+        sources.append(source)
+    kept = [source.tuple_count for source in sources]
     assert reachable_tuples(grouped, h, p) <= kept[0] <= kept[1] <= grouped.tuple_count
-    return kept[0]
+    return sources[0]
 
 
 def test_the_occupancy_pass_keeps_every_candidate_at_every_threshold(monkeypatch):
@@ -407,9 +402,9 @@ def test_the_occupancy_pass_keeps_every_candidate_at_every_threshold(monkeypatch
         for h in tie_prone_hashes(rng, 200 + trial):
             for s in range(64):
                 for p in (1 << s, (1 << s) + 1):
-                    kept = assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch)
-                    pruned += kept < grouped.tuple_count
-                    assert (kept < grouped.tuple_count) <= enumerator.prunes(grouped, p)
+                    source = assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch)
+                    pruned += source.tuple_count < grouped.tuple_count
+                    assert (source.tuple_count < grouped.tuple_count) <= (source is not grouped)
         assert pruned > 0, trial
 
 
@@ -422,8 +417,7 @@ def test_the_occupancy_pass_follows_windows_past_two_to_the_64(monkeypatch):
     grouped = group_and_prune(Relation.from_pairs(Side.LEFT, t1),
                               Relation.from_pairs(Side.RIGHT, [(b, 7) for b in range(40)]))
     for p in (1, 50, 51, 100, 1 << 20, 1 << 40):
-        assert enumerator.prunes(grouped, p)
-        assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch)
+        assert assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch) is not grouped
 
 
 def zipf_instance(rng, groups=300, cap=200):
@@ -440,11 +434,44 @@ def zipf_instance(rng, groups=300, cap=200):
 def test_the_occupancy_pass_prunes_most_of_a_zipf_instance(monkeypatch):
     grouped = zipf_instance(random.Random(25))
     p = GRID >> 10
-    assert enumerator.prunes(grouped, p)
     for trial in range(3):
-        h = draw_pair_hash(spawn_rng(6500 + trial))
-        kept = assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch)
-        assert kept < 0.2 * grouped.tuple_count, (kept, grouped.tuple_count)
+        h = draw_pair_hash(Pcg64Stream(6500 + trial))
+        source = assert_the_pass_keeps_every_candidate(grouped, h, p, monkeypatch)
+        assert source is not grouped
+        assert source.tuple_count < 0.2 * grouped.tuple_count, (source.tuple_count,
+                                                                grouped.tuple_count)
+
+
+def reference_prunes(grouped, p):
+    """The two-term gate that once stood apart from ``prune``: cells at
+    least p wide and at most 16 per tuple on average, at least 4 per
+    tuple."""
+    groups, tuples = len(grouped), grouped.tuple_count
+    if not groups:
+        return False
+    c = min(64 - (p - 1).bit_length(), (16 * tuples // groups).bit_length() - 1)
+    return groups << c >= 4 * tuples
+
+
+def test_prune_returns_its_input_unless_the_groups_hold_4_cells_a_tuple():
+    # The pass runs iff the groups, cut into the most cells at least p
+    # wide, hold at least 4 cells per tuple; otherwise prune builds nothing.
+    rng = random.Random(28)
+    instances = [group_and_prune(*random_instance(rng, max_each=300, a_range=2**32, c_range=2**32,
+                                                  b_range=rng.choice([2, 12, 60])))
+                 for _ in range(12)]
+    instances += [tiny_groups_instance(rng, 40), tiny_groups_instance(rng, 20, big=60),
+                  zipf_instance(rng, groups=100)]
+    outcomes = set()
+    for trial, grouped in enumerate(g for g in instances if len(g)):
+        h = draw_pair_hash(Pcg64Stream(6700 + trial))
+        for p in sorted({1, GRID} | {t for s in range(64) for t in (1 << s, (1 << s) + 1)}):
+            skipped = enumerator.prune(grouped, h, p) is grouped
+            cap = 64 - (p - 1).bit_length()
+            assert skipped == (len(grouped) << cap < 4 * grouped.tuple_count), (trial, p)
+            assert skipped != reference_prunes(grouped, p), (trial, p)
+            outcomes.add(skipped)
+    assert outcomes == {False, True}
 
 
 def traced_sort_group(grouped, h, p):
@@ -452,7 +479,7 @@ def traced_sort_group(grouped, h, p):
     over it, and the traced peak of pruning and sorting it."""
     tracemalloc.start()
     try:
-        source = pass_source(grouped, h, p)
+        source = enumerator.prune(grouped, h, p)
         chunk = sort_group(source, 0, len(source), h, p)
         return source, chunk, tracemalloc.get_traced_memory()[1]
     finally:
@@ -467,11 +494,11 @@ def test_one_sort_group_call_holds_its_tuples_and_candidates():
     dense = group_and_prune(Relation.from_pairs(Side.LEFT, [(a, b) for b in range(100) for a in A]),
                             Relation.from_pairs(Side.RIGHT, [(b, c) for b in range(100) for c in C]))
     sparse = zipf_instance(rng, groups=2000, cap=60)
-    h = draw_pair_hash(spawn_rng(6600))
+    h = draw_pair_hash(Pcg64Stream(6600))
     for grouped, p, pruned in ((dense, GRID, False), (dense, GRID // 3, False),
                                (sparse, GRID >> 10, True), (sparse, GRID >> 8, True)):
-        assert enumerator.prunes(grouped, p) == pruned
         source, chunk, peak = traced_sort_group(grouped, h, p)
+        assert (source is not grouped) == pruned
         assert (source.tuple_count < grouped.tuple_count) == pruned
         bound = 96 * grouped.tuple_count + 2 * 16 * len(chunk.hashes)
         assert peak <= bound, (p, peak, bound)
@@ -481,8 +508,8 @@ def test_one_sort_group_call_holds_its_tuples_and_candidates():
     sliced = zipf_instance(rng, groups=9000, cap=60)
     assert sliced.tuple_count > 4 * slice_tuples
     for p in (GRID >> 10, GRID >> 8):
-        assert enumerator.prunes(sliced, p)
         source, chunk, peak = traced_sort_group(sliced, h, p)
+        assert source is not sliced
         bound = 96 * slice_tuples + 96 * source.tuple_count + 2 * 16 * len(chunk.hashes)
         assert peak <= bound, (p, peak, bound)
 
@@ -535,7 +562,7 @@ def test_chunks_of_a_pass_that_prunes_hold_few_candidates_unless_one_group(monke
 
     most = 0
     for source, p, bounds in passes:
-        assert enumerator.prunes(grouped, p) and source.tuple_count < grouped.tuple_count
+        assert source is not grouped and source.tuple_count < grouped.tuple_count
         listed = candidates(source, bounds, p)
         assert all(n <= 2 * budget for n, groups in listed if groups > 1), (p, listed)
         most = max(most, max(n for n, _ in listed))
@@ -604,7 +631,6 @@ def test_a_pass_whose_tuples_all_survive_holds_one_chunk_at_a_time():
                               Relation(Side.RIGHT, sorted_distinct(pack(b, values))))
     one = PairwiseHash(0x9E3779B97F4A7C15, 12345)
     h, p = PairHash(one, one), GRID >> 20
-    assert enumerator.prunes(grouped, p)
     tracemalloc.start()
     try:
         source = enumerator.prune(grouped, h, p)
@@ -614,6 +640,7 @@ def test_a_pass_whose_tuples_all_survive_holds_one_chunk_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert source is not grouped
     assert source.tuple_count == grouped.tuple_count and listed == groups * side
     # The survivors, 8 B a tuple and twice that while they are joined, and
     # the temporaries of one slice of the occupancy pass or of one chunk's

@@ -334,7 +334,8 @@ def test_passes_that_cannot_prune_sort_every_tuple_once():
         for mode, k in ((MODE_LINEAR, 1), (MODE_START_AT_ONE, rng.choice([64, 1024]))):
             est = run_once(g, EstimatorConfig(k=k, threshold_mode=mode, seed=trial))
             if est.first_p >= 1 << 63:
-                assert not enumerator.prunes(g, est.first_p)
+                h = draw_pair_hash(run_rng(trial, (0,)))
+                assert enumerator.prune(g, h, est.first_p) is g
                 assert est.work.sorted_elements == est.work.passes * g.tuple_count
                 checked += 1
     assert checked >= 25

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from joinsketch import WRAPPING64, PairwiseHash
-from joinsketch.hashing import (GRID, MASK64, PairHash, draw_pair_hash, draw_single, pilot_rng,
-                               run_rng, selector_rng, spawn_rng)
+from joinsketch.hashing import (GRID, MASK64, PairHash, Pcg64Stream, draw_pair_hash, draw_single,
+                               pilot_rng, run_rng, selector_rng)
 
 from reference_hashing import generator_after_pair_hash, hash_value, numpy_generator, pair_value
 
@@ -47,7 +47,7 @@ def test_pair_cancellation():
 
 
 def test_pair_matches_wrapping_subtraction():
-    h = draw_pair_hash(spawn_rng(7))
+    h = draw_pair_hash(Pcg64Stream(7))
     rng = generator_after_pair_hash(7)
     x_arr = rng.integers(0, 2**32, size=50, dtype=np.uint64)
     y_arr = rng.integers(0, 2**32, size=50, dtype=np.uint64)
@@ -61,22 +61,22 @@ def test_pair_matches_wrapping_subtraction():
 
 def test_odd_multiplier_drawn():
     for i in range(20):
-        assert draw_single(spawn_rng(3, i)).multiplier % 2 == 1
+        assert draw_single(Pcg64Stream(3, (i,))).multiplier % 2 == 1
 
 
 def test_unknown_family_rejected():
     for family in ("md5", "mersenne61"):
         with pytest.raises(ValueError, match="unknown hash family"):
-            draw_single(spawn_rng(0), family)
+            draw_single(Pcg64Stream(0), family)
         with pytest.raises(ValueError, match="unknown hash family"):
-            draw_pair_hash(spawn_rng(0), family)
+            draw_pair_hash(Pcg64Stream(0), family)
 
 
 @pytest.mark.parametrize("family", [WRAPPING64])
 def test_pair_hash_no_collisions_at_scale(family):
     # 15k distinct pairs give ~1.1e8 value comparisons; any repeated hash
     # would blow the pairwise collision budget by orders of magnitude.
-    h = draw_pair_hash(spawn_rng(2024), family)
+    h = draw_pair_hash(Pcg64Stream(2024), family)
     rng = generator_after_pair_hash(2024)
     n = 15_000
     xs = rng.integers(0, 2**32, size=n, dtype=np.uint64)
@@ -105,7 +105,7 @@ def _cyclic_ascents(values):
 def test_columns_are_cyclically_sorted(seed, xs, y):
     # For fixed y, x taken in h1 order makes the pair hash ascend with at
     # most one wraparound; this is what the per-column scan relies on.
-    h = draw_pair_hash(spawn_rng(seed))
+    h = draw_pair_hash(Pcg64Stream(seed))
     xs = sorted(xs, key=lambda x: (hash_value(h.h1, x), x))
     col = [pair_value(h, x, y) for x in xs]
     assert _cyclic_descents(col) <= 1
@@ -120,7 +120,7 @@ def test_columns_are_cyclically_sorted(seed, xs, y):
     st.integers(0, 2**32 - 1),
 )
 def test_rows_are_cyclically_sorted_in_reverse(seed, ys, x):
-    h = draw_pair_hash(spawn_rng(seed))
+    h = draw_pair_hash(Pcg64Stream(seed))
     ys = sorted(ys, key=lambda y: (hash_value(h.h2, y), y))
     row = [pair_value(h, x, y) for y in ys]
     assert _cyclic_ascents(row) <= 1
@@ -138,7 +138,7 @@ def test_pair_uniformity_smoke(family, t):
     per_seed = 5000
     below = 0
     for s in range(seeds):
-        h = draw_pair_hash(spawn_rng(4242, 0, s), family)
+        h = draw_pair_hash(Pcg64Stream(4242, (0, s)), family)
         rng = generator_after_pair_hash(4242, 0, s)
         xs = rng.integers(0, 2**32, size=per_seed, dtype=np.uint64)
         ys = rng.integers(0, 2**32, size=per_seed, dtype=np.uint64)
@@ -154,7 +154,7 @@ def test_wrapping_values_match_the_scalar_formula():
     rng = np.random.default_rng(151)
     xs = np.concatenate(([0, 1, 2**32 - 2, 2**32 - 1],
                          rng.integers(0, 2**32, 400))).astype(np.uint64)
-    hashes = [draw_single(spawn_rng(151, i)) for i in range(100)]
+    hashes = [draw_single(Pcg64Stream(151, (i,))) for i in range(100)]
     for m in (1, 3, 2**32 - 1, 2**32 + 1, GRID - 1):
         for a in (0, 1, 2**32, GRID - 1):
             hashes.append(PairwiseHash(m, a))
@@ -192,7 +192,7 @@ def _seed_and_key_cases():
 def test_stream_equals_numpys_seed_sequence_pcg64():
     cases = 0
     for seed, key in _seed_and_key_cases():
-        stream = spawn_rng(seed, *key)
+        stream = Pcg64Stream(seed, key)
         assert [stream.next64() for _ in range(8)] == _numpy_words(numpy_generator(seed, *key), 8), \
             (seed, key)
         cases += 1
@@ -202,9 +202,9 @@ def test_stream_equals_numpys_seed_sequence_pcg64():
 def test_draws_equal_numpy_derived_parameters():
     for seed, key in list(_seed_and_key_cases())[::20]:
         m1, a1, m2, a2 = _numpy_words(numpy_generator(seed, *key), 4)
-        assert draw_pair_hash(spawn_rng(seed, *key)) == PairHash(PairwiseHash(m1 | 1, a1),
-                                                                 PairwiseHash(m2 | 1, a2))
-        assert draw_single(spawn_rng(seed, *key)) == PairwiseHash(m1 | 1, a1)
+        assert draw_pair_hash(Pcg64Stream(seed, key)) == PairHash(PairwiseHash(m1 | 1, a1),
+                                                                  PairwiseHash(m2 | 1, a2))
+        assert draw_single(Pcg64Stream(seed, key)) == PairwiseHash(m1 | 1, a1)
     # The named streams live in disjoint key namespaces.
     m, a = _numpy_words(numpy_generator(5, 0, 3, 1), 2)
     assert draw_single(run_rng(5, (3, 1))) == PairwiseHash(m | 1, a)
@@ -219,4 +219,4 @@ def test_negative_seed_or_key_element_is_rejected_as_numpy_does(seed, key):
     with pytest.raises(ValueError, match="non-negative"):
         numpy_generator(seed, *key)
     with pytest.raises(ValueError, match="non-negative"):
-        spawn_rng(seed, *key)
+        Pcg64Stream(seed, key)

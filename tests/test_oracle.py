@@ -13,7 +13,7 @@ from joinsketch import (
     group_and_prune,
 )
 from joinsketch import oracle
-from joinsketch.hashing import draw_pair_hash, spawn_rng
+from joinsketch.hashing import Pcg64Stream, draw_pair_hash
 from joinsketch.kmin import SketchOutcome
 from joinsketch.oracle import exact_kth_hash, exact_size_bitsets
 from joinsketch.relation import MAX_ATTRIBUTE, tie_runs, unpack
@@ -72,7 +72,7 @@ def test_cap_refuses_large_materialization():
     with pytest.raises(SizeCapError):
         exact_size(g, cap=9_999)
     with pytest.raises(SizeCapError):
-        exact_kth_hash(g, draw_pair_hash(spawn_rng(1)), 5, cap=9_999)
+        exact_kth_hash(g, draw_pair_hash(Pcg64Stream(1)), 5, cap=9_999)
     assert exact_size(g, cap=10_000) == oracle.ExactResult(z=10_000, expanded_pairs=10_000)
 
 
@@ -86,7 +86,7 @@ def test_cap_bounds_only_the_expanded_pairs():
         exact_size_bitsets(g)
     # The paths that expand every pair still bound the whole product.
     with pytest.raises(SizeCapError, match="16000000 candidate pairs"):
-        exact_kth_hash(g, draw_pair_hash(spawn_rng(1)), 5)
+        exact_kth_hash(g, draw_pair_hash(Pcg64Stream(1)), 5)
 
 
 @pytest.mark.parametrize("cap", [float("nan"), -1, None, "5", 2.0])
@@ -98,7 +98,7 @@ def test_cap_must_be_a_non_negative_integer(cap):
     with pytest.raises(ValueError, match="cap must be a non-negative integer"):
         exact_size_bitsets(g, cap=cap)
     with pytest.raises(ValueError, match="cap must be a non-negative integer"):
-        exact_kth_hash(g, draw_pair_hash(spawn_rng(1)), 1, cap=cap)
+        exact_kth_hash(g, draw_pair_hash(Pcg64Stream(1)), 1, cap=cap)
 
 
 def test_cap_accepts_numpy_integers():
@@ -160,9 +160,9 @@ def kernel_instance(rng: random.Random):
 
 # Chunks of 7 words or pairs are smaller than most a-runs; the default holds
 # most instances in one chunk.
-@pytest.mark.parametrize("chunk", [7, oracle.CHUNK_PAIRS])
+@pytest.mark.parametrize("chunk", [7, oracle.CHUNK_TUPLES])
 def test_both_kernels_match_the_second_oracle(monkeypatch, chunk):
-    monkeypatch.setattr(oracle, "CHUNK_PAIRS", chunk)
+    monkeypatch.setattr(oracle, "CHUNK_TUPLES", chunk)
     rng = random.Random(57 + chunk)
     kernels = Counter()
     for trial in range(500):
@@ -312,7 +312,7 @@ def test_exact_size_at_the_packing_edges(domain, kernel):
 
 def test_kth_undersupplied_carries_count():
     g = grouped_from({(1, 1), (2, 1)}, {(1, 5)})
-    out = exact_kth_hash(g, draw_pair_hash(spawn_rng(2)), 5)
+    out = exact_kth_hash(g, draw_pair_hash(Pcg64Stream(2)), 5)
     assert not out.filled and out.count == 2
 
 
@@ -320,7 +320,7 @@ def test_k_equals_one_is_global_minimum():
     rng = random.Random(52)
     r1, r2 = random_instance(rng, max_each=100)
     g = group_and_prune(r1, r2)
-    h = draw_pair_hash(spawn_rng(3))
+    h = draw_pair_hash(Pcg64Stream(3))
     pairs = pairs_of(g)
     if not pairs:
         pytest.skip("degenerate draw")
@@ -334,7 +334,7 @@ def test_kth_is_monotone_in_k():
     r1, r2 = random_instance(rng, max_each=150)
     g = group_and_prune(r1, r2)
     z = exact_size(g).z
-    h = draw_pair_hash(spawn_rng(4))
+    h = draw_pair_hash(Pcg64Stream(4))
     values = [exact_kth_hash(g, h, k).v for k in range(1, min(z, 40) + 1)]
     assert values == sorted(values)
 
@@ -342,7 +342,7 @@ def test_kth_is_monotone_in_k():
 def test_kth_rejects_nonpositive_k():
     g = grouped_from({(1, 1)}, {(1, 5)})
     with pytest.raises(ValueError):
-        exact_kth_hash(g, draw_pair_hash(spawn_rng(5)), 0)
+        exact_kth_hash(g, draw_pair_hash(Pcg64Stream(5)), 0)
 
 
 def mixed_instance(rng: random.Random, stride: int):
@@ -356,10 +356,10 @@ def mixed_instance(rng: random.Random, stride: int):
 
 # Chunks of 1 and 2 pairs are smaller than most a-runs; 7 cuts between runs;
 # the default holds each instance in a single chunk.
-@pytest.mark.parametrize("chunk", [1, 2, 7, oracle.CHUNK_PAIRS])
+@pytest.mark.parametrize("chunk", [1, 2, 7, oracle.CHUNK_TUPLES])
 @pytest.mark.parametrize("stride", [1, 1 << 26])
 def test_chunked_count_matches_the_second_oracle(monkeypatch, chunk, stride):
-    monkeypatch.setattr(oracle, "CHUNK_PAIRS", chunk)
+    monkeypatch.setattr(oracle, "CHUNK_TUPLES", chunk)
     rng = random.Random(54 + stride)
     for _ in range(60):
         r1, r2 = mixed_instance(rng, stride)
@@ -373,9 +373,9 @@ def test_chunked_count_matches_the_second_oracle(monkeypatch, chunk, stride):
         assert 0 <= result.expanded_pairs <= g.total_product
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7, 50, oracle.CHUNK_PAIRS])
+@pytest.mark.parametrize("chunk", [1, 2, 7, 50, oracle.CHUNK_TUPLES])
 def test_chunks_hold_whole_a_runs(monkeypatch, chunk):
-    monkeypatch.setattr(oracle, "CHUNK_PAIRS", chunk)
+    monkeypatch.setattr(oracle, "CHUNK_TUPLES", chunk)
     rng = random.Random(55)
     for trial in range(80):
         if trial % 2:
@@ -433,11 +433,11 @@ def test_memory_is_bounded_by_the_input_and_one_chunk():
     t1 = {(a, b) for b in range(30) for a in range(300)}
     t2 = {(b, b * 350 + j) for b in range(30) for j in range(350)}
     g = grouped_from(t1, t2)
-    assert g.total_product >= 3_000_000 and 30 * 350 < oracle.CHUNK_PAIRS
+    assert g.total_product >= 3_000_000 and 30 * 350 < oracle.CHUNK_TUPLES
     assert exact_size(g).expanded_pairs == g.total_product
     assert kernel_of(g) == "dense"
     # A handful of 8-byte arrays per tuple and per chunk word.
-    assert traced_peak(exact_size, g) < 64 * (g.tuple_count + oracle.CHUNK_PAIRS)
+    assert traced_peak(exact_size, g) < 64 * (g.tuple_count + oracle.CHUNK_TUPLES)
 
 
 def test_sparse_kernel_memory_is_bounded_by_the_input_and_one_chunk():
@@ -453,7 +453,7 @@ def test_sparse_kernel_memory_is_bounded_by_the_input_and_one_chunk():
     assert exact_size(g) == oracle.ExactResult(z=1_000_000, expanded_pairs=1_000_000)
     assert kernel_of(g) == "sparse"
     # Expanding every pair at once would take 8 MiB of keys.
-    assert traced_peak(exact_size, g) < 64 * (g.tuple_count + oracle.CHUNK_PAIRS)
+    assert traced_peak(exact_size, g) < 64 * (g.tuple_count + oracle.CHUNK_TUPLES)
 
 
 def kth_from_all_keys(grouped, pair_hash, k):
@@ -465,13 +465,13 @@ def kth_from_all_keys(grouped, pair_hash, k):
     return SketchOutcome(filled=True, v=int(np.partition(hv, k - 1)[k - 1]))
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7, oracle.CHUNK_PAIRS])
+@pytest.mark.parametrize("chunk", [1, 2, 7, oracle.CHUNK_TUPLES])
 def test_chunked_kth_hash_matches_every_key_at_once(monkeypatch, chunk):
-    monkeypatch.setattr(oracle, "CHUNK_PAIRS", chunk)
+    monkeypatch.setattr(oracle, "CHUNK_TUPLES", chunk)
     rng = random.Random(56)
     for trial in range(60):
         g = group_and_prune(*mixed_instance(rng, rng.choice((1, 1 << 26))))
-        h = draw_pair_hash(spawn_rng(trial))
+        h = draw_pair_hash(Pcg64Stream(trial))
         for k in (1, 2, 5, 40, 1000):
             assert exact_kth_hash(g, h, k) == kth_from_all_keys(g, h, k), (trial, k)
 
@@ -483,6 +483,6 @@ def test_kth_hash_memory_is_bounded_by_the_input_k_and_one_chunk():
     t2 = {(b, b * 350 + j) for b in range(30) for j in range(350)}
     g = grouped_from(t1, t2)
     k = 1000
-    h = draw_pair_hash(spawn_rng(6))
+    h = draw_pair_hash(Pcg64Stream(6))
     assert g.total_product >= 3_000_000 and exact_kth_hash(g, h, k).filled
-    assert traced_peak(exact_kth_hash, g, h, k) < 64 * (g.tuple_count + oracle.CHUNK_PAIRS + k)
+    assert traced_peak(exact_kth_hash, g, h, k) < 64 * (g.tuple_count + oracle.CHUNK_TUPLES + k)

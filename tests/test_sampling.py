@@ -22,7 +22,7 @@ from joinsketch import (
     save_sample,
 )
 from joinsketch.estimator import run_once
-from joinsketch.hashing import GRID, draw_single, spawn_rng
+from joinsketch.hashing import GRID, Pcg64Stream, draw_single
 from joinsketch.sampling import membership_cut
 
 from conftest import break_the_cut, disjoint_instance
@@ -34,7 +34,7 @@ def left_relation(tuples):
 
 def test_probability_one_keeps_everything():
     r = left_relation({(i, i % 7) for i in range(200)})
-    s = draw_sample(r, 1.0, draw_single(spawn_rng(1)))
+    s = draw_sample(r, 1.0, draw_single(Pcg64Stream(1)))
     assert s.relation == r
     assert s.cut == GRID
     assert s.source_tuples == 200
@@ -42,12 +42,12 @@ def test_probability_one_keeps_everything():
 
 @pytest.mark.parametrize("prob", [1e-9, 0.3, 0.5, 1.0])
 def test_cut_follows_the_probability(prob):
-    s = draw_sample(left_relation({(i, 0) for i in range(50)}), prob, draw_single(spawn_rng(4)))
+    s = draw_sample(left_relation({(i, 0) for i in range(50)}), prob, draw_single(Pcg64Stream(4)))
     assert s.cut == membership_cut(prob)
 
 
 def test_side_and_cut_are_not_stored():
-    s = draw_sample(left_relation({(1, 2)}), 0.5, draw_single(spawn_rng(4)))
+    s = draw_sample(left_relation({(1, 2)}), 0.5, draw_single(Pcg64Stream(4)))
     assert [f.name for f in dataclasses.fields(s)] == [
         "prob", "selector", "relation", "source_tuples", "source_distinct"]
     with pytest.raises(TypeError):
@@ -62,7 +62,7 @@ def test_side_and_cut_are_not_stored():
 def test_membership_is_per_value():
     # Tuples sharing the sampled attribute stay or go together.
     r = left_relation({(a, b) for a in range(100) for b in range(3)})
-    s = draw_sample(r, 0.4, draw_single(spawn_rng(2)))
+    s = draw_sample(r, 0.4, draw_single(Pcg64Stream(2)))
     kept_values = {a for a, _ in s.relation.tuples}
     for a in kept_values:
         assert {(a, b) for b in range(3)} <= s.relation.tuples
@@ -70,7 +70,7 @@ def test_membership_is_per_value():
 
 def test_right_side_samples_on_second_attribute():
     r = Relation.from_pairs(Side.RIGHT, {(b, c) for b in range(3) for c in range(100)})
-    s = draw_sample(r, 0.4, draw_single(spawn_rng(3)))
+    s = draw_sample(r, 0.4, draw_single(Pcg64Stream(3)))
     kept_values = {c for _, c in s.relation.tuples}
     for c in kept_values:
         assert {(b, c) for b in range(3)} <= s.relation.tuples
@@ -78,7 +78,7 @@ def test_right_side_samples_on_second_attribute():
 
 def test_sampling_is_idempotent_and_monotone_in_prob():
     r = left_relation({(i, i % 5) for i in range(500)})
-    selector = draw_single(spawn_rng(4))
+    selector = draw_single(Pcg64Stream(4))
     small = draw_sample(r, 0.2, selector)
     again = draw_sample(r, 0.2, selector)
     big = draw_sample(r, 0.6, selector)
@@ -89,7 +89,8 @@ def test_sampling_is_idempotent_and_monotone_in_prob():
 def test_sample_size_tracks_binomial():
     # One tuple per value, so the kept count is Binomial(1000, 1/2).
     r = left_relation({(i, 0) for i in range(1000)})
-    sizes = [len(draw_sample(r, 0.5, draw_single(spawn_rng(5, i))).relation) for i in range(60)]
+    sizes = [len(draw_sample(r, 0.5, draw_single(Pcg64Stream(5, (i,)))).relation)
+             for i in range(60)]
     mean = statistics.mean(sizes)
     se = math.sqrt(1000 * 0.25) / math.sqrt(len(sizes))
     assert abs(mean - 500) <= 3 * se
@@ -99,14 +100,14 @@ def test_invalid_probability_rejected():
     r = left_relation({(1, 1)})
     for prob in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            draw_sample(r, prob, draw_single(spawn_rng(6)))
+            draw_sample(r, prob, draw_single(Pcg64Stream(6)))
     assert membership_cut(1.0) == GRID
 
 
 @pytest.mark.parametrize("prob", ["0.5", None, 0.5j])
 def test_probability_that_is_not_a_real_number_rejected(prob):
     with pytest.raises(ValueError, match="probability"):
-        draw_sample(left_relation({(1, 1)}), prob, draw_single(spawn_rng(6)))
+        draw_sample(left_relation({(1, 1)}), prob, draw_single(Pcg64Stream(6)))
 
 
 @pytest.mark.parametrize("s, epsilon", [(1, "0.1"), (1, None), (1, 0.1j), (1, [0.1]),
@@ -203,8 +204,8 @@ def test_side_mismatch_rejected():
 
 def test_full_probability_sketch_path_reduces_to_core_estimator():
     r1, r2 = disjoint_instance(40, 10, 10)
-    s1 = draw_sample(r1, 1.0, draw_single(spawn_rng(7, 0)))
-    s2 = draw_sample(r2, 1.0, draw_single(spawn_rng(7, 1)))
+    s1 = draw_sample(r1, 1.0, draw_single(Pcg64Stream(7, (0,))))
+    s2 = draw_sample(r2, 1.0, draw_single(Pcg64Stream(7, (1,))))
     cfg = EstimatorConfig(k=64, seed=123, threshold_mode="start-at-one")
     result = estimate_from_samples(s1, s2, cfg, exact_cutoff=0)
     core = run_once(group_and_prune(r1, r2), cfg, key=(0,))
@@ -214,8 +215,8 @@ def test_full_probability_sketch_path_reduces_to_core_estimator():
 
 def test_sketch_fallback_flag_for_unfilled_inner_sketch():
     r1, r2 = disjoint_instance(3, 4, 4)  # z = 48 < k
-    s1 = draw_sample(r1, 1.0, draw_single(spawn_rng(8, 0)))
-    s2 = draw_sample(r2, 1.0, draw_single(spawn_rng(8, 1)))
+    s1 = draw_sample(r1, 1.0, draw_single(Pcg64Stream(8, (0,))))
+    s2 = draw_sample(r2, 1.0, draw_single(Pcg64Stream(8, (1,))))
     result = estimate_from_samples(s1, s2, EstimatorConfig(k=256, seed=5), exact_cutoff=0)
     assert result.method == "sketch"
     assert result.fallback
@@ -227,8 +228,8 @@ def test_unbiased_at_moderate_scale():
     z = exact_size(group_and_prune(r1, r2)).z
     values = []
     for t in range(80):
-        s1 = draw_sample(r1, 0.3, draw_single(spawn_rng(9, t, 0)))
-        s2 = draw_sample(r2, 0.3, draw_single(spawn_rng(9, t, 1)))
+        s1 = draw_sample(r1, 0.3, draw_single(Pcg64Stream(9, (t, 0))))
+        s2 = draw_sample(r2, 0.3, draw_single(Pcg64Stream(9, (t, 1))))
         values.append(
             estimate_from_samples(s1, s2, EstimatorConfig(k=256, seed=t), exact_cutoff=10**6).value
         )
@@ -239,7 +240,7 @@ def test_unbiased_at_moderate_scale():
 
 def test_sample_round_trip(tmp_path):
     r = left_relation({(i * 3, i % 9) for i in range(400)})
-    sample = draw_sample(r, 0.35, draw_single(spawn_rng(10)))
+    sample = draw_sample(r, 0.35, draw_single(Pcg64Stream(10)))
     path = tmp_path / "left.sample"
     save_sample(sample, str(path))
     loaded = load_sample(str(path))
@@ -248,7 +249,7 @@ def test_sample_round_trip(tmp_path):
 
 def test_sample_round_trip_all_pass_cut(tmp_path):
     r = Relation.from_pairs(Side.RIGHT, {(i % 9, i) for i in range(50)})
-    sample = draw_sample(r, 1.0, draw_single(spawn_rng(11)))
+    sample = draw_sample(r, 1.0, draw_single(Pcg64Stream(11)))
     path = tmp_path / "right.sample"
     save_sample(sample, str(path))
     loaded = load_sample(str(path))
@@ -329,7 +330,7 @@ def test_load_rejects_garbage(tmp_path):
 
 def test_load_rejects_wrong_version(tmp_path):
     r = left_relation({(1, 2)})
-    sample = draw_sample(r, 0.9, draw_single(spawn_rng(12)))
+    sample = draw_sample(r, 0.9, draw_single(Pcg64Stream(12)))
     path = tmp_path / "v.sample"
     save_sample(sample, str(path))
     blob = bytearray(path.read_bytes())
@@ -341,7 +342,7 @@ def test_load_rejects_wrong_version(tmp_path):
 
 def test_load_rejects_truncated_body(tmp_path):
     r = left_relation({(i, 0) for i in range(10)})
-    sample = draw_sample(r, 1.0, draw_single(spawn_rng(13)))
+    sample = draw_sample(r, 1.0, draw_single(Pcg64Stream(13)))
     path = tmp_path / "t.sample"
     save_sample(sample, str(path))
     blob = path.read_bytes()
@@ -354,7 +355,7 @@ def test_sample_file_layout(tmp_path):
     # Little-endian header, then one (u32, u32) record per tuple in sorted
     # tuple order: the layout every earlier version wrote.
     r = Relation.from_pairs(Side.RIGHT, {(i % 9, 7 * i) for i in range(60)})
-    sample = draw_sample(r, 0.5, draw_single(spawn_rng(14)))
+    sample = draw_sample(r, 0.5, draw_single(Pcg64Stream(14)))
     path = tmp_path / "layout.sample"
     save_sample(sample, str(path))
     tuples = sorted(sample.relation.tuples)
@@ -370,7 +371,7 @@ def test_sample_file_layout(tmp_path):
 def _patched(tmp_path, offset=None, value=b"", body=None):
     r = left_relation({(i, i % 4) for i in range(20)})
     path = tmp_path / "p.sample"
-    save_sample(draw_sample(r, 1.0, draw_single(spawn_rng(15))), str(path))
+    save_sample(draw_sample(r, 1.0, draw_single(Pcg64Stream(15))), str(path))
     blob = bytearray(path.read_bytes())
     if offset is not None:
         blob[offset:offset + len(value)] = value
@@ -440,7 +441,7 @@ def test_load_rejects_records_not_strictly_ascending(tmp_path, body):
 
 def test_load_rejects_a_record_that_fails_the_cut(tmp_path):
     sample = draw_sample(left_relation({(i, i % 9) for i in range(2000)}), 0.1,
-                         draw_single(spawn_rng(16)))
+                         draw_single(Pcg64Stream(16)))
     path = tmp_path / "cut.sample"
     save_sample(sample, str(path))
     break_the_cut(path)
