@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: estimate, exact, experiment, sample, sample-estimate.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 resource cap.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 resource cap or out
+of memory, 141 closed standard output.
 """
 
 from __future__ import annotations

@@ -12,14 +12,13 @@ group costs O((|A| + |C|) log |A|) plus one step per candidate, never
 Groups are processed in chunks of consecutive groups (``chunk_bounds``).
 ``sort_group`` gives a chunk one numpy pass: it hashes both sides, orders
 them by (group, hash, side, value) with one sort of a uint64 key carrying
-its position, finds every column's minimum and drops each column whose
-minimum is not below the threshold, since the threshold never rises.  For
-every other column it counts the rows of its window and gathers them into
-arrays of candidates.  ``scan_group`` then hands one group's candidates to
-the sketch, skipping those at or above its live threshold, which a merge
-may tighten mid-scan.  A column's candidates ascend from its minimum and the
-threshold only falls, so the pairs offered and their order are those of
-walking every column of every group and stopping each at its first miss.
+its position, counts the rows of every column's window (none where it is
+empty) and gathers them into arrays of candidates.  ``scan_group`` then
+hands one group's candidates to the sketch, skipping those at or above its
+live threshold, which a merge may tighten mid-scan.  A column's
+candidates ascend from its minimum and the threshold only falls, so the
+pairs offered and their order are those of walking every column of every
+group and stopping each at its first miss.
 
 A pass first hands the whole input to ``prune`` and chunks and sorts what
 it returns.  Where the groups, split into cells at least p wide, would hold
@@ -29,12 +28,10 @@ column's window lies in its own cell and the next one, wrapping past 2**64
 to the group's first cell.  It marks the cells that hold a row, keeps the
 columns with a row in one of their two cells, and keeps the rows in a kept
 column's cells.  Every row in a kept column's window survives, and so does
-the column's cyclic minimum whenever the window holds a row.  A column
-whose window is empty may survive, but the first surviving row from its
-hash on lies no nearer than its minimum, so the column is still dropped.
-The sorted order restricted to the survivors is the order of the whole
-input restricted to them, so the candidates, their order and the group
-offsets are those of sorting every tuple.
+the column's cyclic minimum whenever the window holds a row.  The sorted
+order restricted to the survivors is the order of the whole input
+restricted to them, so the candidates, their order and the group offsets
+are those of sorting every tuple.
 
 A run may pass over the chunks more than once, sorting every group again
 at a wider threshold and listing every pair below it, those the sketch
@@ -229,14 +226,11 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     begin = left_offsets[group_of]
     end = left_offsets[1:][group_of]
     y_hashes = hashes[cols]
-    if p < GRID:
-        kept = row_hashes[np.where(first == end, begin, first)] - y_hashes < np.uint64(p)
-        group_of, begin, end, first = group_of[kept], begin[kept], end[kept], first[kept]
-        cols, y_hashes = cols[kept], y_hashes[kept]
     size = end - begin
 
     # Each column's window: the rows of its group whose h1 lies in
-    # [h2, h2 + p), cyclically.
+    # [h2, h2 + p), cyclically.  An empty window counts 0 rows, so every
+    # column keeps its place and the group offsets follow the right sizes.
     if p >= GRID:
         counts = size
     else:
@@ -269,7 +263,7 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     pairs = xs[at]
     del at
     pack(pairs, np.repeat(ys[cols], counts), out=pairs)
-    group_offsets = column_offsets[offsets(np.bincount(group_of, minlength=groups))]
+    group_offsets = column_offsets[offsets(right_sizes)]
     return SortedChunk(
         pairs=memoryview(pairs),
         hashes=memoryview(cand_hashes),

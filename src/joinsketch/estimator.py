@@ -45,7 +45,7 @@ import numpy as np
 from . import hashing, oracle
 from .enumerator import CHUNK_TUPLES, chunk_bounds, prune, scan_group, sort_group
 from .kmin import KMinState
-from .relation import GroupedInput, run_edges, run_starts, sorted_pairs
+from .relation import GroupedInput, run_edges, run_starts
 
 MODE_LINEAR = "linear"
 MODE_START_AT_ONE = "start-at-one"
@@ -239,13 +239,14 @@ def draw_pilot(grouped: GroupedInput, seed: int) -> Pilot:
     The sample holds every pair occurrence of the left values whose pilot
     hash, drawn from ``seed``, lies in the top 2**-s of its range.  s is the
     least for which at most ``PILOT_OCCURRENCES`` occurrences are expected,
-    raised while more than that are sampled.  The oracle's sparse kernel
-    counts each sampled value's distinct pairs; the standard error is the
-    ratio estimator's over the sampled values, with the finite population
-    correction 1 - 2**-s.  O(n) time.  The left values are hashed in
-    slices of ``CHUNK_TUPLES`` and only the sampled ones are kept, so the
-    memory, beyond one array over the groups, is O(CHUNK_TUPLES +
-    PILOT_OCCURRENCES) expected and does not grow with the left tuples.
+    raised while more than that are sampled.  One expansion of the sampled
+    occurrences into sorted pair keys counts each sampled value's distinct
+    pairs; the standard error is the ratio estimator's over the sampled
+    values, with the finite population correction 1 - 2**-s.  O(n) time.
+    The left values are hashed in slices of ``CHUNK_TUPLES`` and only the
+    sampled ones are kept, so the memory, beyond one array over the groups,
+    is O(CHUNK_TUPLES + PILOT_OCCURRENCES) expected and does not grow with
+    the left tuples.
     """
     total = grouped.total_product
     if not total:
@@ -259,23 +260,18 @@ def draw_pilot(grouped: GroupedInput, seed: int) -> Pilot:
         kept.append(lo + sampled)
         mixed.append(h[sampled])
     kept, mixed = np.concatenate(kept), np.concatenate(mixed)
-    right_sizes = np.diff(grouped.right_offsets)
-    while True:
-        group = np.searchsorted(grouped.left_offsets, kept, side="right") - 1
-        occurrences = int(right_sizes[group].sum())
-        if occurrences <= PILOT_OCCURRENCES:
-            break
+    group = np.searchsorted(grouped.left_offsets, kept, side="right") - 1
+    fan = np.diff(grouped.right_offsets)[group]
+    while (occurrences := int(fan.sum())) > PILOT_OCCURRENCES:
         s += 1
         sampled = mixed >= np.uint64(hashing.GRID - (hashing.GRID >> s))
-        kept, mixed = kept[sampled], mixed[sampled]
+        kept, mixed, group, fan = kept[sampled], mixed[sampled], group[sampled], fan[sampled]
     if not occurrences:
         return Pilot(0)
-    a, group = sorted_pairs(grouped.left_values[kept], group)
-    distinct, fan = [], []
-    for keys in oracle._pair_chunks(grouped, a, group, right_sizes[group]):
-        fan.append(np.diff(run_edges(keys >> np.uint64(32))))
-        distinct.append(np.diff(run_edges(keys[run_starts(keys)] >> np.uint64(32))))
-    distinct, fan = np.concatenate(distinct), np.concatenate(fan)
+    keys = oracle._expand(grouped.right_values, grouped.left_values[kept], fan,
+                          grouped.right_offsets[group])
+    fan = np.diff(run_edges(keys >> np.uint64(32)))
+    distinct = np.diff(run_edges(keys[run_starts(keys)] >> np.uint64(32)))
     share = int(distinct.sum()) / occurrences
     residuals = distinct - share * fan
     error = math.sqrt((1 - 2.0**-s) * float(residuals @ residuals)) / occurrences

@@ -42,7 +42,7 @@ from .enumerator import CHUNK_TUPLES
 from .hashing import PairHash
 from .kmin import SketchOutcome
 from .relation import (GroupedInput, chunk_starts, offsets, pack, run_edges, run_starts,
-                       sorted_pairs, tie_runs, unpack)
+                       sorted_distinct, sorted_pairs, tie_runs, unpack)
 
 DEFAULT_CAP = 10_000_000
 # The SWAR popcount's masks (np.bitwise_count needs numpy 2, and numpy 1.24
@@ -105,15 +105,16 @@ def _expand(right_values: np.ndarray, a: np.ndarray, fan: np.ndarray,
     return keys
 
 
-def _pair_chunks(grouped: GroupedInput, a: np.ndarray, group: np.ndarray,
-                 fan: np.ndarray) -> Iterator[np.ndarray]:
+def _pair_chunks(grouped: GroupedInput, a: np.ndarray,
+                 group: np.ndarray) -> Iterator[np.ndarray]:
     """Sorted pair keys of the left tuples ``a``, ``group`` (ordered by
-    ``a``), whose groups hold ``fan`` right values, one array per chunk of
-    whole a-runs.
+    ``a``), each paired with every right value of its group, one array per
+    chunk of whole a-runs.
 
     A chunk holds at most ``CHUNK_TUPLES`` pairs unless its single a-run holds
     more.  Chunks come in a order, so their keys never repeat across chunks.
     """
+    fan = np.diff(grouped.right_offsets)[group]
     edges = run_edges(a)
     bounds = chunk_starts(offsets(fan)[edges], CHUNK_TUPLES)  # pairs before each a-run
     for lo, hi in zip(bounds, bounds[1:]):
@@ -127,7 +128,7 @@ def _distinct_chunks(grouped: GroupedInput, cap: int) -> Iterator[np.ndarray]:
     chunk; no key repeats across chunks."""
     _check_cap(grouped.total_product, cap)
     a, group = _left_tuples(grouped)
-    for keys in _pair_chunks(grouped, a, group, np.diff(grouped.right_offsets)[group]):
+    for keys in _pair_chunks(grouped, a, group):
         yield keys[run_starts(keys)]
 
 
@@ -142,27 +143,23 @@ def _dense_ranks(grouped: GroupedInput, shared: int, expanded: int) -> np.ndarra
     smaller than their count, are marked in a map of that many slots.  It
     marks exactly D slots when the span fits in the map and at most D
     otherwise, so a wide span with many distinct values is refused in O(n)
-    without a sort.
+    without a sort.  A wide span that passes is ranked by binary search
+    among its sorted distinct values.
     """
     values = grouped.right_values
     most = 64 * min(expanded // shared, values.size // len(grouped))
     offset = values - values.min()
     size = 1 << (values.size - 1).bit_length()
     span = int(offset.max())
-    offset &= np.uint64(size - 1)  # in place: exact_size holds the fans meanwhile
+    offset &= np.uint64(size - 1)
     seen = np.zeros(size, dtype=bool)
     seen[offset] = True
     if np.count_nonzero(seen) > most:
         return None
     if span < size:
         return (np.cumsum(seen) - 1)[offset]
-    ordered, order = sorted_pairs(values, np.arange(values.size))  # a wide span, few values
-    starts = run_starts(ordered)
-    if np.count_nonzero(starts) > most:
-        return None
-    ranks = np.empty(values.size, dtype=np.int64)
-    ranks[order] = np.cumsum(starts) - 1
-    return ranks
+    distinct = sorted_distinct(values.copy())  # a wide span, few values
+    return np.searchsorted(distinct, values) if distinct.size <= most else None
 
 
 def _popcount(words: np.ndarray) -> int:
@@ -221,17 +218,15 @@ def exact_size(grouped: GroupedInput, cap: int = DEFAULT_CAP) -> ExactResult:
     a, group = _left_tuples(grouped)
     _, shared = tie_runs(a)  # tuples whose left value lies in two or more groups
     a, group = a[shared], group[shared]
-    fan = np.diff(grouped.right_offsets)[group]
-    expanded = int(fan.sum())
+    expanded = int(np.diff(grouped.right_offsets)[group].sum())
     _check_cap(expanded, cap)
     z = grouped.total_product - expanded
     if not expanded:
         return ExactResult(z, 0)
     ranks = _dense_ranks(grouped, a.size, expanded)
     if ranks is not None:
-        del fan  # the dense kernel needs no fans; free them before its peak
         return ExactResult(z + _dense_count(grouped, ranks, a, group), expanded)
-    for keys in _pair_chunks(grouped, a, group, fan):
+    for keys in _pair_chunks(grouped, a, group):
         z += int(np.count_nonzero(run_starts(keys)))
     return ExactResult(z, expanded)
 

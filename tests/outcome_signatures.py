@@ -37,6 +37,12 @@ tokenizer block of 256 KiB, and some hold an error after the first block
 seam.  It uses only the public API, so it also runs against older
 checkouts.
 
+``--pilot`` prints, instead, the pilot each workload input and random
+instance draws in each threshold mode, read from ``estimate_median``'s
+``Estimate`` with one run: its ``occurrences``, ``distinct_share`` and
+``standard_error`` and the first pass's threshold ``first_p``.  It uses
+only the public API, so it also runs against older checkouts.
+
 ``--candidates`` prints, instead, what one pass lists for each workload,
 seed and run key at three thresholds: linear mode's ceiling p0, p0 >> 2
 and ``first_threshold`` for the call's pilot, where both modes' first pass
@@ -67,6 +73,7 @@ import json
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +193,26 @@ def random_signatures(count, drop=()):
             cfg = EstimatorConfig(k=k, threshold_mode=mode, runs=runs, seed=i)
             yield {"instance": i, "k": k, "runs": runs, "mode": mode, "family": cfg.family,
                    **signature(grouped, cfg, drop=drop)}
+
+
+def pilot_signature(grouped, cfg: EstimatorConfig):
+    """The pilot and first threshold of one run in each threshold mode."""
+    for mode in (MODE_LINEAR, MODE_START_AT_ONE):
+        est = estimate_median(grouped, replace(cfg, threshold_mode=mode, runs=1))
+        yield {"mode": mode, "occurrences": est.pilot.occurrences,
+               "distinct_share": est.pilot.distinct_share,
+               "standard_error": est.pilot.standard_error, "first_p": est.first_p}
+
+
+def pilot_signatures(seeds, count, scale=1.0):
+    """The pilot of each workload input at each seed, then of ``count``
+    random instances, in both threshold modes."""
+    for name, seed, grouped, cfg in workload_inputs(seeds, scale):
+        for line in pilot_signature(grouped, cfg):
+            yield {"workload": name, "seed": seed, **line}
+    for i, grouped, k, _ in random_inputs(count):
+        for line in pilot_signature(grouped, EstimatorConfig(k=k, seed=i)):
+            yield {"instance": i, "k": k, **line}
 
 
 def exact_kernel(grouped, expanded: int) -> str:
@@ -340,9 +367,15 @@ def main(argv=None) -> int:
                         help="print each input's exact size and kernel instead")
     parser.add_argument("--parse", action="store_true",
                         help="print each generated text's parse outcome instead")
+    parser.add_argument("--pilot", action="store_true",
+                        help="print each input's pilot and first threshold instead")
     args = parser.parse_args(argv)
     if args.parse:
         for line in parse_signatures():
+            print(json.dumps(line, sort_keys=True))
+        return 0
+    if args.pilot:
+        for line in pilot_signatures(args.seeds, args.random, args.scale):
             print(json.dumps(line, sort_keys=True))
         return 0
     if args.exact:

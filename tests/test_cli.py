@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from joinsketch import (
     load_sample,
     save_sample,
 )
+from joinsketch import cli
 from joinsketch.cli import main, observed_epsilon
 from joinsketch.hashing import Pcg64Stream, draw_single
 
@@ -685,6 +687,15 @@ def test_memory_error_is_cap_exit(capsys, monkeypatch, tiny_pair):
 def test_no_subcommand_prints_help(capsys):
     code, _, err = run_cli(capsys, [])
     assert code == 1
+
+
+def test_help_names_every_exit_status():
+    description = " ".join(cli.build_parser().description.split())
+    statuses = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert sorted(statuses.values()) == [0, 1, 2, 3, 141]
+    for name, value in statuses.items():
+        assert re.search(rf"\b{value} [a-z]", description), name
+    assert "out of memory" in description
 
 
 def test_console_entry_point():

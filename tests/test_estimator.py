@@ -667,6 +667,70 @@ def test_pilot_share_is_within_four_standard_errors(kind):
         assert abs(pilot.distinct_share - r) <= 4 * pilot.standard_error, seed
 
 
+def reference_pilot(grouped, seed):
+    """``draw_pilot``'s ratio estimate in plain Python, and how many times
+    its s rule raised s past the least s that expects at most
+    PILOT_OCCURRENCES occurrences.  A sampled value's occurrences are its
+    fan, the right sizes of its groups summed, and its distinct pairs are
+    the union of those groups' right values."""
+    left, right = grouped.left_values.tolist(), grouped.right_values.tolist()
+    lo, ro = grouped.left_offsets.tolist(), grouped.right_offsets.tolist()
+    groups_of = {}
+    for g in range(len(grouped)):
+        for a in left[lo[g]:lo[g + 1]]:
+            groups_of.setdefault(a, []).append(g)
+    total = sum((lo[g + 1] - lo[g]) * (ro[g + 1] - ro[g]) for g in range(len(grouped)))
+    mixed = dict(zip(left, pilot_values(draw_single(pilot_rng(seed)),
+                                        grouped.left_values).tolist()))
+    s = raised = 0
+    while total > PILOT_OCCURRENCES << s:
+        s += 1
+    while True:
+        sampled = [a for a in sorted(groups_of) if mixed[a] >= 2**64 - 2**(64 - s)]
+        fans = [sum(ro[g + 1] - ro[g] for g in groups_of[a]) for a in sampled]
+        if sum(fans) <= PILOT_OCCURRENCES:
+            break
+        s += 1
+        raised += 1
+    occurrences = sum(fans)
+    if not occurrences:
+        return Pilot(0), raised
+    distinct = [len({c for g in groups_of[a] for c in right[ro[g]:ro[g + 1]]}) for a in sampled]
+    share = sum(distinct) / occurrences
+    squares = math.fsum((d - share * f) ** 2 for d, f in zip(distinct, fans))
+    return Pilot(occurrences, share, math.sqrt((1 - 2.0**-s) * squares) / occurrences), raised
+
+
+def test_pilot_equals_the_plain_python_ratio_estimate():
+    rng = random.Random(8640)
+    instances = []
+    for _ in range(10):
+        # Left and right values repeat across groups, so pairs do too.
+        groups, a_range = rng.choice([5, 40, 120]), rng.choice([30, 300, 3000])
+        c_range = rng.choice([20, 200])
+        t1 = {(rng.randrange(a_range), b) for b in range(groups) for _ in range(rng.randint(1, 60))}
+        t2 = {(b, rng.randrange(c_range)) for b in range(groups) for _ in range(rng.randint(1, 60))}
+        instances.append(grouped_from(t1, t2))
+    # Left value 0 has 20,000 occurrences, more than PILOT_OCCURRENCES:
+    # where it is sampled, s rises until it is not.
+    t1 = {(0, b) for b in range(50)} | {(a, b) for a in rng.sample(range(1, 2**32), 30)
+                                        for b in rng.sample(range(50), 2)}
+    t2 = {(b, c) for b in range(50) for c in rng.sample(range(600), 400)}
+    instances.append(grouped_from(t1, t2))
+    raised = sampled_some = 0
+    for g in instances:
+        for seed in range(3):
+            want, rises = reference_pilot(g, seed)
+            got = draw_pilot(g, seed)
+            assert (got.occurrences, got.distinct_share) == (want.occurrences,
+                                                             want.distinct_share), seed
+            # numpy sums the squared residuals in another order.
+            assert got.standard_error == pytest.approx(want.standard_error, rel=1e-12, abs=0)
+            raised += rises > 0
+            sampled_some += 0 < got.occurrences < g.total_product and got.distinct_share < 1
+    assert raised and sampled_some
+
+
 def test_pilot_samples_at_most_its_budget():
     # Ten left values with 20,000 pair occurrences each, above the budget,
     # and 2,000 with 40 each.

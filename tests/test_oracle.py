@@ -256,6 +256,26 @@ def test_dense_ranks_index_the_sorted_distinct_values(values):
     assert ranks.tolist() == np.unique(g.right_values, return_inverse=True)[1].tolist()
 
 
+@pytest.mark.parametrize("distinct", [128, 129])
+def test_dense_ranks_of_a_wide_span_whose_offsets_all_collide(distinct):
+    # Two groups of the same right values, all multiples of 512: every
+    # offset marks the map's first slot, so only the sort counts D.
+    rng = random.Random(distinct)
+    values = [512 * j for j in rng.sample(range(1 << 23), distinct)]
+    g = grouped_from({(0, 0), (0, 1)}, {(b, c) for b in (0, 1) for c in values})
+    size = 1 << (g.right_values.size - 1).bit_length()
+    assert not np.any((g.right_values - g.right_values.min()) % np.uint64(size))
+    inverse = np.unique(g.right_values, return_inverse=True)[1].tolist()
+    refused = []
+    for shared, expanded in ((4, 4), (4, 8), (4, 12), (1, 1000)):
+        ranks = oracle._dense_ranks(g, shared, expanded)
+        refused.append(ranks is None)
+        most = 64 * min(expanded // shared, g.right_values.size // len(g))
+        assert refused[-1] == (distinct > most), (shared, expanded)
+        assert refused[-1] or ranks.tolist() == inverse
+    assert refused == [True, distinct > 128, False, False]
+
+
 def test_wide_span_with_few_distinct_values_takes_the_dense_kernel():
     # Four right values spread over the whole 32-bit range: the offset map
     # cannot hold the span, so the domain comes from a sort.
@@ -383,7 +403,7 @@ def test_chunks_hold_whole_a_runs(monkeypatch, chunk):
         else:
             g = group_and_prune(*random_instance(rng, max_each=150, b_range=rng.choice([2, 12])))
         a, group = oracle._left_tuples(g)
-        chunks = list(oracle._pair_chunks(g, a, group, np.diff(g.right_offsets)[group]))
+        chunks = list(oracle._pair_chunks(g, a, group))
         assert sum(keys.size for keys in chunks) == g.total_product
         highs = [np.unique(unpack(keys)[0]) for keys in chunks]
         for keys, a in zip(chunks, highs):

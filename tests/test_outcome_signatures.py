@@ -41,6 +41,26 @@ def test_outcomes_only_leaves_out_every_counter(capsys):
     assert all({"kind", "v", "count", "value"} <= line.keys() for line in outcomes)
 
 
+def test_pilot_lines_are_strict_json_and_repeat(capsys):
+    args = ["--pilot", "--seeds", "1", "--scale", "0.05", "--random", "4"]
+    assert outcome_signatures.main(args) == 0
+    first = capsys.readouterr().out.splitlines()
+    outcome_signatures.main(args)
+    assert capsys.readouterr().out.splitlines() == first
+    lines = [strict_json(line) for line in first]
+    # Three workloads at one seed, then four instances, each in both modes.
+    assert [line.get("workload", line.get("instance")) for line in lines] == [
+        name for name in ("uniform-ingest", "skewed-repeat", "fimi-sketch", 0, 1, 2, 3)
+        for _ in range(2)]
+    assert [line["mode"] for line in lines] == ["linear", "start-at-one"] * 7
+    for linear, start in zip(lines[::2], lines[1::2]):
+        # Both modes draw the same pilot; linear mode's p0 may cap first_p.
+        pilot = ("occurrences", "distinct_share", "standard_error")
+        assert [linear[key] for key in pilot] == [start[key] for key in pilot]
+        assert linear["first_p"] <= start["first_p"]
+    assert any(line["occurrences"] and line["distinct_share"] < 1 for line in lines)
+
+
 def test_candidate_digests_do_not_depend_on_the_chunking(capsys, monkeypatch):
     args = ["--candidates", "--seeds", "1", "--scale", "0.02"]
     assert outcome_signatures.main(args) == 0
