@@ -10,6 +10,22 @@ Run it against each checkout and diff the output:
     PYTHONPATH=../parent/src python3 tests/outcome_signatures.py > old.jsonl
     diff old.jsonl new.jsonl
 
+``--seeds`` with no seed prints the random instances alone.  Their lines in
+the default, ``--pilot`` and ``--exact`` modes, and the ``--parse`` lines,
+come from Python's ``random`` and the library alone, so no CPU or numpy
+build moves them: they are recorded under ``tests/data/`` and the test
+suite checks them (``test_recorded_signatures_repeat``).  The workload
+lines are not recorded, because the generators' numpy draws may differ
+across builds.  A change that moves a recorded line re-records its file and
+lists the moved lines in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/outcome_signatures.py --seeds > tests/data/signatures-random.jsonl
+    PYTHONPATH=src python3 tests/outcome_signatures.py --seeds --pilot \\
+        > tests/data/signatures-random-pilot.jsonl
+    PYTHONPATH=src python3 tests/outcome_signatures.py --seeds --exact \\
+        > tests/data/signatures-random-exact.jsonl
+    PYTHONPATH=src python3 tests/outcome_signatures.py --parse > tests/data/signatures-parse.jsonl
+
 A random instance's lines name the hash family, ``wrapping64``.  Checkouts
 that still had the ``mersenne61`` family printed a line for it too, after
 each ``wrapping64`` line; leave those out to compare with one:

@@ -1,7 +1,13 @@
 import json
+from pathlib import Path
+
+import pytest
 
 import outcome_signatures
 from joinsketch import FORMATS, enumerator, oracle, relation
+
+
+RECORDS = Path(__file__).resolve().parent / "data"
 
 
 def strict_json(line: str) -> dict:
@@ -125,3 +131,20 @@ def test_parse_lines_do_not_depend_on_the_block_size(capsys, monkeypatch):
         monkeypatch.setattr(relation, "_BLOCK", block)
         assert outcome_signatures.main(["--parse"]) == 0
         assert capsys.readouterr().out.splitlines() == default, block
+
+
+@pytest.mark.parametrize("record, args", [
+    ("signatures-random.jsonl", ["--seeds"]),
+    ("signatures-random-pilot.jsonl", ["--seeds", "--pilot"]),
+    ("signatures-random-exact.jsonl", ["--seeds", "--exact"]),
+    ("signatures-parse.jsonl", ["--parse"]),
+])
+def test_recorded_signatures_repeat(capsys, record, args):
+    # The records leave out the workload inputs, whose generator draws may
+    # differ across CPUs and numpy builds.
+    recorded = (RECORDS / record).read_text(encoding="utf-8").splitlines()
+    assert outcome_signatures.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for number, (old, new) in enumerate(zip(recorded, lines), 1):
+        assert new == old, f"{record} line {number} moved"
+    assert len(lines) == len(recorded), record
