@@ -199,10 +199,14 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def observed_epsilon(ratios: list[float], fraction: float = 2.0 / 3.0) -> float:
-    """Smallest e such that at least ``fraction`` of ratios lie in [1-e, 1+e]."""
+# A single run lies within its epsilon with probability at least 2/3.
+_COVERED = 2.0 / 3.0
+
+
+def observed_epsilon(ratios: list[float]) -> float:
+    """Smallest e such that at least 2/3 of ratios lie in [1-e, 1+e]."""
     errors = sorted(abs(r - 1.0) for r in ratios)
-    need = math.ceil(fraction * len(errors))
+    need = math.ceil(_COVERED * len(errors))
     return errors[need - 1]
 
 
@@ -269,13 +273,10 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-_SIDE_INDEX = {Side.LEFT: 0, Side.RIGHT: 1}
-
-
 def cmd_sample(args) -> int:
-    side = Side.LEFT if args.side == "left" else Side.RIGHT
+    side = Side(args.side)
     relation = load_relation(args.input, args.format, side)
-    selector = hashing.draw_single(hashing.selector_rng(args.seed, _SIDE_INDEX[side]))
+    selector = hashing.draw_single(hashing.selector_rng(args.seed, side.index))
     sample = sampling.draw_sample(relation, args.prob, selector)
     sampling.save_sample(sample, args.out)
     _emit(

@@ -13,7 +13,8 @@ Groups are processed in chunks of consecutive groups (``chunk_bounds``).
 ``sort_group`` gives a chunk one numpy pass: it hashes both sides, orders
 them by (group, hash, side, value) with one sort of a uint64 key carrying
 its position, counts the rows of every column's window (none where it is
-empty) and gathers them into arrays of candidates.  ``scan_group`` then
+empty) by binary search in that sorted key and gathers them into arrays of
+candidates.  ``scan_group`` then
 hands one group's candidates to the sketch, skipping those at or above its
 live threshold, which a merge may tighten mid-scan.  A column's
 candidates ascend from its minimum and the threshold only falls, so the
@@ -205,12 +206,12 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     key[nr:] |= np.repeat(group_base, left_sizes)
     key.sort()
     order = (key & np.uint64((1 << ib) - 1)).view(np.intp)
+    # What is left is the sort key, (group, the hash's top 64 - b - ib bits).
     key >>= np.uint64(ib)
     _, run = tie_runs(key)
     if run.size:
         tied = order[run]
         order[run] = tied[np.lexsort((tied, hashes[tied], key[run]))]
-    del key
 
     is_col = order < nr
     rows = order[~is_col]
@@ -234,12 +235,11 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
     if p >= GRID:
         counts = size
     else:
-        # The rows keyed like the sort, with the hash's top 64 - b bits, so
-        # a binary search finds a hash within its group up to the cut bits.
-        row_keys = np.repeat(group_base, left_sizes)
-        row_keys |= row_hashes >> np.uint64(b)
+        # A binary search of the rows' sort keys, in row order, finds a hash
+        # within its group up to the cut bits.
         top = y_hashes + np.uint64(p)
-        at = np.searchsorted(row_keys, group_base[group_of] | top >> np.uint64(b))
+        target = (group_base[group_of] | top >> np.uint64(b)) >> np.uint64(ib)
+        at = np.searchsorted(key[~is_col], target)
         # Rows whose key ties the target's may still hash below it.
         i = np.flatnonzero(at < end)
         while i.size:
@@ -248,6 +248,7 @@ def sort_group(grouped: GroupedInput, lo: int, hi: int, pair_hash: PairHash,
             i = i[at[i] < end[i]]
         # A window past 2**64 wraps to the group's first rows.
         counts = at - first + np.where(top < y_hashes, size, 0)
+    del key
     column_offsets = offsets(counts)
     n = int(column_offsets[-1])
     # Each column's candidates, from its minimum; those past its group's end

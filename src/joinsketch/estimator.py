@@ -274,7 +274,7 @@ def draw_pilot(grouped: GroupedInput, seed: int) -> Pilot:
     distinct = np.diff(run_edges(keys[run_starts(keys)] >> np.uint64(32)))
     share = int(distinct.sum()) / occurrences
     residuals = distinct - share * fan
-    error = math.sqrt((1 - 2.0**-s) * float(residuals @ residuals)) / occurrences
+    error = math.sqrt((1 - 2.0**-s) * math.fsum((residuals * residuals).tolist())) / occurrences
     return Pilot(occurrences, share, error)
 
 

@@ -81,6 +81,13 @@ class Side(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
 
+    @property
+    def index(self) -> int:
+        """0 for left, 1 for right, the order of declaration: the half of a
+        packed tuple that holds the non-join attribute, the selector stream
+        of a sample of this side and its side code in a sample file."""
+        return list(Side).index(self)
+
 
 def pack(high: np.ndarray, low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Keys ``high << 32 | low`` of two arrays of 32-bit values, written to
@@ -93,22 +100,6 @@ def pack(high: np.ndarray, low: np.ndarray, out: np.ndarray | None = None) -> np
 def unpack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The high and low 32-bit halves of packed keys, as uint64 arrays."""
     return keys >> _SHIFT, keys & _LOW
-
-
-def sorted_pairs(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of two arrays of 32-bit values in ascending (high, low)
-    order, as the high halves (uint64) and the low halves (int64).
-
-    One sort of the packed keys, whose halves are then split in place.
-    Ordering the benchmark workloads' 24k to 100k left tuples this way takes
-    0.42-0.46x the time of ``np.argsort`` and two gathers (2-core Xeon VM,
-    numpy 2.4).
-    """
-    keys = pack(high, low)
-    keys.sort()
-    low = (keys & _LOW).view(np.int64)
-    keys >>= _SHIFT
-    return keys, low
 
 
 def _swapped(keys: np.ndarray) -> np.ndarray:

@@ -73,7 +73,7 @@ def membership_cut(prob: float) -> int:
 def draw_sample(relation: Relation, prob: float, selector: PairwiseHash) -> DistinctSample:
     """One pass over the relation keeping value-selected tuples."""
     cut = membership_cut(prob)
-    attrs = unpack(relation.keys)[0 if relation.side is Side.LEFT else 1]
+    attrs = unpack(relation.keys)[relation.side.index]
     kept = relation.keys
     if cut < GRID and kept.size:
         kept = kept[selector.values(attrs) < np.uint64(cut)]
@@ -146,8 +146,6 @@ _MAGIC = b"JPDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBBQQQQdQQQ")
 _PAIR = np.dtype([("x", "<u4"), ("y", "<u4")])
-_SIDE_CODES = {Side.LEFT: 0, Side.RIGHT: 1}
-_SIDE_FROM_CODE = {v: k for k, v in _SIDE_CODES.items()}
 _FAMILY_CODE = 0
 _RETIRED_FAMILY_CODE = 1
 
@@ -157,7 +155,7 @@ def save_sample(sample: DistinctSample, path: str) -> None:
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
-        _SIDE_CODES[sample.relation.side],
+        sample.relation.side.index,
         _FAMILY_CODE,
         sample.selector.multiplier,
         sample.selector.addend,
@@ -191,7 +189,7 @@ def load_sample(path: str) -> DistinctSample:
     if family_code == _RETIRED_FAMILY_CODE:
         raise SampleFormatError(f"{path}: drawn with the retired mersenne61 hash family; "
                                 "draw the sample again")
-    if side_code not in _SIDE_FROM_CODE or family_code != _FAMILY_CODE:
+    if side_code >= len(Side) or family_code != _FAMILY_CODE:
         raise SampleFormatError(f"{path}: corrupt header fields")
     if not (math.isfinite(prob) and 0 < prob <= 1):
         raise SampleFormatError(f"{path}: sampling probability {prob} outside (0, 1]")
@@ -208,9 +206,9 @@ def load_sample(path: str) -> DistinctSample:
     keys = pack(records["x"], records["y"])
     if np.any(keys[1:] <= keys[:-1]):
         raise SampleFormatError(f"{path}: tuple records are not strictly ascending")
-    side = _SIDE_FROM_CODE[side_code]
+    side = list(Side)[side_code]
     selector = PairwiseHash(multiplier, addend)
-    attrs = sorted_distinct(unpack(keys)[0 if side is Side.LEFT else 1])
+    attrs = sorted_distinct(unpack(keys)[side.index])
     if attrs.size > source_distinct:
         raise SampleFormatError(f"{path}: {attrs.size} distinct sampled values, more than the "
                                 f"{source_distinct} distinct source values")

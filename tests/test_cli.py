@@ -251,6 +251,26 @@ def test_negative_count_flag_is_usage_error(capsys, tmp_path, tiny_pair, command
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--self", "{left}", "--left", "{left}", "-k", "4"], "--self excludes"),
+    (["estimate", "--self", "{left}", "--right", "{right}", "-k", "4"], "--self excludes"),
+    (["exact", "--self", "{left}", "--left", "{left}"], "--self excludes"),
+    (["exact", "--self", "{left}", "--right", "{right}"], "--self excludes"),
+    (["estimate", "--left", "{left}", "--right", "{right}"], "need --epsilon or -k"),
+    (["experiment", "--left", "{left}", "--right", "{right}", "-k", "4", "--trials", "0",
+      "--out-dir", "{out}"], "--trials must be positive"),
+], ids=["estimate-self-left", "estimate-self-right", "exact-self-left", "exact-self-right",
+        "estimate-no-size", "experiment-no-trials"])
+def test_conflicting_or_missing_flags_are_usage_errors(capsys, tmp_path, tiny_pair, argv,
+                                                       message):
+    left, right = tiny_pair
+    names = {"left": left, "right": right, "out": tmp_path / "out"}
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, [arg.format(**names) for arg in argv])
+    assert one_error_line(code, out, err) and err.startswith(f"error: {message}")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["estimate", "experiment", "sample", "sample-estimate"])
 def test_hash_family_flag_is_usage_error(capsys, tmp_path, tiny_pair, command):
     # wrapping64 is the only hash family, so there is no flag to choose one.

@@ -724,8 +724,7 @@ def test_pilot_equals_the_plain_python_ratio_estimate():
             got = draw_pilot(g, seed)
             assert (got.occurrences, got.distinct_share) == (want.occurrences,
                                                              want.distinct_share), seed
-            # numpy sums the squared residuals in another order.
-            assert got.standard_error == pytest.approx(want.standard_error, rel=1e-12, abs=0)
+            assert got.standard_error == want.standard_error, seed
             raised += rises > 0
             sampled_some += 0 < got.occurrences < g.total_product and got.distinct_share < 1
     assert raised and sampled_some
@@ -742,6 +741,24 @@ def test_pilot_samples_at_most_its_budget():
     assert g.total_product == 280_000
     sampled = [draw_pilot(g, seed).occurrences for seed in range(40)]
     assert max(sampled) <= PILOT_OCCURRENCES and min(sampled) > 0
+
+
+def test_a_pilot_of_a_value_above_the_budget_samples_nothing():
+    # One left value with 20,000 pair occurrences: where it is sampled, s
+    # rises until it is not, so the pilot samples nothing at any seed.
+    g = grouped_from({(0, 0)}, {(0, c) for c in range(20_000)})
+    tops = pilot_values(draw_single(pilot_rng(0)), g.left_values) >= np.uint64(GRID >> 1)
+    assert tops.all()  # seed 0 samples the value at first
+    for seed in range(6):
+        assert draw_pilot(g, seed) == Pilot(0), seed
+    # first_threshold then takes a share of 1 with no error: c k / total_product.
+    assert first_threshold(g, 64, Pilot(0)) == -(-11 * 64 * GRID // (8 * 20_000))
+    for mode in THRESHOLD_MODES:
+        cfg = EstimatorConfig(k=64, threshold_mode=mode, seed=3)
+        est = run_once(g, cfg)
+        assert est.pilot == Pilot(0)
+        other = run_once(g, cfg, pilot=OVERESTIMATE)
+        assert (est.kind, est.v, est.value) == (other.kind, other.v, other.value), mode
 
 
 def test_pilot_memory_does_not_grow_with_the_left_tuples():
